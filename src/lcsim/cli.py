@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lcmeasure, models, protocol, uniqueness
 from .circle import normalize
-from .models import CandidateModel, NormalizationError, Quadrant, TSIRELSON_SETTINGS
+from .models import NormalizationError, Quadrant, TSIRELSON_SETTINGS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,14 +55,6 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
         with open(out_path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-
-
-def _builtin_model(name: str) -> CandidateModel:
-    if name == "abs-cos":
-        return CandidateModel.abs_cos()
-    if name == "cos-squared":
-        return CandidateModel.cos_squared()
-    return CandidateModel.uniform()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ def cmd_uniqueness(args) -> int:
     if args.model:
         model = models.load_model(args.model, panels=args.panels)
     else:
-        model = _builtin_model(args.builtin)
+        model = models.BUILTIN_MODELS[args.builtin]
     report = uniqueness.verify_reproduction(
         model,
         grid=args.grid,
@@ -280,12 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="verify a candidate against the singlet statistics")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=models.BUILTIN_PROFILES)
+    group.add_argument("--builtin", choices=sorted(models.BUILTIN_MODELS))
     group.add_argument("--model", help="candidate model JSON file")
     p.add_argument("--grid", type=_positive_int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--h", type=float, default=1e-3, help="profile reconstruction step")
-    p.add_argument("--panels", type=_positive_int, default=models.DEFAULT_PANELS)
+    p.add_argument("--panels", type=_positive_int, default=models.DEFAULT_PANELS,
+                   help="two-node Gauss panels per quadrant table, spread over the whole circle (at least 8)")
     p.add_argument("--weight-side", type=int, choices=(1, 2), default=1)
     p.add_argument("--no-reconstruction", action="store_true")
     p.add_argument("--out", help="also write the JSON report to this path")

@@ -449,14 +449,16 @@ def measure_to_dict(m: DiscreteLCMeasure, meta: dict | None = None) -> dict:
 
 
 def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"measure document must be an object, got {type(doc).__name__}")
     for key in ("n1", "n2", "m1", "m2", "PS", "K1", "K2"):
         if key not in doc:
             raise ValueError(f"measure document is missing the {key!r} field")
-    m = DiscreteLCMeasure(
-        PS=np.asarray(doc["PS"], dtype=float),
-        K1=np.asarray(doc["K1"], dtype=float),
-        K2=np.asarray(doc["K2"], dtype=float),
-    )
+    try:
+        PS, K1, K2 = (np.asarray(doc[key], dtype=float) for key in ("PS", "K1", "K2"))
+    except TypeError:
+        raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
+    m = DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
     declared = (doc["n1"], doc["n2"], doc["m1"], doc["m2"])
     if declared != (m.n1, m.n2, m.m1, m.m2):
         raise ValueError(

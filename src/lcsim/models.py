@@ -14,8 +14,10 @@ the scale are conventions, and the total mass is a computed diagnostic.
 
 Quadrant masses (probabilities of the four joint-outcome cells) come either
 from the singlet closed forms, ½cos²((b-a)/2) on matched cells and
-½sin²((b-a)/2) on mixed ones, or from panel quadrature over the detection-arc
-intersections for an arbitrary candidate. Correlations and the CHSH statistic
+½sin²((b-a)/2) on mixed ones, or, for an arbitrary candidate, from one pass of
+two-node Gauss panels over the circle. That pass cuts the circle at the four
+detection-arc endpoints and the shifted profile kinks, and sums each smooth
+piece into the cell its midpoint lies in. Correlations and the CHSH statistic
 are signed sums of quadrant masses, so the analytic and quadrature backends
 share one code path.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -31,15 +34,19 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import TWO_PI, Arc, arc_I, arc_J, arc_intersect, normalize, normalize_array
+from .circle import TWO_PI, normalize, normalize_array
+from .circle import arc_intersect  # noqa: F401  (module attribute patched by perfbench/layers.py)
 
 HALF_PI = 0.5 * math.pi
 
 #: Tolerance on |total mass - 1| before correlations are considered defined.
 MASS_TOL = 1e-6
 
-#: Default number of quadrature panels.
+#: Default number of Gauss panels per quadrant table.
 DEFAULT_PANELS = 4096
+
+#: Quadrature cuts closer than this to their predecessor are merged into it.
+_CUT_TOL = 1e-13
 
 #: CHSH setting quadruple (a, a2, b, b2) attaining the 2√2 maximum.
 TSIRELSON_SETTINGS = (0.0, HALF_PI, 0.25 * math.pi, 0.75 * math.pi)
@@ -64,11 +71,6 @@ class Quadrant(Enum):
         """Sign of f1*f2 on the cell: mixed cells give +1, matched give -1."""
         return 1 if self in (Quadrant.IJ, Quadrant.JI) else -1
 
-    def arcs(self, a: float, b: float) -> tuple[Arc, Arc]:
-        arc1 = arc_I(a) if self in (Quadrant.II, Quadrant.IJ) else arc_J(a)
-        arc2 = arc_I(b) if self in (Quadrant.II, Quadrant.JI) else arc_J(b)
-        return arc1, arc2
-
 
 _BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "abs-cos": lambda x: np.abs(np.cos(x)),
@@ -83,8 +85,6 @@ _BUILTIN_KINKS: dict[str, tuple[float, ...]] = {
     "uniform": (),
 }
 
-BUILTIN_PROFILES = tuple(sorted(_BUILTINS))
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -98,10 +98,15 @@ class Profile:
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, str):
+            raise ValueError(f"profile kind must be a string, got {self.kind!r}")
         if self.kind == "samples":
-            if self.samples is None or len(self.samples) < 2:
-                raise ValueError("sampled profile needs at least two samples")
-            values = np.asarray(self.samples, dtype=float)
+            try:
+                values = np.asarray(self.samples, dtype=float)
+            except TypeError:
+                raise ValueError("profile samples must be a list of numbers") from None
+            if values.ndim != 1 or values.size < 2:
+                raise ValueError("sampled profile needs a list of at least two samples")
             if not np.all(np.isfinite(values)) or np.any(values < 0.0):
                 raise ValueError("profile samples must be finite and nonnegative")
             object.__setattr__(self, "samples", tuple(float(v) for v in values))
@@ -117,7 +122,7 @@ class Profile:
 
     @classmethod
     def from_samples(cls, values) -> "Profile":
-        return cls(kind="samples", samples=tuple(float(v) for v in values))
+        return cls(kind="samples", samples=values)
 
     @property
     def n_samples(self) -> int:
@@ -132,12 +137,12 @@ class Profile:
         wrapped = np.append(vals, vals[0])
         return np.interp(normalize_array(xs), grid, wrapped)
 
-    def kink_angles(self) -> tuple[float, ...]:
-        """Angles (mod 2π) where the profile is not smooth; quadrature splits here."""
+    def kink_angles(self) -> np.ndarray:
+        """Angles in [0, 2π) where the profile is not smooth; quadrature cuts here."""
         if self.kind == "samples":
             n = len(self.samples)
-            return tuple(TWO_PI * k / n for k in range(n))
-        return _BUILTIN_KINKS[self.kind]
+            return TWO_PI * np.arange(n) / n
+        return np.array(_BUILTIN_KINKS[self.kind], dtype=float)
 
     def to_dict(self) -> dict:
         if self.kind == "samples":
@@ -221,20 +226,33 @@ class CandidateModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CandidateModel":
+        if not isinstance(doc, dict):
+            raise ValueError(f"model document must be an object, got {type(doc).__name__}")
         for key in ("rho", "p1", "p2"):
             if key not in doc:
                 raise ValueError(f"model document is missing the {key!r} field")
+        scale = doc.get("scale", 1.0)
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
+            raise ValueError(f"model scale must be a number, got {scale!r}")
         return cls(
             rho=Profile.from_dict(doc["rho"]),
             p1=Profile.from_dict(doc["p1"]),
             p2=Profile.from_dict(doc["p2"]),
-            scale=float(doc.get("scale", 1.0)),
+            scale=float(scale),
         )
 
 
 def _check_side(side: int) -> None:
     if side not in (1, 2):
         raise ValueError(f"weight side must be 1 or 2, got {side!r}")
+
+
+#: The unit-mass builtin candidates by name.
+BUILTIN_MODELS: dict[str, CandidateModel] = {
+    "abs-cos": CandidateModel.abs_cos(),
+    "cos-squared": CandidateModel.cos_squared(),
+    "uniform": CandidateModel.uniform(),
+}
 
 
 def save_model(path, model: CandidateModel) -> None:
@@ -250,39 +268,6 @@ def load_model(path, panels: int = DEFAULT_PANELS) -> CandidateModel:
     return model
 
 
-def _integrate(f, lo: float, hi: float, cuts, panels: int) -> float:
-    """Composite two-node Gauss panels on [lo, hi], split at interior cuts.
-
-    Panels are spread over the smooth sub-pieces in proportion to length
-    (at least one each), so `panels` sets the total resolution.
-    """
-    pts = [lo]
-    for c in sorted(set(cuts)):
-        if lo + 1e-13 < c < hi - 1e-13 and c - pts[-1] > 1e-13:
-            pts.append(c)
-    pts.append(hi)
-    width = hi - lo
-    acc = 0.0
-    for u, v in zip(pts[:-1], pts[1:]):
-        if v - u <= 0.0:
-            continue
-        k = max(1, math.ceil(panels * (v - u) / width))
-        h = (v - u) / k
-        centers = u + (np.arange(k) + 0.5) * h
-        off = 0.5 * h * _INV_SQRT3
-        nodes = np.concatenate((centers - off, centers + off))
-        acc += 0.5 * h * float(np.sum(f(nodes)))
-    return acc
-
-
-def _model_cuts(m: CandidateModel, a: float, b: float) -> list[float]:
-    cuts: set[float] = set()
-    for profile, shift in ((m.rho, 0.0), (m.p1, a), (m.p2, b)):
-        for c in profile.kink_angles():
-            cuts.add(normalize(c + shift))
-    return sorted(cuts)
-
-
 def quadrant_prob_analytic(a: float, b: float, quadrant: Quadrant) -> float:
     """Singlet closed form for one cell: ½cos²((b-a)/2) or ½sin²((b-a)/2)."""
     half = 0.5 * (b - a)
@@ -294,33 +279,42 @@ def quadrant_prob_analytic(a: float, b: float, quadrant: Quadrant) -> float:
 def quadrant_prob_quadrature(
     m: CandidateModel, a: float, b: float, quadrant: Quadrant, panels: int = DEFAULT_PANELS
 ) -> float:
-    """Mass of one joint-outcome cell by panel quadrature over the arc
-    intersection. An empty intersection gives exactly 0."""
-    if panels < 8:
-        raise ValueError(f"panel count must be at least 8, got {panels!r}")
-    a = normalize(a)
-    b = normalize(b)
-    arc1, arc2 = quadrant.arcs(a, b)
-    pieces = arc_intersect(arc1, arc2)
-    if not pieces:
-        return 0.0
-    cuts = _model_cuts(m, a, b)
-    total = sum(p.length for p in pieces)
-
-    def f(s):
-        return m.density(s, a, b)
-
-    acc = 0.0
-    for piece in pieces:
-        share = max(1, math.ceil(panels * piece.length / total))
-        acc += _integrate(f, piece.start, piece.start + piece.length, cuts, share)
-    return acc
+    """Mass of one joint-outcome cell: one entry of :func:`quadrant_table_quadrature`."""
+    return quadrant_table_quadrature(m, a, b, panels)[quadrant]
 
 
 def quadrant_table_quadrature(
     m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS
 ) -> dict[Quadrant, float]:
-    return {q: quadrant_prob_quadrature(m, a, b, q, panels) for q in Quadrant}
+    """All four cell masses from one pass of two-node Gauss panels over [0, 2π).
+
+    The circle is cut at the four arc endpoints and every profile kink at its
+    shift, so each piece lies in one cell, found from its midpoint, and carries
+    a smooth density. `panels` Gauss panels are spread over the pieces in
+    proportion to length (at least one each), so it sets the resolution of the
+    whole table. A cell that no piece lies in gets exactly 0.
+    """
+    if panels < 8:
+        raise ValueError(f"panel count must be at least 8, got {panels!r}")
+    a, b = normalize(a), normalize(b)
+    ends = np.array([a - HALF_PI, a + HALF_PI, b - HALF_PI, b + HALF_PI])
+    kinks = [p.kink_angles() + shift for p, shift in ((m.rho, 0.0), (m.p1, a), (m.p2, b))]
+    pts = np.sort(np.concatenate(([0.0, TWO_PI], normalize_array(np.concatenate([ends, *kinks])))))
+    pts = pts[np.concatenate(([True], np.diff(pts) > _CUT_TOL))]
+    pts[-1] = TWO_PI
+    lo, length = pts[:-1], np.diff(pts)
+    k = np.maximum(1, np.ceil(panels * length / TWO_PI)).astype(np.int64)
+    piece = np.repeat(np.arange(k.size), k)
+    h = (length / k)[piece]
+    first = np.cumsum(k) - k
+    centers = lo[piece] + (np.arange(piece.size) - first[piece] + 0.5) * h
+    off = 0.5 * h * _INV_SQRT3
+    values = m.density(np.concatenate((centers - off, centers + off)), a, b)
+    weights = 0.5 * h * (values[: piece.size] + values[piece.size :])
+    in_j = np.mod(lo + 0.5 * length - np.array([[a], [b]]) + HALF_PI, TWO_PI) >= math.pi
+    cell = 2 * in_j[0] + in_j[1]  # Quadrant order: II, IJ, JI, JJ
+    masses = np.bincount(cell[piece], weights=weights, minlength=4)
+    return {q: float(mass) for q, mass in zip(Quadrant, masses)}
 
 
 def total_mass(m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS) -> float:

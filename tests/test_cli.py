@@ -225,3 +225,26 @@ class TestTrivial:
         code, _, err = run_cli(capsys, "trivial", "--measure", str(path))
         assert code == EXIT_VALIDATION
         assert "validation error" in err
+
+
+GOOD_MODEL = {"rho": {"builtin": "uniform"}, "p1": {"builtin": "abs-cos"}, "p2": {"builtin": "uniform"}}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("uniqueness", 3),
+        ("uniqueness", {**GOOD_MODEL, "p1": {"samples": 5}}),
+        ("uniqueness", {**GOOD_MODEL, "rho": {"builtin": ["x"]}}),
+        ("uniqueness", {**GOOD_MODEL, "scale": None}),
+        ("trivial", 3),
+    ],
+    ids=["model-number", "samples-number", "builtin-list", "scale-null", "measure-number"],
+)
+def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    flag = "--model" if command == "uniqueness" else "--measure"
+    code, _, err = run_cli(capsys, command, flag, str(path))
+    assert code == EXIT_VALIDATION
+    assert "validation error" in err

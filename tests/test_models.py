@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim.circle import TWO_PI
+from lcsim.circle import TWO_PI, arc_I, arc_intersect, arc_J, normalize
 from lcsim.models import (
     DEFAULT_PANELS,
     TSIRELSON_SETTINGS,
@@ -29,7 +29,13 @@ from lcsim.models import (
 )
 
 ABS_COS = CandidateModel.abs_cos()
+COS_SQUARED = CandidateModel.cos_squared()
 UNIFORM = CandidateModel.uniform()
+SAMPLED_ABS_COS = CandidateModel(
+    rho=Profile.builtin("uniform"),
+    p1=Profile.from_samples(np.abs(np.cos(TWO_PI * np.arange(256) / 256))),
+    p2=Profile.builtin("uniform"),
+).normalized()
 
 small_angles = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
 
@@ -44,6 +50,47 @@ def uniform_ii_oracle(d: float) -> float:
 def sawtooth(d: float) -> float:
     dist = min(d % TWO_PI, TWO_PI - d % TWO_PI)
     return -1.0 + 2.0 * dist / math.pi
+
+
+# Reference for the one-pass table: each cell integrated on its own over the
+# arc intersection, split at the shifted profile kinks, with the full panel
+# count per cell.
+def _reference_integrate(f, lo: float, hi: float, cuts, panels: int) -> float:
+    pts = [lo]
+    for c in cuts:
+        if lo + 1e-13 < c < hi - 1e-13 and c - pts[-1] > 1e-13:
+            pts.append(c)
+    pts.append(hi)
+    acc = 0.0
+    for u, v in zip(pts[:-1], pts[1:]):
+        k = max(1, math.ceil(panels * (v - u) / (hi - lo)))
+        h = (v - u) / k
+        centers = u + (np.arange(k) + 0.5) * h
+        off = 0.5 * h / math.sqrt(3.0)
+        acc += 0.5 * h * float(np.sum(f(np.concatenate((centers - off, centers + off)))))
+    return acc
+
+
+def reference_cell(m, a, b, quadrant, panels=DEFAULT_PANELS) -> float:
+    a, b = normalize(a), normalize(b)
+    arc1 = arc_I(a) if quadrant in (Quadrant.II, Quadrant.IJ) else arc_J(a)
+    arc2 = arc_I(b) if quadrant in (Quadrant.II, Quadrant.JI) else arc_J(b)
+    pieces = arc_intersect(arc1, arc2)
+    if not pieces:
+        return 0.0
+    shifted = ((m.rho, 0.0), (m.p1, a), (m.p2, b))
+    cuts = sorted({normalize(float(c) + shift) for p, shift in shifted for c in p.kink_angles()})
+    total = sum(piece.length for piece in pieces)
+    return sum(
+        _reference_integrate(
+            lambda s: m.density(s, a, b),
+            piece.start,
+            piece.start + piece.length,
+            cuts,
+            max(1, math.ceil(panels * piece.length / total)),
+        )
+        for piece in pieces
+    )
 
 
 class TestProfiles:
@@ -192,6 +239,57 @@ class TestQuadrature:
             assert quadrant_prob_quadrature(model, a + delta, b + delta, q, 512) == pytest.approx(
                 quadrant_prob_quadrature(model, a, b, q, 512), abs=1e-6
             )
+
+
+class TestOnePassTable:
+    @pytest.mark.parametrize(
+        "model,grid",
+        [(ABS_COS, 32), (COS_SQUARED, 32), (SAMPLED_ABS_COS, 8)],
+        ids=["abs-cos", "cos-squared", "sampled-256"],
+    )
+    def test_matches_per_cell_reference(self, model, grid):
+        settings = TWO_PI * np.arange(grid) / grid
+        worst = 0.0
+        for a in map(float, settings):
+            for b in map(float, settings):
+                table = quadrant_table_quadrature(model, a, b)
+                for q in Quadrant:
+                    reference = reference_cell(model, a, b, q)
+                    if reference == 0.0:
+                        assert table[q] == 0.0
+                    worst = max(worst, abs(table[q] - reference))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize(
+        "model", [ABS_COS, COS_SQUARED, SAMPLED_ABS_COS], ids=["abs-cos", "cos-squared", "sampled-256"]
+    )
+    def test_one_pass_work_count(self, monkeypatch, model):
+        evaluated = []
+        density = CandidateModel.density
+
+        def counting(self, s, a, b):
+            out = density(self, s, a, b)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(CandidateModel, "density", counting)
+        kinks = sum(len(p.kink_angles()) for p in (model.rho, model.p1, model.p2))
+        for panels in (8, 512, DEFAULT_PANELS):
+            for a, b in ((0.0, 0.0), (0.3, 2.2), (5.9, 1.0), (1.0, 1.0 + math.pi)):
+                evaluated.clear()
+                table = quadrant_table_quadrature(model, a, b, panels)
+                assert 0 < sum(evaluated) <= 2 * (panels + 5 + kinks)
+                assert sum(table.values()) == total_mass(model, a, b, panels)
+
+    def test_half_turn_swaps_cells(self):
+        # I(a + π) = J(a) and the abs-cos density is π-periodic, so turning
+        # both settings by π exchanges II with JJ and IJ with JI.
+        swap = {Quadrant.II: Quadrant.JJ, Quadrant.IJ: Quadrant.JI, Quadrant.JI: Quadrant.IJ, Quadrant.JJ: Quadrant.II}
+        for a, b in ((0.0, 0.4), (1.1, 5.0), (2.5, 2.5), (4.0, 0.9)):
+            table = quadrant_table_quadrature(ABS_COS, a, b)
+            turned = quadrant_table_quadrature(ABS_COS, a + math.pi, b + math.pi)
+            for q in Quadrant:
+                assert turned[swap[q]] == pytest.approx(table[q], abs=1e-13)
 
 
 class TestCorrelation:
