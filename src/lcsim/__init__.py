@@ -1,7 +1,7 @@
 """Local-causal measure toolkit for spin-pair correlations.
 
 Submodules:
-  circle      angles, half-open detection arcs, spin observables
+  circle      angles, half-open detection arcs, vectorized ±1 spin values
   models      diagonal candidate densities and their quadrant statistics
   lcmeasure   finite local-causal measures, triviality, Markov transport
   uniqueness  constructive check that the |cos|/4 profile is forced

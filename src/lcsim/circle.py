@@ -1,9 +1,10 @@
-"""Angles, half-open detection arcs, and ±1 spin observables on the unit circle.
+"""Angles, half-open detection arcs, and ±1 spin values on the unit circle.
 
-Angles are plain floats in radians; public operations normalize their inputs
-to the canonical representative in [0, 2π). Detection arcs come in two
+Angles are floats or arrays of floats in radians; :func:`normalize` maps
+either to the canonical representative in [0, 2π). Detection arcs come in two
 families, I(a) = [a - π/2, a + π/2) and J(a) = [a + π/2, a + 3π/2), which
-partition the circle for every setting a and satisfy I(a + π) = J(a).
+partition the circle for every setting a and satisfy I(a + π) = J(a);
+:func:`spin_values` reads +1 on I and -1 on J, vectorized over configurations.
 """
 
 from __future__ import annotations
@@ -20,35 +21,25 @@ HALF_PI = 0.5 * math.pi
 # so no statistic can depend on this choice.
 BOUNDARY_EPS = 1e-12
 
-Angle = float
 
-
-def normalize(x: float) -> Angle:
-    """Canonical representative of x in [0, 2π)."""
-    if not math.isfinite(x):
-        raise ValueError(f"angle must be finite, got {x!r}")
-    r = math.fmod(x, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    if r >= TWO_PI:  # the addition above can round up to the full period
-        r = 0.0
-    return r
-
-
-def normalize_array(x) -> np.ndarray:
-    """Vectorized :func:`normalize`."""
+def normalize(x):
+    """Canonical representative of x in [0, 2π): a float for a scalar, an
+    array for an array. Zero and multiples of 2π, of either sign, map to 0.0."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angles must be finite")
+    if not np.isfinite(arr).all():  # checked first, so np.mod never warns
+        raise ValueError(f"angle must be finite, got {x!r}" if arr.ndim == 0 else "angles must be finite")
     r = np.mod(arr, TWO_PI)
-    return np.where(r >= TWO_PI, 0.0, r)
+    if r.ndim == 0:
+        return 0.0 if r >= TWO_PI else float(r)
+    r[r >= TWO_PI] = 0.0  # adding 2π to a tiny negative can round up to the period
+    return r
 
 
 @dataclass(frozen=True)
 class Arc:
     """Half-open arc [start, start + length) with wraparound."""
 
-    start: Angle
+    start: float
     length: float
 
     def __post_init__(self) -> None:
@@ -56,20 +47,12 @@ class Arc:
         if not (0.0 < self.length <= TWO_PI):
             raise ValueError(f"arc length must lie in (0, 2π], got {self.length!r}")
 
-    @property
-    def end(self) -> Angle:
-        """Right endpoint, normalized; not a member of the arc."""
-        return normalize(self.start + self.length)
-
     def intervals(self) -> list[tuple[float, float]]:
         """The arc as one or two plain sub-intervals of [0, 2π]."""
         hi = self.start + self.length
         if hi <= TWO_PI:
             return [(self.start, hi)]
         return [(self.start, TWO_PI), (0.0, hi - TWO_PI)]
-
-    def contains(self, s: float, eps: float = BOUNDARY_EPS) -> bool:
-        return arc_contains(self, s, eps)
 
 
 def arc_I(a: float) -> Arc:
@@ -80,14 +63,6 @@ def arc_I(a: float) -> Arc:
 def arc_J(a: float) -> Arc:
     """Detection arc J(a) = [a + π/2, a + 3π/2), the complement of I(a)."""
     return Arc(a + HALF_PI, math.pi)
-
-
-def arc_contains(arc: Arc, s: float, eps: float = BOUNDARY_EPS) -> bool:
-    """Half-open membership: left endpoint in, right endpoint out."""
-    t = normalize(s - arc.start)
-    if t >= TWO_PI - eps:  # a left-endpoint tie that rounding pushed below the period
-        t = 0.0
-    return t < arc.length - eps
 
 
 def arc_intersect(x: Arc, y: Arc, eps: float = BOUNDARY_EPS) -> list[Arc]:
@@ -108,43 +83,16 @@ def arc_intersect(x: Arc, y: Arc, eps: float = BOUNDARY_EPS) -> list[Arc]:
     return [Arc(start, length) for start, length in pieces]
 
 
-def total_length(arcs) -> float:
-    return float(sum(arc.length for arc in arcs))
-
-
-def spin_value(side: int, setting: float, s: float) -> int:
-    """±1 spin outcome.
+def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.ndarray:
+    """±1 spin outcomes at configurations s, as an int8 array.
 
     Side 1 reads +1 on I(setting) and -1 on J(setting); side 2 uses the
-    opposite signs, so equal settings are perfectly anti-correlated.
+    opposite signs, so equal settings are perfectly anti-correlated. Arcs are
+    half-open: the left endpoint belongs to the arc, the right one does not.
     """
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
-    value = 1 if arc_contains(arc_I(setting), s) else -1
-    return value if side == 1 else -value
-
-
-def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.ndarray:
-    """Vectorized :func:`spin_value`; returns an int8 array of ±1."""
-    if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
-    t = normalize_array(np.asarray(s, dtype=float) - (setting - HALF_PI))
-    t = np.where(t >= TWO_PI - eps, 0.0, t)
+    t = normalize(np.asarray(s, dtype=float) - (setting - HALF_PI))
+    t = np.where(t >= TWO_PI - eps, 0.0, t)  # a left-endpoint tie that rounding pushed below the period
     values = np.where(t < math.pi - eps, 1, -1).astype(np.int8)
     return values if side == 1 else (-values).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class SpinObservable:
-    """One side's spin observable at a fixed analyzer setting."""
-
-    side: int
-    setting: Angle
-
-    def __post_init__(self) -> None:
-        if self.side not in (1, 2):
-            raise ValueError(f"side must be 1 or 2, got {self.side!r}")
-        object.__setattr__(self, "setting", normalize(self.setting))
-
-    def __call__(self, s: float) -> int:
-        return spin_value(self.side, self.setting, s)

@@ -49,6 +49,14 @@ def _angle(args, value: float) -> float:
     return normalize(math.radians(value) if args.degrees else value)
 
 
+def _meta_int(meta: dict, key: str, default: int | None = None) -> int:
+    """A positive integer field of a measure file's cosine-diagonal metadata."""
+    value = meta.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"cosine-diagonal meta needs a positive integer {key!r}, got {value!r}")
+    return value
+
+
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -127,11 +135,10 @@ def cmd_simulate(args) -> int:
         station1_seed=st1_seed,
         station2_seed=st2_seed,
     )
+    emissions, r1, r2 = protocol.run_trial(cfg)
     if args.events_csv:
-        emissions, r1, r2 = protocol.run_trial(cfg)
         protocol.write_event_log(args.events_csv, cfg, emissions, r1, r2, args.debug_hidden)
-    summary = protocol.run_experiment(cfg)
-    _emit_json(summary.to_dict(), args.out)
+    _emit_json(protocol.summarize(cfg, r1, r2).to_dict(), args.out)
     return EXIT_OK
 
 
@@ -196,17 +203,18 @@ def cmd_trivial(args) -> int:
     if isinstance(meta, dict) and meta.get("family") == "cosine-diagonal":
         # A self-describing diagonal cosine discretization: rebuild the full
         # four-setting family on the same grid and evaluate CHSH there.
+        grid = _meta_int(meta, "grid")
         family, obs1, obs2 = lcmeasure.cosine_diagonal_family(
-            int(meta["grid"]),
+            grid,
             TSIRELSON_SETTINGS,
-            m1=int(meta.get("m1", 8)),
-            m2=int(meta.get("m2", 8)),
-            weight_side=int(meta.get("weight_side", 1)),
+            m1=_meta_int(meta, "m1", 8),
+            m2=_meta_int(meta, "m2", 8),
+            weight_side=_meta_int(meta, "weight_side", 1),
         )
         doc["chsh"] = {
             "kind": "setting-family",
             "settings": list(TSIRELSON_SETTINGS),
-            "grid": int(meta["grid"]),
+            "grid": grid,
             "value": lcmeasure.chsh_discrete(family, obs1, obs2),
         }
     else:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .circle import TWO_PI, spin_values
-from .models import TSIRELSON_SETTINGS
+from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 #: Source entries above this mass threshold count as support.
 SUPPORT_EPS = 1e-12
@@ -272,17 +272,12 @@ def chsh_discrete(measures, obs1, obs2) -> float:
     """
     if len(measures) != 4:
         raise ValueError("a CHSH family has four members")
-    m_ab, m_ab2, m_a2b, m_a2b2 = measures
     for other in measures[1:]:
         if not np.array_equal(measures[0].PS, other.PS):
             raise ValueError("family members must share the source matrix")
-    o_a, o_a2 = obs1
-    o_b, o_b2 = obs2
-    c_ab = discrete_correlation(m_ab, o_a, o_b)
-    c_ab2 = discrete_correlation(m_ab2, o_a, o_b2)
-    c_a2b = discrete_correlation(m_a2b, o_a2, o_b)
-    c_a2b2 = discrete_correlation(m_a2b2, o_a2, o_b2)
-    return abs(c_ab - c_ab2) + abs(c_a2b + c_a2b2)
+    (o_a, o_a2), (o_b, o_b2) = obs1, obs2
+    pairs = chsh_pairs((o_a, o_a2, o_b, o_b2))
+    return chsh(*(discrete_correlation(m, o1, o2) for m, (o1, o2) in zip(measures, pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +411,7 @@ def cosine_diagonal_family(
     grid = diagonal_grid(n_grid)
     measures = tuple(
         cosine_diagonal_measure(n_grid, sa, sb, m1=m1, m2=m2, weight_side=weight_side)
-        for sa, sb in ((a, b), (a, b2), (a2, b), (a2, b2))
+        for sa, sb in chsh_pairs(settings)
     )
     obs1 = (
         spin_values(1, a, grid).astype(float),

@@ -34,10 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import TWO_PI, normalize, normalize_array
+from .circle import HALF_PI, TWO_PI, normalize
 from .circle import arc_intersect  # noqa: F401  (module attribute patched by perfbench/layers.py)
-
-HALF_PI = 0.5 * math.pi
 
 #: Tolerance on |total mass - 1| before correlations are considered defined.
 MASS_TOL = 1e-6
@@ -135,7 +133,7 @@ class Profile:
         vals = np.asarray(self.samples, dtype=float)
         grid = np.linspace(0.0, TWO_PI, vals.size + 1)
         wrapped = np.append(vals, vals[0])
-        return np.interp(normalize_array(xs), grid, wrapped)
+        return np.interp(normalize(xs), grid, wrapped)
 
     def kink_angles(self) -> np.ndarray:
         """Angles in [0, 2π) where the profile is not smooth; quadrature cuts here."""
@@ -296,10 +294,10 @@ def quadrant_table_quadrature(
     """
     if panels < 8:
         raise ValueError(f"panel count must be at least 8, got {panels!r}")
-    a, b = normalize(a), normalize(b)
+    a, b = normalize([a, b]).tolist()
     ends = np.array([a - HALF_PI, a + HALF_PI, b - HALF_PI, b + HALF_PI])
     kinks = [p.kink_angles() + shift for p, shift in ((m.rho, 0.0), (m.p1, a), (m.p2, b))]
-    pts = np.sort(np.concatenate(([0.0, TWO_PI], normalize_array(np.concatenate([ends, *kinks])))))
+    pts = np.sort(np.concatenate(([0.0, TWO_PI], normalize(np.concatenate([ends, *kinks])))))
     pts = pts[np.concatenate(([True], np.diff(pts) > _CUT_TOL))]
     pts[-1] = TWO_PI
     lo, length = pts[:-1], np.diff(pts)
@@ -327,15 +325,23 @@ def _signed_sum(table: dict[Quadrant, float]) -> float:
     return float(sum(q.spin_product * p for q, p in table.items()))
 
 
-def correlation(m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS) -> float:
-    """Pair correlation from the four quadrant masses; needs unit mass."""
+def unit_mass_table(
+    m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS
+) -> dict[Quadrant, float]:
+    """The quadrant table at (a, b); NormalizationError unless its cells sum
+    to 1 within MASS_TOL."""
     table = quadrant_table_quadrature(m, a, b, panels)
     mass = sum(table.values())
     if abs(mass - 1.0) > MASS_TOL:
         raise NormalizationError(
             f"model is not normalized: total mass {mass:.9g} at settings ({a!r}, {b!r})"
         )
-    return _signed_sum(table)
+    return table
+
+
+def correlation(m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS) -> float:
+    """Pair correlation from the four quadrant masses; needs unit mass."""
+    return _signed_sum(unit_mass_table(m, a, b, panels))
 
 
 def correlation_analytic(a: float, b: float) -> float:
@@ -343,22 +349,15 @@ def correlation_analytic(a: float, b: float) -> float:
     return _signed_sum({q: quadrant_prob_analytic(a, b, q) for q in Quadrant})
 
 
-def chsh(
-    m: CandidateModel, a: float, a2: float, b: float, b2: float, panels: int = DEFAULT_PANELS
-) -> float:
-    """|C(a,b) - C(a,b2)| + |C(a2,b) + C(a2,b2)| for the candidate."""
-    c_ab = correlation(m, a, b, panels)
-    c_ab2 = correlation(m, a, b2, panels)
-    c_a2b = correlation(m, a2, b, panels)
-    c_a2b2 = correlation(m, a2, b2, panels)
-    return abs(c_ab - c_ab2) + abs(c_a2b + c_a2b2)
+def chsh_pairs(settings):
+    """The four CHSH setting pairs ((a,b), (a,b2), (a2,b), (a2,b2)) of the
+    quadruple (a, a2, b, b2), in the order :func:`chsh` takes them."""
+    a, a2, b, b2 = settings
+    return ((a, b), (a, b2), (a2, b), (a2, b2))
 
 
-def chsh_analytic(a: float, a2: float, b: float, b2: float) -> float:
-    c_ab = correlation_analytic(a, b)
-    c_ab2 = correlation_analytic(a, b2)
-    c_a2b = correlation_analytic(a2, b)
-    c_a2b2 = correlation_analytic(a2, b2)
+def chsh(c_ab: float, c_ab2: float, c_a2b: float, c_a2b2: float) -> float:
+    """The CHSH functional |C(a,b) - C(a,b2)| + |C(a2,b) + C(a2,b2)|."""
     return abs(c_ab - c_ab2) + abs(c_a2b + c_a2b2)
 
 
@@ -372,14 +371,8 @@ def empirically_equivalent(
 ) -> bool:
     """True iff the two candidates produce the same four quadrant masses at
     their respective settings, within tol. Both models must be unit mass."""
-    t1 = quadrant_table_quadrature(m1, settings1[0], settings1[1], panels)
-    t2 = quadrant_table_quadrature(m2, settings2[0], settings2[1], panels)
-    for table, settings in ((t1, settings1), (t2, settings2)):
-        mass = sum(table.values())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise NormalizationError(
-                f"model is not normalized: total mass {mass:.9g} at settings {settings!r}"
-            )
+    t1 = unit_mass_table(m1, settings1[0], settings1[1], panels)
+    t2 = unit_mass_table(m2, settings2[0], settings2[1], panels)
     return all(abs(t1[q] - t2[q]) <= tol for q in Quadrant)
 
 

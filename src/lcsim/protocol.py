@@ -23,14 +23,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .circle import spin_values
-from .models import TSIRELSON_SETTINGS
-
-TWO_PI = 2.0 * math.pi
+from .circle import TWO_PI, spin_values
+from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 MODE_ACCEPTANCE = "acceptance"
 MODE_ALWAYS = "always-detect"
@@ -41,19 +38,11 @@ KIND_COINCIDENCE = "coincidence"
 
 EXPERIMENT_MODES = (KIND_COINCIDENCE, KIND_WEIGHTED, KIND_STANDARD)
 
+MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
+
 
 class EmptyCoincidenceError(RuntimeError):
     """No coincidences at all: the conditioned estimator is undefined."""
-
-
-class EmissionRecord(NamedTuple):
-    tick: int
-    s: float
-
-
-class DetectionRecord(NamedTuple):
-    tick: int
-    value: int
 
 
 @dataclass(frozen=True)
@@ -66,10 +55,6 @@ class Emissions:
 
     def __len__(self) -> int:
         return int(self.ticks.size)
-
-    def records(self) -> Iterator[EmissionRecord]:
-        for t, angle in zip(self.ticks, self.s):
-            yield EmissionRecord(int(t), float(angle))
 
 
 @dataclass(frozen=True)
@@ -84,10 +69,6 @@ class Detections:
 
     def __len__(self) -> int:
         return int(self.ticks.size)
-
-    def records(self) -> Iterator[DetectionRecord]:
-        for t, v in zip(self.ticks, self.values):
-            yield DetectionRecord(int(t), int(v))
 
 
 @dataclass(frozen=True)
@@ -108,6 +89,8 @@ class StationConfig:
             raise ValueError("importance weights are only defined in always-detect mode")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.offset > MAX_TICK:
+            raise ValueError(f"tick offset {self.offset!r} exceeds the int64 maximum {MAX_TICK}")
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -133,7 +116,7 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
 
     Acceptance mode keeps an emission with probability |cos(s - setting)|
     drawn from the station's own generator; always-detect keeps everything.
-    A kept emission records spin_value(side, setting, s) at tick + offset.
+    A kept emission records spin_values(side, setting, s) at tick + offset.
     """
     phase = emissions.s - cfg.setting
     values = spin_values(cfg.side, cfg.setting, emissions.s)
@@ -189,20 +172,23 @@ def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
     return _estimate(f1.astype(float) * f2.astype(float), KIND_COINCIDENCE)
 
 
-def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
-    """Mean product over a fully detected, fully matched ensemble."""
+def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
     if not np.array_equal(r1.ticks, r2.ticks):
-        raise ValueError("tick mismatch: the standard estimator needs every pair detected on both sides")
+        raise ValueError(f"tick mismatch: the {kind} estimator needs every pair detected on both sides")
     if len(r1) == 0:
         raise ValueError("empty detection lists")
+
+
+def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
+    """Mean product over a fully detected, fully matched ensemble."""
+    _check_fully_matched(r1, r2, KIND_STANDARD)
     return _estimate(r1.values.astype(float) * r2.values.astype(float), KIND_STANDARD)
 
 
 def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
     """Importance-weighted mean product; exactly one side must carry locally
     computed weights (π/2)|cos(s - setting)|."""
-    if not np.array_equal(r1.ticks, r2.ticks):
-        raise ValueError("tick mismatch: the weighted estimator needs every pair detected on both sides")
+    _check_fully_matched(r1, r2, KIND_WEIGHTED)
     if (r1.weights is None) == (r2.weights is None):
         raise ValueError("exactly one side must carry importance weights")
     weights = r1.weights if r1.weights is not None else r2.weights
@@ -238,6 +224,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         if self.weight_side not in (1, 2):
             raise ValueError(f"weight side must be 1 or 2, got {self.weight_side!r}")
+        if self.n - 1 + self.offset > MAX_TICK:
+            raise ValueError(f"last tick n - 1 + offset exceeds the int64 maximum {MAX_TICK}")
 
     def station_configs(self) -> tuple[StationConfig, StationConfig]:
         """Derive the two station configs; in coincidence mode exactly the
@@ -298,6 +286,11 @@ def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Full protocol: source, stations, matcher, estimator."""
     _, r1, r2 = run_trial(cfg)
+    return summarize(cfg, r1, r2)
+
+
+def summarize(cfg: ExperimentConfig, r1: Detections, r2: Detections) -> ExperimentSummary:
+    """Matcher and estimator over the two stations' records of one trial."""
     _, f1, f2 = match_coincidences(r1, r2)
     coincidences = int(f1.size)
     if cfg.mode == KIND_COINCIDENCE:
@@ -331,10 +324,8 @@ def chsh_estimate(
     Settings order is (a, a2, b, b2); each run gets its own actor seeds
     derived from base_seed.
     """
-    a, a2, b, b2 = settings
-    pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     summaries = []
-    for i, (sa, sb) in enumerate(pairs):
+    for i, (sa, sb) in enumerate(chsh_pairs(settings)):
         cfg = ExperimentConfig(
             n=n,
             a=sa,
@@ -347,8 +338,7 @@ def chsh_estimate(
             station2_seed=base_seed + 100 * i + 2,
         )
         summaries.append(run_experiment(cfg))
-    c = [s.estimate.value for s in summaries]
-    return {"chsh": abs(c[0] - c[1]) + abs(c[2] + c[3]), "runs": summaries}
+    return {"chsh": chsh(*(s.estimate.value for s in summaries)), "runs": summaries}
 
 
 def write_event_log(

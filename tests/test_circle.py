@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,16 +9,11 @@ from hypothesis import strategies as st
 from lcsim.circle import (
     TWO_PI,
     Arc,
-    SpinObservable,
     arc_I,
     arc_J,
-    arc_contains,
     arc_intersect,
     normalize,
-    normalize_array,
-    spin_value,
     spin_values,
-    total_length,
 )
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -28,6 +24,29 @@ def away_from_arc_boundaries(a: float, s: float, margin: float = 1e-6) -> bool:
     # epsilon convention cannot flip the expected result.
     gap = math.fmod(abs(normalize(s) - normalize(a + 0.5 * math.pi)), math.pi)
     return min(gap, math.pi - gap) > margin
+
+
+def spin(side: int, a: float, s: float) -> int:
+    return int(spin_values(side, a, [s])[0])
+
+
+# Arc membership read off the spin values: side 1 is +1 exactly on I(a).
+def in_I(a: float, s: float) -> bool:
+    return spin(1, a, s) == 1
+
+
+def in_J(a: float, s: float) -> bool:
+    return spin(1, a, s) == -1
+
+
+# Membership in a list of unwrapped pieces, as returned by arc_intersect.
+def covers(pieces, s: float) -> bool:
+    t = normalize(s)
+    return any(p.start <= t < p.start + p.length for p in pieces)
+
+
+def total_length(pieces) -> float:
+    return sum(p.length for p in pieces)
 
 
 class TestNormalize:
@@ -44,42 +63,57 @@ class TestNormalize:
         r = normalize(-1e-20)
         assert 0.0 <= r < TWO_PI
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, TWO_PI, -TWO_PI, -1e-20, 1e17])
+    def test_scalar_and_array_agree_bitwise(self, x):
+        scalar = normalize(x)
+        element = normalize(np.array([x]))[0]
+        assert type(scalar) is float
+        assert 0.0 <= scalar < TWO_PI
+        assert np.array([scalar]).tobytes() == np.array([element]).tobytes()
+        if x in (0.0, TWO_PI, -TWO_PI) or x == -1e-20:
+            assert math.copysign(1.0, scalar) == 1.0 and scalar == 0.0
+        else:
+            assert scalar == math.fmod(x, TWO_PI)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            normalize(bad)
-        with pytest.raises(ValueError):
-            normalize_array([0.0, bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+            with pytest.raises(ValueError):
+                normalize(bad)
+            with pytest.raises(ValueError):
+                normalize([0.0, bad])
 
     @given(x=angles, k=st.integers(min_value=-5, max_value=5))
     def test_periodicity(self, x, k):
         assert normalize(x + TWO_PI * k) == pytest.approx(normalize(x), abs=1e-9)
 
-    @given(x=st.lists(angles, min_size=1, max_size=8))
+    @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
     def test_array_matches_scalar(self, x):
-        out = normalize_array(x)
-        assert np.allclose(out, [normalize(v) for v in x], atol=1e-12)
+        out = normalize(x)
+        assert out.tobytes() == np.array([normalize(v) for v in x]).tobytes()
         assert np.all((out >= 0.0) & (out < TWO_PI))
 
 
 class TestArcMembership:
     def test_I0_contains_zero(self):
-        assert arc_contains(arc_I(0.0), 0.0)
+        assert in_I(0.0, 0.0)
 
     def test_I0_right_endpoint_excluded(self):
-        assert not arc_contains(arc_I(0.0), math.pi / 2)
+        assert not in_I(0.0, math.pi / 2)
 
     def test_J0_contains_midpoint(self):
-        assert arc_contains(arc_J(0.0), math.pi)
+        assert in_J(0.0, math.pi)
 
     def test_left_endpoint_included(self):
-        assert arc_contains(arc_I(0.0), -math.pi / 2)
-        assert arc_contains(arc_J(0.0), math.pi / 2)
+        assert in_I(0.0, -math.pi / 2)
+        assert in_J(0.0, math.pi / 2)
 
     def test_full_circle_contains_everything(self):
         full = Arc(0.3, TWO_PI)
+        assert sum(hi - lo for lo, hi in full.intervals()) == pytest.approx(TWO_PI, abs=1e-15)
         for s in np.linspace(0.0, TWO_PI, 37, endpoint=False):
-            assert full.contains(float(s))
+            assert any(lo <= s < hi for lo, hi in full.intervals())
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
@@ -93,56 +127,62 @@ class TestArcMembership:
         # computed along different float paths, so stay off the boundary.
         if not away_from_arc_boundaries(a, s):
             return
-        assert arc_contains(arc_I(a + math.pi), s) == arc_contains(arc_J(a), s)
+        assert in_I(a + math.pi, s) == in_J(a, s)
 
     @given(a=angles, s=angles, delta=angles)
     def test_rotation_covariance(self, a, s, delta):
         if not away_from_arc_boundaries(a - delta, s - delta):
             return
-        assert arc_contains(arc_I(a), s) == arc_contains(arc_I(a + delta), s + delta)
+        assert in_I(a, s) == in_I(a + delta, s + delta)
 
 
 class TestSpin:
     def test_side1_plus_on_I(self):
-        assert spin_value(1, 0.0, 0.0) == 1
+        assert spin(1, 0.0, 0.0) == 1
 
     def test_side2_minus_on_I(self):
-        assert spin_value(2, 0.0, 0.0) == -1
+        assert spin(2, 0.0, 0.0) == -1
 
     def test_side1_minus_on_J(self):
-        assert spin_value(1, 0.0, math.pi) == -1
+        assert spin(1, 0.0, math.pi) == -1
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            spin_value(3, 0.0, 0.0)
+            spin_values(3, 0.0, [0.0])
         with pytest.raises(ValueError):
             spin_values(0, 0.0, [0.0])
 
-    def test_observable_wrapper(self):
-        obs = SpinObservable(side=2, setting=TWO_PI + 1.0)
-        assert obs.setting == pytest.approx(1.0)
-        assert obs(1.0) == -1
+    def test_setting_period(self):
+        assert spin(2, TWO_PI + 1.0, 1.0) == -1
+        s = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.01
+        assert np.array_equal(spin_values(2, TWO_PI + 1.0, s), spin_values(2, 1.0, s))
 
     @given(a=angles, s=angles)
     def test_values_are_plus_minus_one(self, a, s):
-        assert spin_value(1, a, s) in (-1, 1)
-        assert spin_value(2, a, s) in (-1, 1)
+        assert spin(1, a, s) in (-1, 1)
+        assert spin(2, a, s) in (-1, 1)
 
     @given(a=angles, s=angles)
     def test_half_turn_flips_sign(self, a, s):
         if not away_from_arc_boundaries(a, s):
             return
-        assert spin_value(1, a + math.pi, s) == -spin_value(1, a, s)
+        assert spin(1, a + math.pi, s) == -spin(1, a, s)
 
     @given(a=angles, s=angles)
     def test_sides_anti_align(self, a, s):
-        assert spin_value(2, a, s) == -spin_value(1, a, s)
+        assert spin(2, a, s) == -spin(1, a, s)
 
-    def test_vectorized_matches_scalar(self):
-        xs = np.linspace(0.0, TWO_PI, 101, endpoint=False) + 0.013
-        for a in (0.0, 0.7, 4.2):
+    def test_matches_cosine_sign_oracle(self):
+        # Independent oracle: I(a) is where cos(s - a) > 0. Compare away from
+        # the arc endpoints, where cos(s - a) = 0.
+        xs = np.linspace(0.0, TWO_PI, 1001, endpoint=False) + 0.013
+        for a in (0.0, 0.7, 4.2, -3.0, 100.0):
+            c = np.cos(xs - a)
+            clear = np.abs(c) > 1e-9
             vec = spin_values(1, a, xs)
-            assert list(vec) == [spin_value(1, a, float(s)) for s in xs]
+            assert vec.dtype == np.int8
+            assert np.array_equal(vec[clear], np.sign(c[clear]))
+            assert np.array_equal(spin_values(2, a, xs)[clear], -np.sign(c[clear]))
 
 
 class TestIntersect:
@@ -157,7 +197,7 @@ class TestIntersect:
         pieces = arc_intersect(arc_I(0.0), arc_I(0.0))
         assert total_length(pieces) == pytest.approx(math.pi, abs=1e-12)
         for s in (0.0, -1.5, 1.5, 0.7):
-            assert any(p.contains(s) for p in pieces) == arc_contains(arc_I(0.0), s)
+            assert covers(pieces, s) == in_I(0.0, s)
 
     def test_complementary_arcs_empty(self):
         assert arc_intersect(arc_I(0.0), arc_J(0.0)) == []
@@ -180,7 +220,7 @@ class TestIntersect:
         yx = arc_intersect(arc_J(b), arc_I(a))
         assert total_length(xy) == pytest.approx(total_length(yx), abs=1e-9)
         for s in np.linspace(0.0, TWO_PI, 16, endpoint=False) + 0.0137:
-            assert any(p.contains(float(s)) for p in xy) == any(p.contains(float(s)) for p in yx)
+            assert covers(xy, float(s)) == covers(yx, float(s))
 
     @given(a=angles, b=angles)
     @settings(max_examples=60)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lcsim import lcmeasure
+from lcsim import lcmeasure, protocol
 from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, main
 from lcsim.models import TSIRELSON_SETTINGS
 from lcsim.protocol import ExperimentConfig, run_experiment
@@ -45,6 +45,12 @@ class TestAnalytic:
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "--a", "zero", "--b", "0"])
         assert exc.value.code == 2
+
+    def test_negative_zero_angle_prints_zero(self, capsys):
+        # -0 and negative multiples of 2π normalize to +0.0, not -0.0.
+        for a in ("-0", "-6.283185307179586"):
+            _, out, _ = run_cli(capsys, "analytic", "--a", a, "--b", "0", "--json")
+            assert '"a": 0.0,' in out
 
     def test_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "analytic", "--a", "0.3", "--b", "1.2", "--json")
@@ -112,6 +118,35 @@ class TestSimulate:
         with open(log) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["tick", "side", "value"]
+
+    def test_events_csv_runs_the_trial_once(self, capsys, tmp_path, monkeypatch):
+        emitted = []
+        run_source = protocol.run_source
+
+        def counted_source(n, seed):
+            emitted.append(n)
+            return run_source(n, seed)
+
+        monkeypatch.setattr(protocol, "run_source", counted_source)
+        argv = ("simulate", "--pairs", "300", "--a", "0", "--b", "1.0", "--events-csv", str(tmp_path / "e.csv"))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert emitted == [300]
+        cfg = ExperimentConfig(n=300, a=0.0, b=1.0, source_seed=101, station1_seed=102, station2_seed=103)
+        assert json.loads(out) == run_experiment(cfg).to_dict()
+
+    @pytest.mark.parametrize(
+        "offset,events",
+        [("100000000000000000000", False), ("9223372036854775800", True)],
+        ids=["offset-past-int64", "last-tick-past-int64"],
+    )
+    def test_tick_overflow_is_validation_error(self, capsys, tmp_path, offset, events):
+        log = tmp_path / "e.csv"
+        argv = ["simulate", "--pairs", "10", "--a", "0", "--b", "0", "--offset", offset]
+        code, _, err = run_cli(capsys, *argv, *(["--events-csv", str(log)] if events else []))
+        assert code == EXIT_VALIDATION
+        assert "int64" in err
+        assert not log.exists()
 
     def test_zero_coincidences_exit_code(self, capsys):
         # Hunt a seed whose single emission is rejected by the window.
@@ -214,6 +249,39 @@ class TestTrivial:
         assert doc["verdict"]["trivial"] is False
         assert doc["chsh"]["kind"] == "setting-family"
         assert doc["chsh"]["value"] == pytest.approx(2 * math.sqrt(2), abs=0.05)
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            {},
+            {"grid": None},
+            {"grid": "16"},
+            {"grid": 16.5},
+            {"grid": 16, "m1": True},
+            {"grid": 16, "m1": None},
+            {"grid": 16, "m1": 0},
+            {"grid": 16, "m2": 2.0},
+            {"grid": 16, "weight_side": "1"},
+        ],
+        ids=["grid-missing", "grid-null", "grid-string", "grid-float", "m1-bool",
+             "m1-null", "m1-zero", "m2-float", "weight-side-string"],
+    )
+    def test_cosine_meta_needs_integer_fields(self, capsys, tmp_path, meta):
+        path = tmp_path / "cosine.json"
+        m = lcmeasure.cosine_diagonal_measure(16, 0.0, math.pi / 4)
+        lcmeasure.save_measure(path, m, meta={"family": "cosine-diagonal", **meta})
+        code, _, err = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_VALIDATION
+        assert "validation error" in err
+
+    def test_cosine_meta_defaults(self, capsys, tmp_path):
+        path = tmp_path / "cosine.json"
+        m = lcmeasure.cosine_diagonal_measure(16, 0.0, math.pi / 4)
+        lcmeasure.save_measure(path, m, meta={"family": "cosine-diagonal", "grid": 16})
+        code, out, _ = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_OK
+        family, o1, o2 = lcmeasure.cosine_diagonal_family(16, TSIRELSON_SETTINGS, m1=8, m2=8, weight_side=1)
+        assert json.loads(out)["chsh"]["value"] == lcmeasure.chsh_discrete(family, o1, o2)
 
     def test_negative_mass_file(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -16,7 +16,7 @@ from lcsim.models import (
     Quadrant,
     abs_cos_density,
     chsh,
-    chsh_analytic,
+    chsh_pairs,
     correlation,
     correlation_analytic,
     empirically_equivalent,
@@ -322,20 +322,29 @@ class TestCorrelation:
             correlation(lopsided, 0.0, 1.0)
 
 
+def model_chsh(m, settings) -> float:
+    return chsh(*(correlation(m, a, b) for a, b in chsh_pairs(settings)))
+
+
 class TestChsh:
+    def test_pair_order(self):
+        assert chsh_pairs(("a", "a2", "b", "b2")) == (("a", "b"), ("a", "b2"), ("a2", "b"), ("a2", "b2"))
+        assert chsh(0.5, -0.25, 0.75, 1.0) == 0.75 + 1.75
+
     def test_tsirelson_value(self):
-        assert chsh(ABS_COS, *TSIRELSON_SETTINGS) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        assert chsh_analytic(*TSIRELSON_SETTINGS) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert model_chsh(ABS_COS, TSIRELSON_SETTINGS) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+        analytic = chsh(*(correlation_analytic(a, b) for a, b in chsh_pairs(TSIRELSON_SETTINGS)))
+        assert analytic == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_degenerate_settings(self):
-        assert chsh(ABS_COS, 0.0, 0.0, 0.0, 0.0) == pytest.approx(2.0, abs=1e-9)
+        assert model_chsh(ABS_COS, (0.0, 0.0, 0.0, 0.0)) == pytest.approx(2.0, abs=1e-9)
 
     def test_uniform_sawtooth_stays_classical(self):
         # Oracle: C(a,b) = -1 + 2 dist(a,b)/π gives exactly 2 at the Tsirelson settings.
         a, a2, b, b2 = TSIRELSON_SETTINGS
         oracle = abs(sawtooth(b - a) - sawtooth(b2 - a)) + abs(sawtooth(b - a2) + sawtooth(b2 - a2))
         assert oracle == pytest.approx(2.0, abs=1e-12)
-        assert chsh(UNIFORM, *TSIRELSON_SETTINGS) == pytest.approx(2.0, abs=1e-9)
+        assert model_chsh(UNIFORM, TSIRELSON_SETTINGS) == pytest.approx(2.0, abs=1e-9)
 
 
 class TestEmpiricalEquivalence:

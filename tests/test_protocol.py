@@ -20,6 +20,7 @@ from lcsim.protocol import (
     run_source,
     run_station,
     run_trial,
+    summarize,
     write_event_log,
 )
 
@@ -55,10 +56,6 @@ class TestSource:
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError):
             run_source(0, seed=1)
-
-    def test_records_view(self):
-        rec = list(run_source(2, seed=5).records())
-        assert rec[0].tick == 0 and rec[1].tick == 1
 
 
 class TestStation:
@@ -193,6 +190,12 @@ class TestEstimators:
         with pytest.raises(ValueError, match="weights"):
             correlation_weighted(d1, d2)
 
+    @pytest.mark.parametrize("estimator", [correlation_standard, correlation_weighted])
+    def test_fully_matched_estimators_reject_empty_lists(self, estimator):
+        empty = Detections(np.array([], dtype=np.int64), np.array([], dtype=np.int8), np.array([]))
+        with pytest.raises(ValueError, match="empty"):
+            estimator(empty, Detections(empty.ticks, empty.values))
+
 
 class TestExperiment:
     def test_coincidence_run(self):
@@ -252,6 +255,23 @@ class TestExperiment:
             ExperimentConfig(n=1, a=0.0, b=0.0, mode="telepathic")
         with pytest.raises(ValueError):
             ExperimentConfig(n=1, a=0.0, b=0.0, weight_side=3)
+
+    def test_last_tick_fits_int64(self):
+        top = 2**63 - 1
+        assert ExperimentConfig(n=10, a=0.0, b=0.0, offset=top - 9).offset == top - 9
+        with pytest.raises(ValueError, match="int64"):
+            ExperimentConfig(n=10, a=0.0, b=0.0, offset=top - 8)
+        with pytest.raises(ValueError, match="int64"):
+            ExperimentConfig(n=10, a=0.0, b=0.0, offset=10**20)
+        assert StationConfig(side=1, setting=0.0, offset=top).offset == top
+        with pytest.raises(ValueError, match="int64"):
+            StationConfig(side=2, setting=0.0, offset=top + 1)
+
+    def test_summarize_is_the_rest_of_run_experiment(self):
+        for mode in ("coincidence", "weighted", "standard"):
+            cfg = ExperimentConfig(n=5_000, a=0.2, b=1.9, mode=mode)
+            _, r1, r2 = run_trial(cfg)
+            assert summarize(cfg, r1, r2) == run_experiment(cfg)
 
 
 class TestLocality:
