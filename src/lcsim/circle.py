@@ -92,7 +92,17 @@ def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.n
     """
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
-    t = normalize(np.asarray(s, dtype=float) - (setting - HALF_PI))
-    t = np.where(t >= TWO_PI - eps, 0.0, t)  # a left-endpoint tie that rounding pushed below the period
-    values = np.where(t < math.pi - eps, 1, -1).astype(np.int8)
-    return values if side == 1 else (-values).astype(np.int8)
+    # One float buffer: the phase past the left endpoint of I(setting).
+    t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
+    if not np.isfinite(t).all():  # checked first, so np.mod never warns
+        raise ValueError("angles must be finite")
+    np.mod(t, TWO_PI, out=t)
+    # Side 1 reads +1 for t in [0, π - eps), and for t within eps below the
+    # period: a left-endpoint tie that rounding pushed there.
+    plus = np.less(t, math.pi - eps, out=np.empty(t.shape, dtype=bool))
+    plus |= t >= TWO_PI - eps
+    values = plus.view(np.int8)  # 1 where plus, else 0; becomes ±1 in place
+    sign = 1 if side == 1 else -1
+    values *= 2 * sign
+    values -= sign
+    return values

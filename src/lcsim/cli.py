@@ -57,6 +57,46 @@ def _meta_int(meta: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _meta_angle(meta: dict, key: str, default: float) -> float:
+    """A finite setting angle of a measure file's cosine-diagonal metadata."""
+    value = meta.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"cosine-diagonal meta needs a finite number {key!r}, got {value!r}")
+    return float(value)
+
+
+# Largest entrywise deviation of a stored cosine-diagonal measure from the one
+# its metadata describes.
+COSINE_META_TOL = 1e-12
+
+
+def _cosine_meta(measure: lcmeasure.DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
+    """(grid, m1, m2, weight_side) of a cosine-diagonal measure file, checked
+    against the file's matrices: the shapes must match, and the matrices must
+    equal cosine_diagonal_measure(grid, a, b, m1, m2, weight_side)."""
+    grid = _meta_int(meta, "grid")
+    m1 = _meta_int(meta, "m1", 8)
+    m2 = _meta_int(meta, "m2", 8)
+    weight_side = _meta_int(meta, "weight_side", 1)
+    a = _meta_angle(meta, "a", TSIRELSON_SETTINGS[0])
+    b = _meta_angle(meta, "b", TSIRELSON_SETTINGS[2])
+    stored = (measure.n1, measure.n2, measure.m1, measure.m2)
+    if stored != (grid, grid, m1, m2):
+        raise ValueError(
+            f"cosine-diagonal meta (grid {grid}, m1 {m1}, m2 {m2}) does not match "
+            f"the matrices (n1 {stored[0]}, n2 {stored[1]}, m1 {stored[2]}, m2 {stored[3]})"
+        )
+    expected = lcmeasure.cosine_diagonal_measure(grid, a, b, m1=m1, m2=m2, weight_side=weight_side)
+    for name in ("PS", "K1", "K2"):
+        deviation = float(np.max(np.abs(getattr(measure, name) - getattr(expected, name))))
+        if not deviation <= COSINE_META_TOL:
+            raise ValueError(
+                f"stored {name} deviates by {deviation:.3g} from the cosine-diagonal measure "
+                f"its meta describes (grid {grid}, a {a!r}, b {b!r}, weight_side {weight_side})"
+            )
+    return grid, m1, m2, weight_side
+
+
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -203,13 +243,9 @@ def cmd_trivial(args) -> int:
     if isinstance(meta, dict) and meta.get("family") == "cosine-diagonal":
         # A self-describing diagonal cosine discretization: rebuild the full
         # four-setting family on the same grid and evaluate CHSH there.
-        grid = _meta_int(meta, "grid")
+        grid, m1, m2, weight_side = _cosine_meta(measure, meta)
         family, obs1, obs2 = lcmeasure.cosine_diagonal_family(
-            grid,
-            TSIRELSON_SETTINGS,
-            m1=_meta_int(meta, "m1", 8),
-            m2=_meta_int(meta, "m2", 8),
-            weight_side=_meta_int(meta, "weight_side", 1),
+            grid, TSIRELSON_SETTINGS, m1=m1, m2=m2, weight_side=weight_side
         )
         doc["chsh"] = {
             "kind": "setting-family",

@@ -20,8 +20,8 @@ never violates the CHSH bound of 2.
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,17 @@ MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
 
 class EmptyCoincidenceError(RuntimeError):
     """No coincidences at all: the conditioned estimator is undefined."""
+
+
+def _tick_offset(offset) -> int:
+    """The measurement tick offset as a Python int; ticks are integers, so a
+    float, a bool or anything else without an exact integer value is refused."""
+    if not isinstance(offset, bool):
+        try:
+            return operator.index(offset)
+        except TypeError:
+            pass
+    raise ValueError(f"tick offset must be an integer, got {offset!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,7 @@ class StationConfig:
             raise ValueError("importance weights are only defined in always-detect mode")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "offset", _tick_offset(self.offset))
         if self.offset > MAX_TICK:
             raise ValueError(f"tick offset {self.offset!r} exceeds the int64 maximum {MAX_TICK}")
 
@@ -138,11 +150,18 @@ def _check_tick_stream(d: Detections, name: str) -> None:
 
 def match_coincidences(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Timestamp-set intersection: (common ticks, side-1 values, side-2
-    values), in tick order."""
+    values), in tick order.
+
+    Both streams are strictly increasing, so the ticks each side shares with
+    the other come out in the same order on both sides. numpy's `isin` looks
+    them up in a table when the tick range is small and sorts otherwise, so
+    sparse ticks up to MAX_TICK stay bounded in memory.
+    """
     _check_tick_stream(r1, "side 1")
     _check_tick_stream(r2, "side 2")
-    common, i1, i2 = np.intersect1d(r1.ticks, r2.ticks, assume_unique=True, return_indices=True)
-    return common, r1.values[i1], r2.values[i2]
+    k1 = np.isin(r1.ticks, r2.ticks)
+    k2 = np.isin(r2.ticks, r1.ticks)
+    return r1.ticks[k1], r1.values[k1], r2.values[k2]
 
 
 @dataclass(frozen=True)
@@ -169,7 +188,7 @@ def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
         raise ValueError("coincidence value sequences must have equal length")
     if f1.size == 0:
         raise EmptyCoincidenceError("no coincidences recorded; the estimator is undefined")
-    return _estimate(f1.astype(float) * f2.astype(float), KIND_COINCIDENCE)
+    return _estimate(f1 * f2, KIND_COINCIDENCE)
 
 
 def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
@@ -182,7 +201,7 @@ def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
 def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
     """Mean product over a fully detected, fully matched ensemble."""
     _check_fully_matched(r1, r2, KIND_STANDARD)
-    return _estimate(r1.values.astype(float) * r2.values.astype(float), KIND_STANDARD)
+    return _estimate(r1.values * r2.values, KIND_STANDARD)
 
 
 def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
@@ -194,8 +213,7 @@ def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
     weights = r1.weights if r1.weights is not None else r2.weights
     if np.any(weights < 0.0):
         raise ValueError("importance weights must be nonnegative")
-    products = weights * r1.values.astype(float) * r2.values.astype(float)
-    return _estimate(products, KIND_WEIGHTED)
+    return _estimate(weights * (r1.values * r2.values), KIND_WEIGHTED)
 
 
 @dataclass(frozen=True)
@@ -224,6 +242,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         if self.weight_side not in (1, 2):
             raise ValueError(f"weight side must be 1 or 2, got {self.weight_side!r}")
+        object.__setattr__(self, "offset", _tick_offset(self.offset))
         if self.n - 1 + self.offset > MAX_TICK:
             raise ValueError(f"last tick n - 1 + offset exceeds the int64 maximum {MAX_TICK}")
 
@@ -354,17 +373,24 @@ def write_event_log(
     The hidden configuration column is written only under debug_hidden;
     honest stations never expose it after emission.
     """
-    header = ["tick", "side", "s_hidden", "value"] if debug_hidden else ["tick", "side", "value"]
-    rows = []
-    for side, det in ((1, r1), (2, r2)):
-        for tick, value in zip(det.ticks, det.values):
-            if debug_hidden:
-                s_hidden = float(emissions.s[int(tick) - cfg.offset])
-                rows.append((int(tick), side, f"{s_hidden:.17g}", int(value)))
-            else:
-                rows.append((int(tick), side, int(value)))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    ticks = np.concatenate((r1.ticks, r2.ticks))
+    values = np.concatenate((r1.values, r2.values))
+    if not np.all(np.abs(values) == 1):
+        raise ValueError("event log values must be ±1")
+    order = np.argsort(ticks, kind="stable")  # side 1 first on equal ticks
+    ticks = ticks[order]
+    values = values[order]
+    side2 = order >= len(r1)
+    if debug_hidden:
+        header = "tick,side,s_hidden,value\r\n"
+        s_hidden = emissions.s[ticks - cfg.offset]
+        rows = map("{},{},{:.17g},{}\r\n".format, ticks.tolist(), (side2 + 1).tolist(), s_hidden.tolist(),
+                   values.tolist())
+    else:
+        header = "tick,side,value\r\n"
+        # A row is its tick and one of four tails, indexed 2 * (side - 1) + (value == +1).
+        tails = (",1,-1\r\n", ",1,1\r\n", ",2,-1\r\n", ",2,1\r\n")
+        rows = map("{}{}".format, ticks.tolist(), map(tails.__getitem__, (2 * side2 + (values > 0)).tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header)
+        fh.write("".join(rows))

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim.circle import (
+    BOUNDARY_EPS,
+    HALF_PI,
     TWO_PI,
     Arc,
     arc_I,
@@ -183,6 +185,74 @@ class TestSpin:
             assert vec.dtype == np.int8
             assert np.array_equal(vec[clear], np.sign(c[clear]))
             assert np.array_equal(spin_values(2, a, xs)[clear], -np.sign(c[clear]))
+
+
+def reference_spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.ndarray:
+    """The earlier spin_values, built on normalize and np.where: the
+    reference the one-buffer rewrite must match bit for bit."""
+    t = normalize(np.asarray(s, dtype=float) - (setting - HALF_PI))
+    t = np.where(t >= TWO_PI - eps, 0.0, t)
+    values = np.where(t < math.pi - eps, 1, -1).astype(np.int8)
+    return values if side == 1 else (-values).astype(np.int8)
+
+
+def assert_matches_reference(setting: float, s) -> None:
+    for side in (1, 2):
+        got = spin_values(side, setting, s)
+        want = reference_spin_values(side, setting, s)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def ulp_neighbours(x: float) -> list[float]:
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+class TestSpinValuesReference:
+    SETTINGS = (0.0, -0.0, 0.7, -3.0, math.pi, HALF_PI, TWO_PI, 100.0, 1e6)
+
+    def test_arc_endpoints_and_eps_ties(self):
+        for a in self.SETTINGS:
+            points = []
+            for end in (a - HALF_PI, a + HALF_PI, a + 1.5 * math.pi):
+                for shift in (-BOUNDARY_EPS, 0.0, BOUNDARY_EPS):
+                    points += ulp_neighbours(end + shift)
+            assert_matches_reference(a, np.array(points))
+
+    def test_signed_zero_and_period_edge(self):
+        below_period = np.nextafter(TWO_PI, 0.0)  # 2π - 1 ulp
+        points = np.array([-0.0, 0.0, below_period, TWO_PI, -below_period, -TWO_PI, -1e-300, 5e-324])
+        for a in self.SETTINGS + (below_period, -below_period, HALF_PI + below_period):
+            assert_matches_reference(a, points)
+
+    def test_dense_and_large_configurations(self):
+        rng = np.random.default_rng(5)
+        for a in self.SETTINGS:
+            assert_matches_reference(a, rng.uniform(-20.0, 20.0, 4096))
+            assert_matches_reference(a, rng.uniform(-1e17, 1e17, 256))
+
+    def test_scalar_and_list_input(self):
+        for a in self.SETTINGS:
+            for s in (0.0, -0.0, a - HALF_PI, 3.0):
+                assert_matches_reference(a, s)
+                assert spin_values(1, a, s).ndim == 0
+            assert_matches_reference(a, [0.0, 1.0, a + HALF_PI])
+
+    @given(a=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+           s=st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e17, max_value=1e17),
+                      min_size=1, max_size=8))
+    def test_any_finite_angles(self, a, s):
+        assert_matches_reference(a, s)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in (1, 2):
+                with pytest.raises(ValueError, match="finite"):
+                    spin_values(side, 0.0, [0.0, bad])
+                with pytest.raises(ValueError, match="finite"):
+                    spin_values(side, bad, [0.0])
 
 
 class TestIntersect:

@@ -283,6 +283,45 @@ class TestTrivial:
         family, o1, o2 = lcmeasure.cosine_diagonal_family(16, TSIRELSON_SETTINGS, m1=8, m2=8, weight_side=1)
         assert json.loads(out)["chsh"]["value"] == lcmeasure.chsh_discrete(family, o1, o2)
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"grid": 32, "m1": 3, "m2": 5, "weight_side": 2}, "does not match the matrices"),
+            ({"grid": 32}, "does not match the matrices"),
+            ({"grid": 64, "m1": 4}, "does not match the matrices"),
+            ({"grid": 64, "m2": 16}, "does not match the matrices"),
+            ({"grid": 64, "weight_side": 2}, "deviates"),
+            ({"grid": 64, "a": 0.5}, "deviates"),
+            ({"grid": 64, "weight_side": 3}, "weight side"),
+            ({"grid": 64, "a": "0"}, "finite number"),
+            ({"grid": 64, "b": True}, "finite number"),
+            ({"grid": 64, "b": None}, "finite number"),
+        ],
+        ids=["every-field", "grid", "m1", "m2", "weight-side", "a", "weight-side-3",
+             "a-string", "b-bool", "b-null"],
+    )
+    def test_cosine_meta_must_describe_the_file(self, capsys, tmp_path, meta, message):
+        # The file holds the grid-64 measure at (0, π/4), m1 = m2 = 8, weight
+        # side 1; with the weight on side 1 the measure does not depend on b.
+        path = tmp_path / "cosine.json"
+        m = lcmeasure.cosine_diagonal_measure(64, 0.0, math.pi / 4)
+        lcmeasure.save_measure(path, m, meta={"family": "cosine-diagonal", **meta})
+        code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "validation error" in err and message in err
+
+    def test_cosine_meta_matches_every_generated_file(self, capsys, tmp_path):
+        for grid, a, b, m1, m2, weight_side in ((16, 0.3, 2.0, 2, 5, 2), (9, -1.0, 7.0, 1, 1, 1)):
+            path = tmp_path / "cosine.json"
+            m = lcmeasure.cosine_diagonal_measure(grid, a, b, m1=m1, m2=m2, weight_side=weight_side)
+            meta = {"family": "cosine-diagonal", "grid": grid, "a": a, "b": b,
+                    "m1": m1, "m2": m2, "weight_side": weight_side}
+            lcmeasure.save_measure(path, m, meta=meta)
+            code, out, _ = run_cli(capsys, "trivial", "--measure", str(path))
+            assert code == EXIT_OK
+            assert json.loads(out)["chsh"]["grid"] == grid
+
     def test_negative_mass_file(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         m = lcmeasure.random_trivial_measure(rng, 4, 4, 2, 2)

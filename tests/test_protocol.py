@@ -6,6 +6,8 @@ import pytest
 
 from lcsim.circle import TWO_PI
 from lcsim.protocol import (
+    MAX_TICK,
+    CorrelationEstimate,
     Detections,
     Emissions,
     EmptyCoincidenceError,
@@ -25,6 +27,48 @@ from lcsim.protocol import (
 )
 
 N_MC = 100_000
+
+
+# The earlier matcher, estimator and event-log writer, kept as the references
+# the numpy rewrites must match exactly.
+
+
+def reference_match(r1, r2):
+    common, i1, i2 = np.intersect1d(r1.ticks, r2.ticks, assume_unique=True, return_indices=True)
+    return common, r1.values[i1], r2.values[i2]
+
+
+def reference_estimate(products, kind):
+    n = int(products.size)
+    value = float(products.mean())
+    stderr = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return CorrelationEstimate(value=value, n=n, stderr=stderr, kind=kind)
+
+
+def reference_event_log(path, cfg, emissions, r1, r2, debug_hidden=False):
+    header = ["tick", "side", "s_hidden", "value"] if debug_hidden else ["tick", "side", "value"]
+    rows = []
+    for side, det in ((1, r1), (2, r2)):
+        for tick, value in zip(det.ticks, det.values):
+            if debug_hidden:
+                s_hidden = float(emissions.s[int(tick) - cfg.offset])
+                rows.append((int(tick), side, f"{s_hidden:.17g}", int(value)))
+            else:
+                rows.append((int(tick), side, int(value)))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def increasing_ticks(rng, size, high):
+    """size distinct ticks drawn from [0, high], sorted."""
+    return np.unique(rng.integers(0, high, size=size, endpoint=True, dtype=np.int64))
+
+
+def spins(rng, size):
+    return rng.choice(np.array([-1, 1], dtype=np.int8), size=size)
 
 
 def sawtooth(d: float) -> float:
@@ -127,6 +171,79 @@ class TestMatcher:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             match_coincidences(self.make([2, 1], [1, 1]), self.make([1], [1]))
+
+
+class TestMatcherReference:
+    def assert_matches_reference(self, t1, t2, seed=0):
+        rng = np.random.default_rng(seed)
+        r1 = Detections(ticks=np.asarray(t1, dtype=np.int64), values=spins(rng, len(t1)))
+        r2 = Detections(ticks=np.asarray(t2, dtype=np.int64), values=spins(rng, len(t2)))
+        got = match_coincidences(r1, r2)
+        want = reference_match(r1, r2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_empty(self):
+        self.assert_matches_reference([], [])
+        self.assert_matches_reference([], [0, 5, 9])
+        self.assert_matches_reference([3, 4], [])
+
+    def test_disjoint_and_identical(self):
+        self.assert_matches_reference(np.arange(0, 2000, 2), np.arange(1, 2000, 2))
+        ticks = np.arange(7, 5007)
+        self.assert_matches_reference(ticks, ticks)
+
+    def test_random_dense(self):
+        rng = np.random.default_rng(1)
+        for seed in range(20):
+            n1, n2 = rng.integers(0, 3000, size=2)
+            high = int(rng.integers(1, 6000))
+            self.assert_matches_reference(increasing_ticks(rng, n1, high), increasing_ticks(rng, n2, high), seed)
+
+    def test_sparse_ticks_up_to_max_tick(self):
+        rng = np.random.default_rng(2)
+        for seed in range(10):
+            shared = increasing_ticks(rng, 500, MAX_TICK)
+            t1 = np.union1d(shared, increasing_ticks(rng, 800, MAX_TICK))
+            t2 = np.union1d(shared[::2], increasing_ticks(rng, 300, MAX_TICK))
+            self.assert_matches_reference(np.union1d(t1, [0, MAX_TICK]), t2, seed)
+        self.assert_matches_reference([0, MAX_TICK], [0, MAX_TICK])
+        self.assert_matches_reference([0, MAX_TICK - 1], [1, MAX_TICK])
+
+    def test_experiment_streams(self):
+        for mode in ("coincidence", "weighted", "standard"):
+            for weight_side in (1, 2):
+                cfg = ExperimentConfig(n=20_000, a=0.3, b=2.0, mode=mode, weight_side=weight_side, offset=7)
+                _, r1, r2 = run_trial(cfg)
+                got = match_coincidences(r1, r2)
+                for g, w in zip(got, reference_match(r1, r2)):
+                    assert g.tobytes() == w.tobytes()
+
+
+class TestEstimatorReference:
+    """Multiplying the int8 spins directly leaves mean and stderr bitwise
+    equal to the float products."""
+
+    @pytest.mark.parametrize("weight_side", [1, 2])
+    def test_bitwise_equal_to_float_products(self, weight_side):
+        for a, b in ((0.0, 0.7), (1.3, 1.3), (0.2, 2.9)):
+            cfg = ExperimentConfig(n=30_001, a=a, b=b, weight_side=weight_side)
+            _, r1, r2 = run_trial(cfg)
+            _, f1, f2 = match_coincidences(r1, r2)
+            want = reference_estimate(f1.astype(float) * f2.astype(float), "coincidence")
+            assert correlation_dp(f1, f2) == want
+
+            cfg = ExperimentConfig(n=30_001, a=a, b=b, mode="standard", weight_side=weight_side)
+            _, r1, r2 = run_trial(cfg)
+            want = reference_estimate(r1.values.astype(float) * r2.values.astype(float), "standard")
+            assert correlation_standard(r1, r2) == want
+
+            cfg = ExperimentConfig(n=30_001, a=a, b=b, mode="weighted", weight_side=weight_side)
+            _, r1, r2 = run_trial(cfg)
+            weights = r1.weights if weight_side == 1 else r2.weights
+            products = weights * r1.values.astype(float) * r2.values.astype(float)
+            assert correlation_weighted(r1, r2) == reference_estimate(products, "weighted")
 
 
 class TestEstimators:
@@ -267,6 +384,21 @@ class TestExperiment:
         with pytest.raises(ValueError, match="int64"):
             StationConfig(side=2, setting=0.0, offset=top + 1)
 
+    @pytest.mark.parametrize("offset", [1.5, 2.0, np.float64(3.0), True, False, "1", None])
+    def test_offset_must_be_an_integer(self, offset):
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(n=5, a=0.0, b=0.0, offset=offset)
+        with pytest.raises(ValueError, match="integer"):
+            StationConfig(side=1, setting=0.0, offset=offset)
+
+    def test_integer_like_offset_is_stored_as_int(self, tmp_path):
+        cfg = ExperimentConfig(n=5, a=0.0, b=0.0, offset=np.int64(7))
+        assert type(cfg.offset) is int and cfg.offset == 7
+        assert all(type(st.offset) is int for st in cfg.station_configs())
+        emissions, r1, r2 = run_trial(cfg)
+        assert np.array_equal(r2.ticks, np.arange(7, 12))  # side 2 detects every pair
+        write_event_log(tmp_path / "events.csv", cfg, emissions, r1, r2, debug_hidden=True)
+
     def test_summarize_is_the_rest_of_run_experiment(self):
         for mode in ("coincidence", "weighted", "standard"):
             cfg = ExperimentConfig(n=5_000, a=0.2, b=1.9, mode=mode)
@@ -302,6 +434,48 @@ class TestLocality:
 
 
 class TestEventLog:
+    @pytest.mark.parametrize(
+        "kwargs, debug_hidden",
+        [
+            ({}, False),
+            ({}, True),
+            ({"mode": "weighted"}, True),
+            ({"mode": "standard"}, False),
+            ({"weight_side": 2}, True),
+            ({"offset": 7}, True),
+            ({"offset": 7}, False),
+        ],
+        ids=["plain", "debug-hidden", "weighted", "standard", "weight-side-2", "offset-7", "offset-7-plain"],
+    )
+    def test_bytes_match_reference_writer(self, tmp_path, kwargs, debug_hidden):
+        cfg = ExperimentConfig(n=3_000, a=0.4, b=2.2, **kwargs)
+        emissions, r1, r2 = run_trial(cfg)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_event_log(got, cfg, emissions, r1, r2, debug_hidden)
+        reference_event_log(want, cfg, emissions, r1, r2, debug_hidden)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("debug_hidden", [False, True])
+    def test_sparse_sides_match_reference_writer(self, tmp_path, debug_hidden):
+        # Ticks on one side only, on both sides, and an empty side.
+        cfg = ExperimentConfig(n=10, a=0.0, b=0.0, offset=3)
+        emissions = run_source(10, seed=4)
+        r1 = Detections(ticks=np.array([3, 5, 6, 12], dtype=np.int64), values=np.array([1, -1, -1, 1], dtype=np.int8))
+        r2 = Detections(ticks=np.array([4, 5, 12], dtype=np.int64), values=np.array([-1, 1, -1], dtype=np.int8))
+        empty = Detections(ticks=np.array([], dtype=np.int64), values=np.array([], dtype=np.int8))
+        for pair in ((r1, r2), (r2, r1), (r1, empty), (empty, empty)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_event_log(got, cfg, emissions, *pair, debug_hidden)
+            reference_event_log(want, cfg, emissions, *pair, debug_hidden)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_rejects_values_other_than_plus_minus_one(self, tmp_path):
+        cfg = ExperimentConfig(n=3, a=0.0, b=0.0)
+        emissions = run_source(3, seed=1)
+        r1 = Detections(ticks=np.array([1, 2], dtype=np.int64), values=np.array([1, 0], dtype=np.int8))
+        with pytest.raises(ValueError, match="±1"):
+            write_event_log(tmp_path / "events.csv", cfg, emissions, r1, r1)
+
     def test_columns_and_hidden_flag(self, tmp_path):
         cfg = ExperimentConfig(n=50, a=0.0, b=1.0)
         emissions, r1, r2 = run_trial(cfg)
