@@ -9,20 +9,20 @@ reproduces the singlet statistics.
 
 import argparse
 
-from lcsim.models import BUILTIN_MODELS
+from lcsim.models import BUILTIN_SCALES, CandidateModel
 from lcsim.uniqueness import reconstruct_profile
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--builtin", default="abs-cos", choices=sorted(BUILTIN_MODELS))
+    parser.add_argument("--builtin", default="abs-cos", choices=sorted(BUILTIN_SCALES))
     parser.add_argument("--samples", type=int, default=101)
     parser.add_argument(
         "--steps", type=float, nargs="+", default=[4e-3, 2e-3, 1e-3, 5e-4]
     )
     args = parser.parse_args()
 
-    model = BUILTIN_MODELS[args.builtin]
+    model = CandidateModel.one_sided(args.builtin)
 
     print(f"candidate: {args.builtin}")
     print(f"{'h':>10s} {'sup |p - cos/4|':>18s} {'ratio':>8s}")

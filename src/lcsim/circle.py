@@ -35,6 +35,15 @@ def normalize(x):
     return r
 
 
+def on_side(side: int, value, other, name: str = "weight side") -> tuple:
+    """The (side 1, side 2) pair with `value` on `side`, `other` on the other
+    side; ValueError unless side is 1 or 2. The one place a side is decided.
+    Being its own inverse, it also maps a (side 1, side 2) pair to (side, other)."""
+    if side not in (1, 2):
+        raise ValueError(f"{name} must be 1 or 2, got {side!r}")
+    return (value, other) if side == 1 else (other, value)
+
+
 @dataclass(frozen=True)
 class Arc:
     """Half-open arc [start, start + length) with wraparound."""
@@ -90,8 +99,7 @@ def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.n
     opposite signs, so equal settings are perfectly anti-correlated. Arcs are
     half-open: the left endpoint belongs to the arc, the right one does not.
     """
-    if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
+    sign, _ = on_side(side, 1, -1, "side")
     # One float buffer: the phase past the left endpoint of I(setting).
     t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
     if not np.isfinite(t).all():  # checked first, so np.mod never warns
@@ -102,7 +110,6 @@ def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.n
     plus = np.less(t, math.pi - eps, out=np.empty(t.shape, dtype=bool))
     plus |= t >= TWO_PI - eps
     values = plus.view(np.int8)  # 1 where plus, else 0; becomes ±1 in place
-    sign = 1 if side == 1 else -1
     values *= 2 * sign
     values -= sign
     return values

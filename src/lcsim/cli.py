@@ -5,10 +5,10 @@ and Monte-Carlo correlations over a setting grid), simulate (one protocol
 run, JSON summary), uniqueness (candidate verification report, JSON), and
 trivial (triviality verdicts and CHSH sweeps for discrete measures).
 
-Exit codes: 0 success, 2 usage, 3 validation or input error, 4 statistical
-failure (for example a run with zero coincidences). All randomness is
-derived from seeds given in flags, so identical invocations produce
-byte-identical output.
+Exit codes: 0 success, 2 usage, 3 validation or input error (an input too
+large to allocate included), 4 statistical failure (for example a run with
+zero coincidences). All randomness is derived from seeds given in flags, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def cmd_uniqueness(args) -> int:
     if args.model:
         model = models.load_model(args.model, panels=args.panels)
     else:
-        model = models.BUILTIN_MODELS[args.builtin]
+        model = models.CandidateModel.one_sided(args.builtin, args.weight_side)
     report = uniqueness.verify_reproduction(
         model,
         grid=args.grid,
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="verify a candidate against the singlet statistics")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=sorted(models.BUILTIN_MODELS))
+    group.add_argument("--builtin", choices=sorted(models.BUILTIN_SCALES))
     group.add_argument("--model", help="candidate model JSON file")
     p.add_argument("--grid", type=_positive_int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
         return EXIT_STATISTICAL
     except (NormalizationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"validation error: input too large to allocate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI, spin_values
+from .circle import TWO_PI, on_side, spin_values
 from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 #: Source entries above this mass threshold count as support.
@@ -383,12 +383,10 @@ def cosine_diagonal_measure(
 ) -> DiscreteLCMeasure:
     """Diagonal discretization of the |cos|/4 pair density at settings (a, b):
     uniform diagonal source, (π/2)|cos| row masses on the weighted side."""
-    if weight_side not in (1, 2):
-        raise ValueError(f"weight side must be 1 or 2, got {weight_side!r}")
+    setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
-    w1 = (math.pi / 2.0) * np.abs(np.cos(grid - a)) if weight_side == 1 else np.ones(n_grid)
-    w2 = (math.pi / 2.0) * np.abs(np.cos(grid - b)) if weight_side == 2 else np.ones(n_grid)
+    w1, w2 = on_side(weight_side, (math.pi / 2.0) * np.abs(np.cos(grid - setting)), np.ones(n_grid))
     K1 = np.repeat(w1[:, None] / m1, m1, axis=1)
     K2 = np.repeat(w2[:, None] / m2, m2, axis=1)
     return DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import HALF_PI, TWO_PI, normalize
+from .circle import HALF_PI, TWO_PI, normalize, on_side
 from .circle import arc_intersect  # noqa: F401  (module attribute patched by perfbench/layers.py)
 
 #: Tolerance on |total mass - 1| before correlations are considered defined.
@@ -75,6 +75,9 @@ _BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "cos-squared": lambda x: np.cos(x) ** 2,
     "uniform": lambda x: np.ones_like(x),
 }
+
+#: The scale that gives each builtin candidate unit mass.
+BUILTIN_SCALES = {"abs-cos": 0.25, "cos-squared": 1.0 / math.pi, "uniform": 1.0 / TWO_PI}
 
 # Angles in [0, 2π) where each builtin fails to be smooth.
 _BUILTIN_KINKS: dict[str, tuple[float, ...]] = {
@@ -178,30 +181,26 @@ class CandidateModel:
         return self.scale * self.rho(arr) * self.p1(arr - a) * self.p2(arr - b)
 
     @classmethod
+    def one_sided(cls, name: str, weight_side: int = 1) -> "CandidateModel":
+        """Unit-mass builtin candidate `name`: its profile on the weighted side, all else flat."""
+        flat = Profile.builtin("uniform")
+        p1, p2 = on_side(weight_side, Profile.builtin(name), flat)
+        return cls(rho=flat, p1=p1, p2=p2, scale=BUILTIN_SCALES[name])
+
+    @classmethod
     def abs_cos(cls, weight_side: int = 1) -> "CandidateModel":
         """The unit-mass |cos|/4 model, with the weight on either side."""
-        _check_side(weight_side)
-        shaped = Profile.builtin("abs-cos")
-        flat = Profile.builtin("uniform")
-        if weight_side == 1:
-            return cls(rho=flat, p1=shaped, p2=flat, scale=0.25)
-        return cls(rho=flat, p1=flat, p2=shaped, scale=0.25)
+        return cls.one_sided("abs-cos", weight_side)
 
     @classmethod
     def cos_squared(cls, weight_side: int = 1) -> "CandidateModel":
         """cos² apparatus profile on one side, everything else flat, unit mass."""
-        _check_side(weight_side)
-        shaped = Profile.builtin("cos-squared")
-        flat = Profile.builtin("uniform")
-        if weight_side == 1:
-            return cls(rho=flat, p1=shaped, p2=flat, scale=1.0 / math.pi)
-        return cls(rho=flat, p1=flat, p2=shaped, scale=1.0 / math.pi)
+        return cls.one_sided("cos-squared", weight_side)
 
     @classmethod
     def uniform(cls) -> "CandidateModel":
         """Constant density 1/(2π) on the diagonal."""
-        flat = Profile.builtin("uniform")
-        return cls(rho=flat, p1=flat, p2=flat, scale=1.0 / TWO_PI)
+        return cls.one_sided("uniform")
 
     def normalized(self, panels: int = DEFAULT_PANELS) -> "CandidateModel":
         """Rescale so the total mass at equal settings is 1."""
@@ -238,19 +237,6 @@ class CandidateModel:
             p2=Profile.from_dict(doc["p2"]),
             scale=float(scale),
         )
-
-
-def _check_side(side: int) -> None:
-    if side not in (1, 2):
-        raise ValueError(f"weight side must be 1 or 2, got {side!r}")
-
-
-#: The unit-mass builtin candidates by name.
-BUILTIN_MODELS: dict[str, CandidateModel] = {
-    "abs-cos": CandidateModel.abs_cos(),
-    "cos-squared": CandidateModel.cos_squared(),
-    "uniform": CandidateModel.uniform(),
-}
 
 
 def save_model(path, model: CandidateModel) -> None:

@@ -26,19 +26,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, spin_values
+from .circle import TWO_PI, on_side, spin_values
 from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
+# The three local station rules; see run_station.
 MODE_ACCEPTANCE = "acceptance"
 MODE_ALWAYS = "always-detect"
+MODE_WEIGHTED = "always-detect-weighted"
+STATION_MODES = (MODE_ACCEPTANCE, MODE_ALWAYS, MODE_WEIGHTED)
 
 KIND_STANDARD = "standard"
 KIND_WEIGHTED = "weighted"
 KIND_COINCIDENCE = "coincidence"
 
-EXPERIMENT_MODES = (KIND_COINCIDENCE, KIND_WEIGHTED, KIND_STANDARD)
+#: The weighted side's station rule per experiment mode; the other side always detects.
+WEIGHTED_STATION_MODE = {
+    KIND_COINCIDENCE: MODE_ACCEPTANCE,
+    KIND_WEIGHTED: MODE_WEIGHTED,
+    KIND_STANDARD: MODE_ALWAYS,
+}
+EXPERIMENT_MODES = tuple(WEIGHTED_STATION_MODE)
 
 MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
+
+#: Rows of the event log formatted and written at a time; bounds its memory.
+EVENT_LOG_BLOCK = 65_536
 
 
 class EmptyCoincidenceError(RuntimeError):
@@ -71,8 +83,8 @@ class Emissions:
 @dataclass(frozen=True)
 class Detections:
     """Columnar stream of station events. A missing tick means the particle
-    left the detection window; weights are present only when the station was
-    asked to emit its local importance weight."""
+    left the detection window; weights are present only under the weighted
+    station rule."""
 
     ticks: np.ndarray
     values: np.ndarray
@@ -89,15 +101,11 @@ class StationConfig:
     mode: str = MODE_ALWAYS
     seed: int = 0
     offset: int = 1  # measurement tick is emission tick + offset
-    emit_weight: bool = False
 
     def __post_init__(self) -> None:
-        if self.side not in (1, 2):
-            raise ValueError(f"side must be 1 or 2, got {self.side!r}")
-        if self.mode not in (MODE_ACCEPTANCE, MODE_ALWAYS):
+        on_side(self.side, None, None, "side")  # validates the side
+        if self.mode not in STATION_MODES:
             raise ValueError(f"unknown station mode {self.mode!r}")
-        if self.mode == MODE_ACCEPTANCE and self.emit_weight:
-            raise ValueError("importance weights are only defined in always-detect mode")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "offset", _tick_offset(self.offset))
@@ -126,21 +134,20 @@ def run_source(n: int, seed: int) -> Emissions:
 def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     """Process the emission stream with purely local information.
 
-    Acceptance mode keeps an emission with probability |cos(s - setting)|
-    drawn from the station's own generator; always-detect keeps everything.
-    A kept emission records spin_values(side, setting, s) at tick + offset.
+    Acceptance keeps an emission with probability |cos(s - setting)| drawn
+    from the station's own generator; the two always-detect rules keep all,
+    the weighted one with weight (π/2)|cos(s - setting)|. A kept emission
+    records spin_values(side, setting, s) at tick + offset.
     """
-    phase = emissions.s - cfg.setting
     values = spin_values(cfg.side, cfg.setting, emissions.s)
     ticks = emissions.ticks + np.int64(cfg.offset)
-    if cfg.mode == MODE_ACCEPTANCE:
-        rng = _generator(cfg.seed)
-        keep = rng.random(len(emissions)) < np.abs(np.cos(phase))
-        return Detections(ticks=ticks[keep], values=values[keep])
-    weights = None
-    if cfg.emit_weight:
-        weights = (math.pi / 2.0) * np.abs(np.cos(phase))
-    return Detections(ticks=ticks, values=values, weights=weights)
+    if cfg.mode == MODE_ALWAYS:
+        return Detections(ticks=ticks, values=values)
+    window = np.abs(np.cos(emissions.s - cfg.setting))
+    if cfg.mode == MODE_WEIGHTED:
+        return Detections(ticks=ticks, values=values, weights=(math.pi / 2.0) * window)
+    keep = _generator(cfg.seed).random(len(emissions)) < window
+    return Detections(ticks=ticks[keep], values=values[keep])
 
 
 def _check_tick_stream(d: Detections, name: str) -> None:
@@ -240,36 +247,18 @@ class ExperimentConfig:
             raise ValueError(f"pair count must be at least 1, got {self.n!r}")
         if self.mode not in EXPERIMENT_MODES:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
-        if self.weight_side not in (1, 2):
-            raise ValueError(f"weight side must be 1 or 2, got {self.weight_side!r}")
         object.__setattr__(self, "offset", _tick_offset(self.offset))
         if self.n - 1 + self.offset > MAX_TICK:
             raise ValueError(f"last tick n - 1 + offset exceeds the int64 maximum {MAX_TICK}")
+        self.station_configs()  # validates the weight side and the station seeds
 
     def station_configs(self) -> tuple[StationConfig, StationConfig]:
-        """Derive the two station configs; in coincidence mode exactly the
-        weighted side runs the acceptance window."""
-        accept1 = self.mode == KIND_COINCIDENCE and self.weight_side == 1
-        accept2 = self.mode == KIND_COINCIDENCE and self.weight_side == 2
-        weigh1 = self.mode == KIND_WEIGHTED and self.weight_side == 1
-        weigh2 = self.mode == KIND_WEIGHTED and self.weight_side == 2
-        st1 = StationConfig(
-            side=1,
-            setting=self.a,
-            mode=MODE_ACCEPTANCE if accept1 else MODE_ALWAYS,
-            seed=self.station1_seed,
-            offset=self.offset,
-            emit_weight=weigh1,
+        """The two station configs: the weighted side runs its mode's rule, the other always detects."""
+        mode1, mode2 = on_side(self.weight_side, WEIGHTED_STATION_MODE[self.mode], MODE_ALWAYS)
+        return (
+            StationConfig(side=1, setting=self.a, mode=mode1, seed=self.station1_seed, offset=self.offset),
+            StationConfig(side=2, setting=self.b, mode=mode2, seed=self.station2_seed, offset=self.offset),
         )
-        st2 = StationConfig(
-            side=2,
-            setting=self.b,
-            mode=MODE_ACCEPTANCE if accept2 else MODE_ALWAYS,
-            seed=self.station2_seed,
-            offset=self.offset,
-            emit_weight=weigh2,
-        )
-        return st1, st2
 
 
 @dataclass(frozen=True)
@@ -368,7 +357,8 @@ def write_event_log(
     r2: Detections,
     debug_hidden: bool = False,
 ) -> None:
-    """Per-event CSV, rows sorted by (tick, side).
+    """Per-event CSV, rows sorted by (tick, side), formatted and written
+    EVENT_LOG_BLOCK rows at a time.
 
     The hidden configuration column is written only under debug_hidden;
     honest stations never expose it after emission.
@@ -378,19 +368,17 @@ def write_event_log(
     if not np.all(np.abs(values) == 1):
         raise ValueError("event log values must be ±1")
     order = np.argsort(ticks, kind="stable")  # side 1 first on equal ticks
-    ticks = ticks[order]
-    values = values[order]
-    side2 = order >= len(r1)
-    if debug_hidden:
-        header = "tick,side,s_hidden,value\r\n"
-        s_hidden = emissions.s[ticks - cfg.offset]
-        rows = map("{},{},{:.17g},{}\r\n".format, ticks.tolist(), (side2 + 1).tolist(), s_hidden.tolist(),
-                   values.tolist())
-    else:
-        header = "tick,side,value\r\n"
-        # A row is its tick and one of four tails, indexed 2 * (side - 1) + (value == +1).
-        tails = (",1,-1\r\n", ",1,1\r\n", ",2,-1\r\n", ",2,1\r\n")
-        rows = map("{}{}".format, ticks.tolist(), map(tails.__getitem__, (2 * side2 + (values > 0)).tolist()))
+    # A plain row is its tick and one of four tails, indexed 2 * (side - 1) + (value == +1).
+    tails = (",1,-1\r\n", ",1,1\r\n", ",2,-1\r\n", ",2,1\r\n")
     with open(path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write("".join(rows))
+        fh.write("tick,side,s_hidden,value\r\n" if debug_hidden else "tick,side,value\r\n")
+        for start in range(0, order.size, EVENT_LOG_BLOCK):
+            rows = order[start : start + EVENT_LOG_BLOCK]
+            t, v, side2 = ticks[rows], values[rows], rows >= len(r1)
+            if debug_hidden:
+                s_hidden = emissions.s[t - cfg.offset]
+                lines = map("{},{},{:.17g},{}\r\n".format, t.tolist(), (side2 + 1).tolist(), s_hidden.tolist(),
+                            v.tolist())
+            else:
+                lines = map("{}{}".format, t.tolist(), map(tails.__getitem__, (2 * side2 + (v > 0)).tolist()))
+            fh.write("".join(lines))

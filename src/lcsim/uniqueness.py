@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import HALF_PI, TWO_PI
+from .circle import HALF_PI, TWO_PI, on_side
 from .models import (
     DEFAULT_PANELS,
     CandidateModel,
@@ -138,12 +138,13 @@ def check_necessary_conditions(
     With the weight on side 1 they read: p1(π/2)·p2(-π/2) = 0, rho constant,
     p2 constant, p1(-π/2) = 0; the roles of p1 and p2 swap for weight side 2.
     """
-    if weight_side not in (1, 2):
-        raise ValueError(f"weight side must be 1 or 2, got {weight_side!r}")
+    # (name, profile, its forced zero) of each side, as (weighted side, flat side).
+    (w_name, weighted, zero_name, zero), (f_name, flat, _, _) = on_side(
+        weight_side, ("p1", m.p1, "-pi/2", -HALF_PI), ("p2", m.p2, "pi/2", HALF_PI)
+    )
     xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
     rho = _profile_values(m.rho, xs)
-    p1 = _profile_values(m.p1, xs)
-    p2 = _profile_values(m.p2, xs)
+    flat_values = _profile_values(flat, xs)
 
     def at(vals_fn, x: float) -> float:
         vals = np.asarray(vals_fn(np.array([x])), dtype=float)
@@ -154,19 +155,13 @@ def check_necessary_conditions(
         return float(vals.max() - vals.min())
 
     product_zero = abs(at(m.p1, HALF_PI) * at(m.p2, -HALF_PI))
-    results = [
+    second_zero = abs(at(weighted, zero))
+    return (
         ConditionResult("p1(pi/2)*p2(-pi/2) = 0", product_zero <= tol, product_zero),
         ConditionResult("rho constant", spread(rho) <= tol, spread(rho)),
-    ]
-    if weight_side == 1:
-        results.append(ConditionResult("p2 constant", spread(p2) <= tol, spread(p2)))
-        second_zero = abs(at(m.p1, -HALF_PI))
-        results.append(ConditionResult("p1(-pi/2) = 0", second_zero <= tol, second_zero))
-    else:
-        results.append(ConditionResult("p1 constant", spread(p1) <= tol, spread(p1)))
-        second_zero = abs(at(m.p2, HALF_PI))
-        results.append(ConditionResult("p2(pi/2) = 0", second_zero <= tol, second_zero))
-    return tuple(results)
+        ConditionResult(f"{f_name} constant", spread(flat_values) <= tol, spread(flat_values)),
+        ConditionResult(f"{w_name}({zero_name}) = 0", second_zero <= tol, second_zero),
+    )
 
 
 def quarter_cos(x) -> np.ndarray:

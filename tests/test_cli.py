@@ -8,8 +8,9 @@ import pytest
 
 from lcsim import lcmeasure, protocol
 from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, main
-from lcsim.models import TSIRELSON_SETTINGS
+from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
+from lcsim.uniqueness import verify_reproduction
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,18 @@ class TestUniqueness:
         assert doc["reproduces"] is False
         assert doc["max_quadrant_error"] > 0.02
 
+    def test_builtin_follows_weight_side(self, capsys):
+        code, out, err = run_cli(
+            capsys, "uniqueness", "--builtin", "abs-cos", "--weight-side", "2", "--grid", "8",
+            "--panels", "512", "--no-reconstruction",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [c["holds"] for c in doc["necessary_conditions"]] == [True] * 4
+        assert "FAILS" not in err
+        want = verify_reproduction(CandidateModel.abs_cos(2), grid=8, panels=512, weight_side=2, reconstruct=False)
+        assert doc == json.loads(json.dumps(want.to_dict()))
+
     def test_model_file(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({
@@ -355,3 +368,19 @@ def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc
     code, _, err = run_cli(capsys, command, flag, str(path))
     assert code == EXIT_VALIDATION
     assert "validation error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--pairs", str(10**17), "--a", "0", "--b", "0"),
+        ("trivial", "--random", "1", "--n1", "1000000000", "--n2", "1000000000"),
+    ],
+    ids=["simulate-pairs", "trivial-dimensions"],
+)
+def test_input_too_large_to_allocate_is_validation_error(capsys, argv):
+    # Both requests exceed any address space, so they fail before touching memory.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert "too large to allocate" in err
+    assert out == ""

@@ -6,7 +6,9 @@ import pytest
 
 from lcsim.circle import TWO_PI
 from lcsim.protocol import (
+    EVENT_LOG_BLOCK,
     MAX_TICK,
+    MODE_WEIGHTED,
     CorrelationEstimate,
     Detections,
     Emissions,
@@ -138,13 +140,14 @@ class TestStation:
     def test_weights_vanish_at_orthogonal_phase(self):
         e = run_source(4, seed=2)
         emissions = Emissions(ticks=e.ticks, s=np.full(4, math.pi / 2))
-        cfg = StationConfig(side=1, setting=0.0, seed=1, emit_weight=True)
+        cfg = StationConfig(side=1, setting=0.0, mode=MODE_WEIGHTED, seed=1)
         out = run_station(cfg, emissions)
+        assert len(out) == 4
         assert np.all(out.weights < 1e-15)
 
-    def test_acceptance_with_weights_rejected(self):
-        with pytest.raises(ValueError):
-            StationConfig(side=1, setting=0.0, mode="acceptance", emit_weight=True)
+    def test_unknown_station_mode_rejected(self):
+        with pytest.raises(ValueError, match="station mode"):
+            StationConfig(side=1, setting=0.0, mode="weighted")
 
 
 class TestMatcher:
@@ -444,11 +447,15 @@ class TestEventLog:
             ({"weight_side": 2}, True),
             ({"offset": 7}, True),
             ({"offset": 7}, False),
+            # More rows than one block, and (weighted: 2n rows) an exact multiple of it.
+            ({"n": 2 * EVENT_LOG_BLOCK}, False),
+            ({"n": 2 * EVENT_LOG_BLOCK, "mode": "weighted", "offset": 7}, True),
         ],
-        ids=["plain", "debug-hidden", "weighted", "standard", "weight-side-2", "offset-7", "offset-7-plain"],
+        ids=["plain", "debug-hidden", "weighted", "standard", "weight-side-2", "offset-7", "offset-7-plain",
+             "several-blocks", "several-blocks-debug-hidden"],
     )
     def test_bytes_match_reference_writer(self, tmp_path, kwargs, debug_hidden):
-        cfg = ExperimentConfig(n=3_000, a=0.4, b=2.2, **kwargs)
+        cfg = ExperimentConfig(**{"n": 3_000, "a": 0.4, "b": 2.2, **kwargs})
         emissions, r1, r2 = run_trial(cfg)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_event_log(got, cfg, emissions, r1, r2, debug_hidden)
