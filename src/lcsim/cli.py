@@ -184,14 +184,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     if args.model:
-        model = models.load_model(args.model, panels=args.panels)
+        model = models.load_model(args.model)
     else:
         model = models.CandidateModel.one_sided(args.builtin, args.weight_side)
     report = uniqueness.verify_reproduction(
         model,
         grid=args.grid,
         tol=args.tol,
-        panels=args.panels,
         weight_side=args.weight_side,
         h=args.h,
         reconstruct=not args.no_reconstruction,
@@ -321,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--h", type=float, default=1e-3, help="profile reconstruction step")
-    p.add_argument("--panels", type=_positive_int, default=models.DEFAULT_PANELS,
-                   help="two-node Gauss panels per quadrant table, spread over the whole circle (at least 8)")
     p.add_argument("--weight-side", type=int, choices=(1, 2), default=1)
     p.add_argument("--no-reconstruction", action="store_true")
     p.add_argument("--out", help="also write the JSON report to this path")

@@ -14,12 +14,13 @@ the scale are conventions, and the total mass is a computed diagnostic.
 
 Quadrant masses (probabilities of the four joint-outcome cells) come either
 from the singlet closed forms, ½cos²((b-a)/2) on matched cells and
-½sin²((b-a)/2) on mixed ones, or, for an arbitrary candidate, from one pass of
-two-node Gauss panels over the circle. That pass cuts the circle at the four
-detection-arc endpoints and the shifted profile kinks, and sums each smooth
-piece into the cell its midpoint lies in. Correlations and the CHSH statistic
-are signed sums of quadrant masses, so the analytic and quadrature backends
-share one code path.
+½sin²((b-a)/2) on mixed ones, or, for an arbitrary candidate, from
+:func:`quadrant_table_quadrature`. That cuts each setting's circle at the four
+detection-arc endpoints and the shifted profile kinks, integrates every
+smooth piece with one Gauss-Legendre rule and sums it into the cell it lies
+in; one call covers a whole array of settings. Correlations and
+the CHSH statistic are signed sums of quadrant masses, so the analytic and
+quadrature backends share one code path.
 """
 
 from __future__ import annotations
@@ -34,22 +35,19 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import HALF_PI, TWO_PI, normalize, on_side
+from .circle import BOUNDARY_EPS, HALF_PI, TWO_PI, normalize, on_side
 from .circle import arc_intersect  # noqa: F401  (module attribute patched by perfbench/layers.py)
 
 #: Tolerance on |total mass - 1| before correlations are considered defined.
 MASS_TOL = 1e-6
 
-#: Default number of Gauss panels per quadrant table.
-DEFAULT_PANELS = 4096
-
-#: Quadrature cuts closer than this to their predecessor are merged into it.
-_CUT_TOL = 1e-13
+#: Density nodes that :func:`quadrant_table_quadrature` evaluates at once:
+#: 96 KiB a float array, below glibc's initial 128 KiB mmap threshold, so the
+#: cost of a table does not depend on what was allocated before.
+QUADRATURE_BLOCK = 12288
 
 #: CHSH setting quadruple (a, a2, b, b2) attaining the 2√2 maximum.
 TSIRELSON_SETTINGS = (0.0, HALF_PI, 0.25 * math.pi, 0.75 * math.pi)
-
-_INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
 class NormalizationError(ValueError):
@@ -68,6 +66,11 @@ class Quadrant(Enum):
     def spin_product(self) -> int:
         """Sign of f1*f2 on the cell: mixed cells give +1, matched give -1."""
         return 1 if self in (Quadrant.IJ, Quadrant.JI) else -1
+
+    @property
+    def index(self) -> int:
+        """Position of the cell on the last axis of a quadrant table."""
+        return list(Quadrant).index(self)
 
 
 _BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -176,7 +179,8 @@ class CandidateModel:
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     def density(self, s, a: float, b: float) -> np.ndarray:
-        """Line density at diagonal configuration(s) s for settings (a, b)."""
+        """Line density at diagonal configuration(s) s for settings (a, b);
+        the settings may be arrays that broadcast against s."""
         arr = np.asarray(s, dtype=float)
         return self.scale * self.rho(arr) * self.p1(arr - a) * self.p2(arr - b)
 
@@ -202,9 +206,9 @@ class CandidateModel:
         """Constant density 1/(2π) on the diagonal."""
         return cls.one_sided("uniform")
 
-    def normalized(self, panels: int = DEFAULT_PANELS) -> "CandidateModel":
+    def normalized(self) -> "CandidateModel":
         """Rescale so the total mass at equal settings is 1."""
-        mass = total_mass(self, 0.0, 0.0, panels)
+        mass = float(quadrant_table_quadrature(self, 0.0, 0.0).sum())
         if mass <= 0.0:
             raise ValueError("cannot normalize a model with zero mass")
         return replace(self, scale=self.scale / mass)
@@ -243,12 +247,12 @@ def save_model(path, model: CandidateModel) -> None:
     Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def load_model(path, panels: int = DEFAULT_PANELS) -> CandidateModel:
+def load_model(path) -> CandidateModel:
     """Read a model file; a file without an explicit scale is normalized."""
     doc = json.loads(Path(path).read_text())
     model = CandidateModel.from_dict(doc)
     if "scale" not in doc:
-        model = model.normalized(panels)
+        model = model.normalized()
     return model
 
 
@@ -260,64 +264,65 @@ def quadrant_prob_analytic(a: float, b: float, quadrant: Quadrant) -> float:
     return 0.5 * math.sin(half) ** 2
 
 
-def quadrant_prob_quadrature(
-    m: CandidateModel, a: float, b: float, quadrant: Quadrant, panels: int = DEFAULT_PANELS
-) -> float:
+def quadrant_prob_quadrature(m: CandidateModel, a, b, quadrant: Quadrant):
     """Mass of one joint-outcome cell: one entry of :func:`quadrant_table_quadrature`."""
-    return quadrant_table_quadrature(m, a, b, panels)[quadrant]
+    return quadrant_table_quadrature(m, a, b)[..., quadrant.index][()]
 
 
-def quadrant_table_quadrature(
-    m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS
-) -> dict[Quadrant, float]:
-    """All four cell masses from one pass of two-node Gauss panels over [0, 2π).
+def quadrant_table_quadrature(m: CandidateModel, a, b, nodes: int = 16) -> np.ndarray:
+    """The four cell masses, in :class:`Quadrant` order, at settings (a, b).
 
-    The circle is cut at the four arc endpoints and every profile kink at its
-    shift, so each piece lies in one cell, found from its midpoint, and carries
-    a smooth density. `panels` Gauss panels are spread over the pieces in
-    proportion to length (at least one each), so it sets the resolution of the
-    whole table. A cell that no piece lies in gets exactly 0.
+    `a` and `b` broadcast; the result has shape (..., 4). Each setting's
+    circle, taken from a (s' = s - a), is cut at 0, 2π, the four arc
+    endpoints and every profile kink, so each piece lies in the cell of its
+    left end and carries a smooth density that an n-node Gauss-Legendre rule
+    integrates. Zero-length pieces carry zero mass, so a cell that no piece
+    lies in gets exactly 0. Settings go in blocks of at most QUADRATURE_BLOCK
+    density nodes (at least one setting each); every piece sums its own
+    nodes, so the tables do not depend on the block size.
     """
-    if panels < 8:
-        raise ValueError(f"panel count must be at least 8, got {panels!r}")
-    a, b = normalize([a, b]).tolist()
-    ends = np.array([a - HALF_PI, a + HALF_PI, b - HALF_PI, b + HALF_PI])
-    kinks = [p.kink_angles() + shift for p, shift in ((m.rho, 0.0), (m.p1, a), (m.p2, b))]
-    pts = np.sort(np.concatenate(([0.0, TWO_PI], normalize(np.concatenate([ends, *kinks])))))
-    pts = pts[np.concatenate(([True], np.diff(pts) > _CUT_TOL))]
-    pts[-1] = TWO_PI
-    lo, length = pts[:-1], np.diff(pts)
-    k = np.maximum(1, np.ceil(panels * length / TWO_PI)).astype(np.int64)
-    piece = np.repeat(np.arange(k.size), k)
-    h = (length / k)[piece]
-    first = np.cumsum(k) - k
-    centers = lo[piece] + (np.arange(piece.size) - first[piece] + 0.5) * h
-    off = 0.5 * h * _INV_SQRT3
-    values = m.density(np.concatenate((centers - off, centers + off)), a, b)
-    weights = 0.5 * h * (values[: piece.size] + values[piece.size :])
-    in_j = np.mod(lo + 0.5 * length - np.array([[a], [b]]) + HALF_PI, TWO_PI) >= math.pi
-    cell = 2 * in_j[0] + in_j[1]  # Quadrant order: II, IJ, JI, JJ
-    masses = np.bincount(cell[piece], weights=weights, minlength=4)
-    return {q: float(mass) for q, mass in zip(Quadrant, masses)}
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    a, b = normalize(a.ravel()), normalize(b.ravel())
+    # Side offsets (0, b - a): J of a side is [offset + π/2, offset - π/2).
+    # Separations within BOUNDARY_EPS of 0 or π are ties: the four arc
+    # endpoints then coincide exactly, so the two empty cells get exactly 0.
+    d = normalize(b - a)
+    d[np.minimum(d, TWO_PI - d) <= BOUNDARY_EPS] = 0.0
+    d[np.abs(d - math.pi) <= BOUNDARY_EPS] = math.pi
+    offsets = np.stack((np.zeros_like(d), d), axis=1)
+    kinks = [p.kink_angles() for p in (m.rho, m.p1, m.p2)]
+    step = max(1, QUADRATURE_BLOCK // (nodes * (5 + sum(k.size for k in kinks))))
+    out = np.empty((a.size, 4))
+    for start in range(0, a.size, step):
+        blk = slice(start, start + step)
+        off = offsets[blk, :, None]
+        g = len(off)
+        j_lo, j_hi = normalize(off + HALF_PI), normalize(off - HALF_PI)
+        frame_kinks = [kinks[0] - a[blk, None], kinks[1] + off[:, 0], kinks[2] + off[:, 1]]
+        cuts = normalize(np.concatenate([j_lo[..., 0], j_hi[..., 0], *frame_kinks], axis=1))
+        cuts = np.sort(np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0.0, TWO_PI)), axis=1)
+        lo, half = cuts[:, :-1], 0.5 * np.diff(cuts, axis=1)
+        s = (lo + half + a[blk, None])[..., None] + half[..., None] * x
+        mass = half * (m.density(s, a[blk, None, None], b[blk, None, None]) * w).sum(-1)
+        # The endpoints are cuts, so a piece lies wholly in J iff its left end does.
+        in_j = (lo[:, None] >= j_lo) ^ (lo[:, None] >= j_hi) ^ (j_lo > j_hi)
+        cell = 4 * np.arange(g)[:, None] + 2 * in_j[:, 0] + in_j[:, 1]
+        out[blk] = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=4 * g).reshape(g, 4)
+    return out.reshape(*shape, 4)
 
 
-def total_mass(m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS) -> float:
-    """Mass of the induced measure at settings (a, b); the four cells
-    partition the diagonal, so this is their sum."""
-    return float(sum(quadrant_table_quadrature(m, a, b, panels).values()))
+def _signed_sum(table) -> float:
+    """Correlation from one table in Quadrant order: matched cells count -1."""
+    return float(sum(q.spin_product * float(p) for q, p in zip(Quadrant, table)))
 
 
-def _signed_sum(table: dict[Quadrant, float]) -> float:
-    return float(sum(q.spin_product * p for q, p in table.items()))
-
-
-def unit_mass_table(
-    m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS
-) -> dict[Quadrant, float]:
+def unit_mass_table(m: CandidateModel, a: float, b: float) -> np.ndarray:
     """The quadrant table at (a, b); NormalizationError unless its cells sum
     to 1 within MASS_TOL."""
-    table = quadrant_table_quadrature(m, a, b, panels)
-    mass = sum(table.values())
+    table = quadrant_table_quadrature(m, a, b)
+    mass = table.sum()
     if abs(mass - 1.0) > MASS_TOL:
         raise NormalizationError(
             f"model is not normalized: total mass {mass:.9g} at settings ({a!r}, {b!r})"
@@ -325,14 +330,14 @@ def unit_mass_table(
     return table
 
 
-def correlation(m: CandidateModel, a: float, b: float, panels: int = DEFAULT_PANELS) -> float:
+def correlation(m: CandidateModel, a: float, b: float) -> float:
     """Pair correlation from the four quadrant masses; needs unit mass."""
-    return _signed_sum(unit_mass_table(m, a, b, panels))
+    return _signed_sum(unit_mass_table(m, a, b))
 
 
 def correlation_analytic(a: float, b: float) -> float:
     """Signed quadrant sum of the closed forms; equals -cos(b - a)."""
-    return _signed_sum({q: quadrant_prob_analytic(a, b, q) for q in Quadrant})
+    return _signed_sum([quadrant_prob_analytic(a, b, q) for q in Quadrant])
 
 
 def chsh_pairs(settings):
@@ -353,13 +358,12 @@ def empirically_equivalent(
     m2: CandidateModel,
     settings2: tuple[float, float],
     tol: float,
-    panels: int = DEFAULT_PANELS,
 ) -> bool:
     """True iff the two candidates produce the same four quadrant masses at
     their respective settings, within tol. Both models must be unit mass."""
-    t1 = unit_mass_table(m1, settings1[0], settings1[1], panels)
-    t2 = unit_mass_table(m2, settings2[0], settings2[1], panels)
-    return all(abs(t1[q] - t2[q]) <= tol for q in Quadrant)
+    t1 = unit_mass_table(m1, *settings1)
+    t2 = unit_mass_table(m2, *settings2)
+    return bool(np.all(np.abs(t1 - t2) <= tol))
 
 
 def abs_cos_density(a: float, s):

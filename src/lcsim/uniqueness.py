@@ -4,7 +4,8 @@ Three independent probes of whether a candidate reproduces the singlet
 quadrant statistics, and of what that forces:
 
 * :func:`verify_reproduction` scans the quadrature quadrant masses against
-  the closed forms over a setting grid.
+  the closed forms over a setting grid, all in one table call, and reports
+  the gap between 16-node and 8-node tables as its quadrature error.
 * :func:`check_necessary_conditions` evaluates the pointwise constraints the
   closed forms impose on the profiles (zeros of the weighted side, constancy
   of the others). These are necessary, never sufficient.
@@ -16,16 +17,13 @@ quadrant statistics, and of what that forces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .circle import HALF_PI, TWO_PI, on_side
 from .models import (
-    DEFAULT_PANELS,
     CandidateModel,
     Quadrant,
-    quadrant_prob_analytic,
     quadrant_prob_quadrature,
     quadrant_table_quadrature,
     unit_mass_table,
@@ -77,6 +75,7 @@ class ReconstructionResult:
 class UniquenessReport:
     reproduces: bool
     max_quadrant_error: float
+    quadrature_error: float
     worst_setting: tuple[float, float, str]
     mass: float
     necessary_conditions: tuple[ConditionResult, ...]
@@ -87,6 +86,7 @@ class UniquenessReport:
         return {
             "reproduces": self.reproduces,
             "max_quadrant_error": self.max_quadrant_error,
+            "quadrature_error": self.quadrature_error,
             "worst_setting": {
                 "a": self.worst_setting[0],
                 "b": self.worst_setting[1],
@@ -102,6 +102,7 @@ class UniquenessReport:
         lines = [
             f"reproduces quadrant statistics : {'yes' if self.reproduces else 'NO'}",
             f"max quadrant error             : {self.max_quadrant_error:.6e}",
+            f"quadrature error (16 vs 8 node): {self.quadrature_error:.3e}",
             f"worst setting                  : a={self.worst_setting[0]:.6f} "
             f"b={self.worst_setting[1]:.6f} cell={self.worst_setting[2]}",
             f"total mass (diagnostic)        : {self.mass:.12f}",
@@ -169,30 +170,20 @@ def quarter_cos(x) -> np.ndarray:
     return 0.25 * np.cos(np.asarray(x, dtype=float))
 
 
-def model_quadrant_fn(m: CandidateModel, panels: int = DEFAULT_PANELS) -> Callable[[float, float], float]:
-    """Matched-cell mass (a, b) -> R(I×I) for a candidate, by quadrature."""
-
-    def fn(a: float, b: float) -> float:
-        return quadrant_prob_quadrature(m, a, b, Quadrant.II, panels)
-
-    return fn
-
-
 def reconstruct_profile(
-    source,
+    m: CandidateModel,
     h: float = 1e-3,
     samples: int = 201,
     base_setting: float = 0.0,
-    panels: int = DEFAULT_PANELS,
 ) -> ReconstructionResult:
     """Recover the apparatus profile from the matched-cell mass alone.
 
     At separations b - a = x + π/2 with x in [-π/2, π/2] the derivative
     -d/db R(I×I) equals the profile at x, so central differencing the cell
-    mass in b reconstructs it without looking inside the model. `source` is a
-    CandidateModel or a callable (a, b) -> mass of I×I. The sup error against
-    cos(x)/4 is taken on the interior, excluding the h-neighborhoods of the
-    separations 0 and π where the forced profile has kinks.
+    mass in b reconstructs it without looking inside the model; one table
+    call covers all 2 × `samples` settings. The sup error against cos(x)/4 is
+    taken on the interior, excluding the h-neighborhoods of the separations 0
+    and π where the forced profile has kinks.
     """
     if not (0.0 < h <= MAX_DIFF_STEP):
         raise ValueError(
@@ -201,25 +192,18 @@ def reconstruct_profile(
         )
     if samples < 3:
         raise ValueError("need at least three sample points")
-    if isinstance(source, CandidateModel):
-        too_coarse = [n for n in source.sampled_sizes() if n < MIN_PROFILE_SAMPLES]
-        if too_coarse:
-            raise ValueError(
-                f"sampled profiles with {too_coarse} points are below the "
-                f"{MIN_PROFILE_SAMPLES}-point resolution needed to probe smoothness"
-            )
-        fn = model_quadrant_fn(source, panels)
-    elif callable(source):
-        fn = source
-    else:
-        raise TypeError("source must be a CandidateModel or a callable (a, b) -> mass")
+    too_coarse = [n for n in m.sampled_sizes() if n < MIN_PROFILE_SAMPLES]
+    if too_coarse:
+        raise ValueError(
+            f"sampled profiles with {too_coarse} points are below the "
+            f"{MIN_PROFILE_SAMPLES}-point resolution needed to probe smoothness"
+        )
 
     a0 = base_setting
     x = np.linspace(-HALF_PI, HALF_PI, samples)
-    profile = np.empty(samples)
-    for i, xi in enumerate(x):
-        b = a0 + xi + HALF_PI
-        profile[i] = -(fn(a0, b + h) - fn(a0, b - h)) / (2.0 * h)
+    b = a0 + x + HALF_PI
+    up, down = quadrant_prob_quadrature(m, a0, np.stack((b + h, b - h)), Quadrant.II)
+    profile = -(up - down) / (2.0 * h)
     interior = (x > -HALF_PI + h) & (x < HALF_PI - h)
     errors = np.abs(profile - quarter_cos(x))
     sup_error = float(errors[interior].max()) if interior.any() else float("inf")
@@ -230,36 +214,43 @@ def verify_reproduction(
     m: CandidateModel,
     grid: int = 32,
     tol: float = 1e-6,
-    panels: int = DEFAULT_PANELS,
     weight_side: int = 1,
     h: float = 1e-3,
     reconstruct: bool = True,
     condition_tol: float = 1e-9,
 ) -> UniquenessReport:
     """Scan quadrature quadrant masses against the closed forms on a
-    grid × grid lattice of settings and assemble the full report."""
+    grid × grid lattice of settings and assemble the full report.
+
+    The lattice is one table call. Its error estimate, the largest gap
+    between the 16-node tables and 8-node ones, bounds the tolerance: a `tol`
+    below it is refused, since the scan cannot resolve it.
+    """
+    on_side(weight_side, None, None)  # a bad side fails before any quadrature
     if grid < 8:
         raise ValueError(f"setting grid needs at least 8 points per axis, got {grid!r}")
-    mass = float(sum(unit_mass_table(m, 0.0, 0.0, panels).values()))
+    mass = float(unit_mass_table(m, 0.0, 0.0).sum())
 
     settings = TWO_PI * np.arange(grid) / grid
-    max_err = -1.0
-    worst = (0.0, 0.0, Quadrant.II.value)
-    for a in settings:
-        for b in settings:
-            table = quadrant_table_quadrature(m, float(a), float(b), panels)
-            for q, value in table.items():
-                err = abs(value - quadrant_prob_analytic(float(a), float(b), q))
-                if err > max_err:
-                    max_err = err
-                    worst = (float(a), float(b), q.value)
+    a, b = np.meshgrid(settings, settings, indexing="ij")
+    tables = quadrant_table_quadrature(m, a, b)
+    quadrature_error = float(np.abs(tables - quadrant_table_quadrature(m, a, b, nodes=8)).max())
+    if tol < quadrature_error:
+        raise ValueError(f"tolerance {tol!r} is below the quadrature error estimate {quadrature_error:.3e}")
+    half = 0.5 * (b - a)
+    matched, mixed = 0.5 * np.cos(half) ** 2, 0.5 * np.sin(half) ** 2
+    closed = np.stack([matched if q.spin_product < 0 else mixed for q in Quadrant], axis=-1)
+    errors = np.abs(tables - closed)
+    i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
+    max_err = float(errors[i, j, q])
 
     conditions = check_necessary_conditions(m, tol=condition_tol, weight_side=weight_side)
-    recon = reconstruct_profile(m, h=h, panels=panels) if reconstruct else None
+    recon = reconstruct_profile(m, h=h) if reconstruct else None
     return UniquenessReport(
         reproduces=bool(max_err <= tol),
-        max_quadrant_error=float(max_err),
-        worst_setting=worst,
+        max_quadrant_error=max_err,
+        quadrature_error=quadrature_error,
+        worst_setting=(float(settings[i]), float(settings[j]), list(Quadrant)[q].value),
         mass=mass,
         necessary_conditions=conditions,
         reconstruction=recon,

@@ -70,19 +70,20 @@ def test_criterion_2_quadrature_fidelity():
             for b in grid:
                 for q in Quadrant:
                     err = abs(
-                        models.quadrant_prob_quadrature(m, float(a), float(b), q, 4096)
+                        models.quadrant_prob_quadrature(m, float(a), float(b), q)
                         - models.quadrant_prob_analytic(float(a), float(b), q)
                     )
                     worst = max(worst, err)
         assert worst <= 1e-8
 
-        # Convergence: max error over a sub-grid drops every time the panel
-        # count doubles (checked where truncation still dominates rounding).
+        # Convergence: max error over a sub-grid drops every time the
+        # Gauss-Legendre rule gains a node (checked where truncation still
+        # dominates rounding).
         sub = TWO_PI * np.arange(8) / 8
-        def max_err(panels):
+        def max_err(nodes):
             return max(
                 abs(
-                    models.quadrant_prob_quadrature(m, float(a), float(b), q, panels)
+                    models.quadrant_table_quadrature(m, float(a), float(b), nodes)[q.index]
                     - models.quadrant_prob_analytic(float(a), float(b), q)
                 )
                 for a in sub
@@ -90,7 +91,7 @@ def test_criterion_2_quadrature_fidelity():
                 for q in Quadrant
             )
 
-        errs = [max_err(n) for n in (16, 32, 64)]
+        errs = [max_err(n) for n in (2, 3, 4)]
         assert errs[1] < errs[0]
         assert errs[2] < errs[1]
         assert time.perf_counter() - start < 10.0

@@ -174,7 +174,7 @@ class TestUniqueness:
     def test_builtin_abs_cos(self, capsys):
         code, out, err = run_cli(
             capsys, "uniqueness", "--builtin", "abs-cos", "--grid", "8",
-            "--panels", "512", "--no-reconstruction",
+            "--no-reconstruction",
         )
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -184,7 +184,7 @@ class TestUniqueness:
     def test_builtin_cos_squared_fails(self, capsys):
         code, out, _ = run_cli(
             capsys, "uniqueness", "--builtin", "cos-squared", "--grid", "8",
-            "--panels", "512", "--no-reconstruction",
+            "--no-reconstruction",
         )
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -194,13 +194,13 @@ class TestUniqueness:
     def test_builtin_follows_weight_side(self, capsys):
         code, out, err = run_cli(
             capsys, "uniqueness", "--builtin", "abs-cos", "--weight-side", "2", "--grid", "8",
-            "--panels", "512", "--no-reconstruction",
+            "--no-reconstruction",
         )
         assert code == EXIT_OK
         doc = json.loads(out)
         assert [c["holds"] for c in doc["necessary_conditions"]] == [True] * 4
         assert "FAILS" not in err
-        want = verify_reproduction(CandidateModel.abs_cos(2), grid=8, panels=512, weight_side=2, reconstruct=False)
+        want = verify_reproduction(CandidateModel.abs_cos(2), grid=8, weight_side=2, reconstruct=False)
         assert doc == json.loads(json.dumps(want.to_dict()))
 
     def test_model_file(self, capsys, tmp_path):
@@ -212,7 +212,7 @@ class TestUniqueness:
         }))
         code, out, _ = run_cli(
             capsys, "uniqueness", "--model", str(path), "--grid", "8",
-            "--panels", "512", "--no-reconstruction",
+            "--no-reconstruction",
         )
         assert code == EXIT_OK
         assert json.loads(out)["reproduces"] is True
@@ -221,6 +221,38 @@ class TestUniqueness:
         code, _, err = run_cli(capsys, "uniqueness", "--model", "/nonexistent/model.json", "--grid", "8")
         assert code == EXIT_VALIDATION
         assert "error" in err
+
+    def test_panels_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["uniqueness", "--builtin", "abs-cos", "--panels", "8"])
+        assert exc.value.code == 2
+        assert "--panels" in capsys.readouterr().err
+
+    def test_tolerance_below_quadrature_error_is_validation_error(self, capsys):
+        code, out, _ = run_cli(capsys, "uniqueness", "--builtin", "cos-squared", "--grid", "8", "--no-reconstruction")
+        assert code == EXIT_OK
+        error = json.loads(out)["quadrature_error"]
+        assert error > 0.0
+        code, _, err = run_cli(
+            capsys, "uniqueness", "--builtin", "cos-squared", "--grid", "8", "--no-reconstruction",
+            "--tol", repr(error / 2),
+        )
+        assert code == EXIT_VALIDATION
+        assert "below the quadrature error" in err
+
+    def test_sampled_model_on_a_fine_grid(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        samples = np.abs(np.cos(2.0 * math.pi * np.arange(256) / 256))
+        path.write_text(json.dumps({
+            "rho": {"builtin": "uniform"},
+            "p1": {"samples": samples.tolist()},
+            "p2": {"builtin": "uniform"},
+        }))
+        code, out, _ = run_cli(capsys, "uniqueness", "--model", str(path), "--grid", "64", "--no-reconstruction")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["reproduces"] is True
+        assert doc["max_quadrant_error"] < 1e-12
 
 
 class TestTrivial:

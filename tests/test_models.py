@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim.circle import TWO_PI, arc_I, arc_intersect, arc_J, normalize
+from lcsim import models
 from lcsim.models import (
-    DEFAULT_PANELS,
     TSIRELSON_SETTINGS,
     CandidateModel,
     NormalizationError,
@@ -25,7 +25,6 @@ from lcsim.models import (
     quadrant_prob_quadrature,
     quadrant_table_quadrature,
     save_model,
-    total_mass,
 )
 
 ABS_COS = CandidateModel.abs_cos()
@@ -52,9 +51,12 @@ def sawtooth(d: float) -> float:
     return -1.0 + 2.0 * dist / math.pi
 
 
-# Reference for the one-pass table: each cell integrated on its own over the
-# arc intersection, split at the shifted profile kinks, with the full panel
-# count per cell.
+# Reference for the table: each cell integrated on its own over the arc
+# intersection, split at the shifted profile kinks, with REFERENCE_PANELS
+# two-node Gauss panels per cell.
+REFERENCE_PANELS = 4096
+
+
 def _reference_integrate(f, lo: float, hi: float, cuts, panels: int) -> float:
     pts = [lo]
     for c in cuts:
@@ -71,7 +73,7 @@ def _reference_integrate(f, lo: float, hi: float, cuts, panels: int) -> float:
     return acc
 
 
-def reference_cell(m, a, b, quadrant, panels=DEFAULT_PANELS) -> float:
+def reference_cell(m, a, b, quadrant, panels=REFERENCE_PANELS) -> float:
     a, b = normalize(a), normalize(b)
     arc1 = arc_I(a) if quadrant in (Quadrant.II, Quadrant.IJ) else arc_J(a)
     arc2 = arc_I(b) if quadrant in (Quadrant.II, Quadrant.JI) else arc_J(b)
@@ -168,22 +170,22 @@ class TestDensity:
 
 class TestQuadrature:
     def test_abs_cos_right_angle(self):
-        val = quadrant_prob_quadrature(ABS_COS, 0.0, math.pi / 2, Quadrant.II, 4096)
+        val = quadrant_prob_quadrature(ABS_COS, 0.0, math.pi / 2, Quadrant.II)
         assert val == pytest.approx(0.25, abs=1e-9)
 
     def test_uniform_frozen_value(self):
         # Oracle first: interval length (π - π/4) / (2π) = 3/8.
         assert uniform_ii_oracle(math.pi / 4) == pytest.approx(0.375, abs=1e-15)
-        val = quadrant_prob_quadrature(UNIFORM, 0.0, math.pi / 4, Quadrant.II, 4096)
+        val = quadrant_prob_quadrature(UNIFORM, 0.0, math.pi / 4, Quadrant.II)
         assert val == pytest.approx(0.375, abs=1e-12)
 
     def test_empty_intersection_is_exactly_zero(self):
         assert quadrant_prob_quadrature(ABS_COS, 0.0, math.pi, Quadrant.II) == 0.0
         assert quadrant_prob_quadrature(UNIFORM, 1.0, 1.0 + math.pi, Quadrant.II) == 0.0
 
-    def test_panel_floor(self):
+    def test_node_floor(self):
         with pytest.raises(ValueError):
-            quadrant_prob_quadrature(ABS_COS, 0.0, 1.0, Quadrant.II, panels=4)
+            quadrant_table_quadrature(ABS_COS, 0.0, 1.0, nodes=0)
 
     def test_matches_analytic_on_grid(self):
         grid = TWO_PI * np.arange(8) / 8
@@ -192,18 +194,18 @@ class TestQuadrature:
             for b in grid:
                 for q in Quadrant:
                     err = abs(
-                        quadrant_prob_quadrature(ABS_COS, float(a), float(b), q, 1024)
+                        quadrant_prob_quadrature(ABS_COS, float(a), float(b), q)
                         - quadrant_prob_analytic(float(a), float(b), q)
                     )
                     worst = max(worst, err)
         assert worst < 1e-8
 
-    def test_error_decreases_when_panels_double(self):
-        def max_err(panels):
+    def test_error_decreases_as_nodes_grow(self):
+        def max_err(nodes):
             grid = TWO_PI * np.arange(6) / 6 + 0.05
             return max(
                 abs(
-                    quadrant_prob_quadrature(ABS_COS, float(a), float(b), q, panels)
+                    quadrant_table_quadrature(ABS_COS, float(a), float(b), nodes)[q.index]
                     - quadrant_prob_analytic(float(a), float(b), q)
                 )
                 for a in grid
@@ -211,19 +213,19 @@ class TestQuadrature:
                 for q in Quadrant
             )
 
-        errs = [max_err(n) for n in (16, 32, 64)]
+        errs = [max_err(n) for n in (2, 3, 4)]
         assert errs[1] < errs[0] / 2
         assert errs[2] < errs[1] / 2
 
     def test_normalization_integral(self):
         for a in (0.0, 1.1, 4.7):
-            assert total_mass(ABS_COS, a, a + 0.4) == pytest.approx(1.0, abs=1e-12)
+            assert quadrant_table_quadrature(ABS_COS, a, a + 0.4).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_no_signaling_marginal(self):
         for a, b in ((0.0, 0.3), (1.2, 5.1), (4.0, 0.5)):
-            table = quadrant_table_quadrature(ABS_COS, a, b, 2048)
-            assert table[Quadrant.II] + table[Quadrant.IJ] == pytest.approx(0.5, abs=1e-10)
-            assert table[Quadrant.II] + table[Quadrant.JI] == pytest.approx(0.5, abs=1e-10)
+            ii, ij, ji, _ = quadrant_table_quadrature(ABS_COS, a, b)
+            assert ii + ij == pytest.approx(0.5, abs=1e-10)
+            assert ii + ji == pytest.approx(0.5, abs=1e-10)
 
     @settings(max_examples=10, deadline=None)
     @given(delta=small_angles)
@@ -236,9 +238,66 @@ class TestQuadrature:
         ).normalized()
         a, b = 0.4, 1.3
         for q in (Quadrant.II, Quadrant.JI):
-            assert quadrant_prob_quadrature(model, a + delta, b + delta, q, 512) == pytest.approx(
-                quadrant_prob_quadrature(model, a, b, q, 512), abs=1e-6
+            assert quadrant_prob_quadrature(model, a + delta, b + delta, q) == pytest.approx(
+                quadrant_prob_quadrature(model, a, b, q), abs=1e-6
             )
+
+
+def count_density_nodes(monkeypatch) -> list[int]:
+    """Patch CandidateModel.density to record the node count of every call."""
+    evaluated = []
+    density = CandidateModel.density
+
+    def counting(self, s, a, b):
+        out = density(self, s, a, b)
+        evaluated.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(CandidateModel, "density", counting)
+    return evaluated
+
+
+def kink_count(model) -> int:
+    return sum(len(p.kink_angles()) for p in (model.rho, model.p1, model.p2))
+
+
+def setting_lattice(grid: int):
+    settings = TWO_PI * np.arange(grid) / grid
+    return np.meshgrid(settings, settings, indexing="ij")
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize(
+        "model,grid",
+        [(ABS_COS, 32), (COS_SQUARED, 32), (SAMPLED_ABS_COS, 8)],
+        ids=["abs-cos", "cos-squared", "sampled-256"],
+    )
+    def test_block_size_does_not_change_tables(self, monkeypatch, model, grid):
+        a, b = setting_lattice(grid)
+        default = quadrant_table_quadrature(model, a, b)
+        assert default.shape == (grid, grid, 4)
+        monkeypatch.setattr(models, "QUADRATURE_BLOCK", 16 * (5 + kink_count(model)))  # one setting a block
+        assert np.array_equal(quadrant_table_quadrature(model, a, b), default)
+        monkeypatch.setattr(models, "QUADRATURE_BLOCK", 1)  # less than a setting still takes one
+        assert np.array_equal(quadrant_table_quadrature(model, a, b), default)
+
+    def test_settings_broadcast_like_single_calls(self):
+        bs = np.linspace(-1.0, 7.0, 13)
+        batched = quadrant_table_quadrature(ABS_COS, 0.3, bs)
+        assert batched.shape == (13, 4)
+        assert np.array_equal(batched, np.stack([quadrant_table_quadrature(ABS_COS, 0.3, b) for b in bs]))
+        assert quadrant_table_quadrature(ABS_COS, np.empty((0, 3)), 0.0).shape == (0, 3, 4)
+
+    def test_scan_takes_few_density_calls(self, monkeypatch):
+        # The whole 32x32 lattice in blocks of QUADRATURE_BLOCK nodes, where
+        # one table a setting took 1,024 calls.
+        evaluated = count_density_nodes(monkeypatch)
+        a, b = setting_lattice(32)
+        quadrant_table_quadrature(ABS_COS, a, b)
+        nodes = 1024 * 16 * (5 + kink_count(ABS_COS))
+        assert sum(evaluated) == nodes
+        assert len(evaluated) <= math.ceil(nodes / models.QUADRATURE_BLOCK)
+        assert max(evaluated) <= models.QUADRATURE_BLOCK
 
 
 class TestOnePassTable:
@@ -256,30 +315,20 @@ class TestOnePassTable:
                 for q in Quadrant:
                     reference = reference_cell(model, a, b, q)
                     if reference == 0.0:
-                        assert table[q] == 0.0
-                    worst = max(worst, abs(table[q] - reference))
+                        assert table[q.index] == 0.0
+                    worst = max(worst, abs(table[q.index] - reference))
         assert worst < 1e-13
 
     @pytest.mark.parametrize(
         "model", [ABS_COS, COS_SQUARED, SAMPLED_ABS_COS], ids=["abs-cos", "cos-squared", "sampled-256"]
     )
     def test_one_pass_work_count(self, monkeypatch, model):
-        evaluated = []
-        density = CandidateModel.density
-
-        def counting(self, s, a, b):
-            out = density(self, s, a, b)
-            evaluated.append(np.size(out))
-            return out
-
-        monkeypatch.setattr(CandidateModel, "density", counting)
-        kinks = sum(len(p.kink_angles()) for p in (model.rho, model.p1, model.p2))
-        for panels in (8, 512, DEFAULT_PANELS):
-            for a, b in ((0.0, 0.0), (0.3, 2.2), (5.9, 1.0), (1.0, 1.0 + math.pi)):
-                evaluated.clear()
-                table = quadrant_table_quadrature(model, a, b, panels)
-                assert 0 < sum(evaluated) <= 2 * (panels + 5 + kinks)
-                assert sum(table.values()) == total_mass(model, a, b, panels)
+        evaluated = count_density_nodes(monkeypatch)
+        for a, b in ((0.0, 0.0), (0.3, 2.2), (5.9, 1.0), (1.0, 1.0 + math.pi)):
+            evaluated.clear()
+            table = quadrant_table_quadrature(model, a, b)
+            assert table.shape == (4,)
+            assert evaluated == [16 * (5 + kink_count(model))]  # one rule on every piece, one call
 
     def test_half_turn_swaps_cells(self):
         # I(a + π) = J(a) and the abs-cos density is π-periodic, so turning
@@ -289,7 +338,7 @@ class TestOnePassTable:
             table = quadrant_table_quadrature(ABS_COS, a, b)
             turned = quadrant_table_quadrature(ABS_COS, a + math.pi, b + math.pi)
             for q in Quadrant:
-                assert turned[swap[q]] == pytest.approx(table[q], abs=1e-13)
+                assert turned[swap[q].index] == pytest.approx(table[q.index], abs=1e-13)
 
 
 class TestCorrelation:
@@ -307,7 +356,7 @@ class TestCorrelation:
         grid = TWO_PI * np.arange(8) / 8 + 0.01
         for a in grid:
             for b in grid:
-                assert correlation(ABS_COS, float(a), float(b), 2048) == pytest.approx(
+                assert correlation(ABS_COS, float(a), float(b)) == pytest.approx(
                     -math.cos(b - a), abs=1e-9
                 )
 
@@ -382,7 +431,7 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"rho": {"builtin": "uniform"}, "p1": {"builtin": "abs-cos"}, "p2": {"builtin": "uniform"}}))
         loaded = load_model(path)
-        assert total_mass(loaded, 0.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert quadrant_table_quadrature(loaded, 0.0, 0.0).sum() == pytest.approx(1.0, abs=1e-9)
         assert loaded.scale == pytest.approx(0.25, abs=1e-9)
 
     def test_missing_field_rejected(self, tmp_path):
@@ -393,7 +442,7 @@ class TestSerialization:
 
     def test_mirrored_weight_side(self):
         mirrored = CandidateModel.abs_cos(weight_side=2)
-        assert total_mass(mirrored, 0.3, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert quadrant_table_quadrature(mirrored, 0.3, 2.0).sum() == pytest.approx(1.0, abs=1e-12)
         # The I×I mass is symmetric in which side carries the |cos| weight.
         for a, b in ((0.0, 0.9), (1.2, 4.4)):
             assert quadrant_prob_quadrature(mirrored, a, b, Quadrant.II) == pytest.approx(

@@ -109,7 +109,7 @@ SIDE_ENTRY_POINTS = {
     "chsh_estimate": lambda side: protocol.chsh_estimate(10, weight_side=side),
     "check_necessary_conditions": lambda side: uniqueness.check_necessary_conditions(ABS_COS, weight_side=side),
     "verify_reproduction": lambda side: uniqueness.verify_reproduction(
-        CandidateModel.uniform(), grid=8, panels=8, weight_side=side, reconstruct=False
+        CandidateModel.uniform(), grid=8, weight_side=side, reconstruct=False
     ),
 }
 

@@ -9,13 +9,17 @@ from lcsim.models import CandidateModel, NormalizationError, Profile, Quadrant, 
 from lcsim.uniqueness import (
     NECESSITY_NOTE,
     check_necessary_conditions,
-    model_quadrant_fn,
     quarter_cos,
     reconstruct_profile,
     verify_reproduction,
 )
 
 ABS_COS = CandidateModel.abs_cos()
+BARE_ABS_COS = CandidateModel(  # |cos| with scale 1: mass 4
+    rho=Profile.builtin("uniform"),
+    p1=Profile.builtin("abs-cos"),
+    p2=Profile.builtin("uniform"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +80,34 @@ class TestVerifyReproduction:
             verify_reproduction(ABS_COS, grid=4)
 
     def test_unnormalized_candidate_rejected(self):
-        bare = CandidateModel(
-            rho=Profile.builtin("uniform"),
-            p1=Profile.builtin("abs-cos"),
-            p2=Profile.builtin("uniform"),
-        )
         with pytest.raises(NormalizationError):
-            verify_reproduction(bare, grid=8)
+            verify_reproduction(BARE_ABS_COS, grid=8)
+
+    @pytest.mark.parametrize("model", [ABS_COS, BARE_ABS_COS], ids=["unit-mass", "unnormalized"])
+    def test_bad_weight_side_rejected_before_any_quadrature(self, monkeypatch, model):
+        calls = []
+        monkeypatch.setattr(CandidateModel, "density", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="weight side must be 1 or 2, got 3"):
+            verify_reproduction(model, grid=8, weight_side=3)
+        with pytest.raises(ValueError, match="setting grid"):
+            verify_reproduction(model, grid=4)
+        assert calls == []
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_quadrature_error_bounds_the_distance_to_the_closed_forms(self, side):
+        report = verify_reproduction(CandidateModel.abs_cos(side), grid=32, weight_side=side, reconstruct=False)
+        assert 0.0 < report.quadrature_error < 1e-13
+        assert report.quadrature_error >= report.max_quadrant_error - 1e-15
+        assert report.to_dict()["quadrature_error"] == report.quadrature_error
+        assert "quadrature error" in report.format_table()
+
+    def test_tolerance_below_the_quadrature_error_refused(self):
+        # 8 nodes resolve cos² on a half circle only to about 4e-11.
+        error = verify_reproduction(CandidateModel.cos_squared(), grid=8, reconstruct=False).quadrature_error
+        assert 1e-12 < error < 1e-9
+        with pytest.raises(ValueError, match="below the quadrature error"):
+            verify_reproduction(CandidateModel.cos_squared(), grid=8, tol=error / 2, reconstruct=False)
+        verify_reproduction(CandidateModel.cos_squared(), grid=8, tol=error, reconstruct=False)
 
 
 class TestNecessaryConditions:
@@ -167,19 +192,12 @@ class TestReconstruction:
         result = reconstruct_profile(fine, h=1e-3, samples=41)
         assert result.sup_error < 1e-3  # limited by the linear interpolation
 
-    def test_accepts_plain_callable(self):
-        # An externally supplied matched-cell table reconstructs the same way.
-        fn = model_quadrant_fn(ABS_COS)
-        result = reconstruct_profile(fn, h=1e-3, samples=21)
-        assert result.sup_error < 1e-5
-
     def test_derivative_matches_quarter_sine(self):
         # -d/db of the matched-cell mass is sin(b-a)/4; check pointwise.
-        fn = model_quadrant_fn(ABS_COS)
         h = 1e-3
-        for d in (0.4, 1.0, 2.2, 2.9):
-            diff = -(fn(0.0, d + h) - fn(0.0, d - h)) / (2 * h)
-            assert diff == pytest.approx(0.25 * math.sin(d), abs=1e-6)
+        d = np.array([0.4, 1.0, 2.2, 2.9])
+        up, down = quadrant_prob_quadrature(ABS_COS, 0.0, np.stack((d + h, d - h)), Quadrant.II)
+        np.testing.assert_allclose(-(up - down) / (2 * h), 0.25 * np.sin(d), atol=1e-6)
 
 
 class TestReport:
