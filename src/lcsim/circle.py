@@ -74,25 +74,25 @@ def arc_J(a: float) -> Arc:
     return Arc(a + HALF_PI, math.pi)
 
 
-def arc_intersect(x: Arc, y: Arc, eps: float = BOUNDARY_EPS) -> list[Arc]:
+def arc_intersect(x: Arc, y: Arc) -> list[Arc]:
     """Pairwise-disjoint arcs whose union is x ∩ y as a point set.
 
     Pieces are unwrapped (each fits inside [0, 2π]) so downstream integrals
     run over plain intervals; a component crossing 0 shows up as two pieces.
-    Slivers shorter than eps are boundary ties and are dropped.
+    Slivers shorter than BOUNDARY_EPS are boundary ties and are dropped.
     """
     pieces: list[tuple[float, float]] = []
     for lo1, hi1 in x.intervals():
         for lo2, hi2 in y.intervals():
             lo = max(lo1, lo2)
             hi = min(hi1, hi2)
-            if hi - lo > eps:
+            if hi - lo > BOUNDARY_EPS:
                 pieces.append((lo, hi - lo))
     pieces.sort()
     return [Arc(start, length) for start, length in pieces]
 
 
-def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.ndarray:
+def spin_values(side: int, setting: float, s) -> np.ndarray:
     """±1 spin outcomes at configurations s, as an int8 array.
 
     Side 1 reads +1 on I(setting) and -1 on J(setting); side 2 uses the
@@ -105,10 +105,10 @@ def spin_values(side: int, setting: float, s, eps: float = BOUNDARY_EPS) -> np.n
     if not np.isfinite(t).all():  # checked first, so np.mod never warns
         raise ValueError("angles must be finite")
     np.mod(t, TWO_PI, out=t)
-    # Side 1 reads +1 for t in [0, π - eps), and for t within eps below the
-    # period: a left-endpoint tie that rounding pushed there.
-    plus = np.less(t, math.pi - eps, out=np.empty(t.shape, dtype=bool))
-    plus |= t >= TWO_PI - eps
+    # Side 1 reads +1 for t in [0, π - BOUNDARY_EPS), and for t within
+    # BOUNDARY_EPS below the period: a left-endpoint tie that rounding pushed there.
+    plus = np.less(t, math.pi - BOUNDARY_EPS, out=np.empty(t.shape, dtype=bool))
+    plus |= t >= TWO_PI - BOUNDARY_EPS
     values = plus.view(np.int8)  # 1 where plus, else 0; becomes ±1 in place
     values *= 2 * sign
     values -= sign

@@ -17,7 +17,6 @@ preserve nontriviality as well.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +28,11 @@ from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 #: Source entries above this mass threshold count as support.
 SUPPORT_EPS = 1e-12
 
-#: Default tolerance for the triviality classification.
+#: Tolerance of the triviality classification.
 TRIVIAL_TOL = 1e-9
+
+#: Tolerance on unit row sums and on a rescaled source's unit mass.
+UNIT_TOL = 1e-9
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -86,9 +88,6 @@ class DiscreteLCMeasure:
     def m2(self) -> int:
         return self.K2.shape[1]
 
-    def support(self, threshold: float = SUPPORT_EPS) -> np.ndarray:
-        return self.PS > threshold
-
 
 @dataclass(frozen=True)
 class TrivialityVerdict:
@@ -109,30 +108,27 @@ def local_mass_functions(m: DiscreteLCMeasure) -> tuple[np.ndarray, np.ndarray]:
     return m.K1.sum(axis=1), m.K2.sum(axis=1)
 
 
-def is_trivial(
-    m: DiscreteLCMeasure,
-    tol: float = TRIVIAL_TOL,
-    support_threshold: float = SUPPORT_EPS,
-) -> TrivialityVerdict:
-    """Check p1(s1) * p2(s2) = 1 on the support of the source."""
+def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
+    """Check p1(s1) * p2(s2) = 1 within TRIVIAL_TOL on the support of the
+    source, the entries above SUPPORT_EPS."""
     p1, p2 = local_mass_functions(m)
-    supp = m.support(support_threshold)
+    supp = m.PS > SUPPORT_EPS
     if supp.any():
         max_dev = float(np.abs(np.outer(p1, p2) - 1.0)[supp].max())
     else:
         max_dev = 0.0
-    trivial = max_dev <= tol
+    trivial = max_dev <= TRIVIAL_TOL
     c = None
     if trivial:
         rows = supp.any(axis=1)
         vals = p1[rows]
         weights = m.PS.sum(axis=1)[rows]
-        if vals.size and float(vals.max() - vals.min()) <= tol * max(1.0, float(vals.max())):
+        if vals.size and float(vals.max() - vals.min()) <= TRIVIAL_TOL * max(1.0, float(vals.max())):
             c = float(np.average(vals, weights=weights)) if weights.sum() > 0 else float(vals.mean())
     return TrivialityVerdict(trivial=trivial, c=c, max_deviation=max_dev)
 
 
-def rescale(m: DiscreteLCMeasure, q1, q2, tol: float = 1e-9) -> DiscreteLCMeasure:
+def rescale(m: DiscreteLCMeasure, q1, q2) -> DiscreteLCMeasure:
     """Move positive factors q1 ⊗ q2 from the kernels into the source.
 
     The induced measure on the full space is unchanged entrywise, but a
@@ -147,7 +143,7 @@ def rescale(m: DiscreteLCMeasure, q1, q2, tol: float = 1e-9) -> DiscreteLCMeasur
     if np.any(q1 <= 0.0) or np.any(q2 <= 0.0):
         raise ValueError("rescaling vectors must be strictly positive")
     mass = float(q1 @ m.PS @ q2)
-    if abs(mass - 1.0) > tol:
+    if abs(mass - 1.0) > UNIT_TOL:
         raise ValueError(f"rescaled source must have unit mass, got {mass!r}")
     return DiscreteLCMeasure(
         PS=m.PS * np.outer(q1, q2),
@@ -175,10 +171,10 @@ class LocalMarkovOperator:
         object.__setattr__(self, "T1", T1)
         object.__setattr__(self, "T2", T2)
 
-    def is_stochastic(self, tol: float = 1e-9) -> bool:
+    def is_stochastic(self) -> bool:
         return bool(
-            np.all(np.abs(self.T1.sum(axis=1) - 1.0) <= tol)
-            and np.all(np.abs(self.T2.sum(axis=1) - 1.0) <= tol)
+            np.all(np.abs(self.T1.sum(axis=1) - 1.0) <= UNIT_TOL)
+            and np.all(np.abs(self.T2.sum(axis=1) - 1.0) <= UNIT_TOL)
         )
 
     def is_permutation(self) -> bool:
@@ -191,10 +187,6 @@ class LocalMarkovOperator:
             )
 
         return perm(self.T1) and perm(self.T2)
-
-    @classmethod
-    def identity(cls, dim1: int, dim2: int) -> "LocalMarkovOperator":
-        return cls(np.eye(dim1), np.eye(dim2))
 
     @classmethod
     def random_stochastic(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
@@ -231,21 +223,6 @@ def apply_local_markov(m: DiscreteLCMeasure, op: LocalMarkovOperator) -> Discret
         "sl,slkm->skm", m.K2, op.T2.reshape(m.n2, m.m2, m.n2, m.m2)
     ).reshape(m.n2, d2)
     return DiscreteLCMeasure(PS=m.PS, K1=K1n, K2=K2n)
-
-
-def check_pab_markovian(m: DiscreteLCMeasure, op: LocalMarkovOperator, tol: float = 1e-9) -> bool:
-    """True iff transporting by op keeps the unit-mass condition on the
-    support: (Σ_λ K1 T1·1)(s1) * (Σ_λ K2 T2·1)(s2) = 1 within tol."""
-    d1 = m.n1 * m.m1
-    d2 = m.n2 * m.m2
-    if op.T1.shape != (d1, d1) or op.T2.shape != (d2, d2):
-        raise ValueError("operator dimensions do not match the measure")
-    u1 = np.einsum("sl,sl->s", m.K1, op.T1.sum(axis=1).reshape(m.n1, m.m1))
-    u2 = np.einsum("sl,sl->s", m.K2, op.T2.sum(axis=1).reshape(m.n2, m.m2))
-    supp = m.support()
-    if not supp.any():
-        return True
-    return bool(np.all(np.abs(np.outer(u1, u2)[supp] - 1.0) <= tol))
 
 
 def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
@@ -301,11 +278,9 @@ def random_trivial_measure(
     n2: int = 64,
     m1: int = 8,
     m2: int = 8,
-    c: float | None = None,
 ) -> DiscreteLCMeasure:
-    """Trivial by construction: row masses are c on one side, 1/c on the other."""
-    if c is None:
-        c = float(np.exp(rng.uniform(-1.5, 1.5)))
+    """Trivial by construction: row masses are a random c on one side, 1/c on the other."""
+    c = float(np.exp(rng.uniform(-1.5, 1.5)))
     return DiscreteLCMeasure(
         PS=random_source(rng, n1, n2),
         K1=c * stochastic_matrix(rng, n1, m1),
@@ -382,11 +357,14 @@ def cosine_diagonal_measure(
     weight_side: int = 1,
 ) -> DiscreteLCMeasure:
     """Diagonal discretization of the |cos|/4 pair density at settings (a, b):
-    uniform diagonal source, (π/2)|cos| row masses on the weighted side."""
+    uniform diagonal source, row masses |cos| over their grid mean on the
+    weighted side. The induced mass Σ PS·p1·p2 is then 1, where the midpoint
+    samples of (π/2)|cos| leave it at 1 + O(1/n²)."""
     setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
-    w1, w2 = on_side(weight_side, (math.pi / 2.0) * np.abs(np.cos(grid - setting)), np.ones(n_grid))
+    w = np.abs(np.cos(grid - setting))
+    w1, w2 = on_side(weight_side, w / w.mean(), np.ones(n_grid))
     K1 = np.repeat(w1[:, None] / m1, m1, axis=1)
     K2 = np.repeat(w2[:, None] / m2, m2, axis=1)
     return DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)

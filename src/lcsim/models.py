@@ -95,7 +95,8 @@ class Profile:
     """Nonnegative 2π-periodic profile.
 
     Either one of the named builtins or N uniformly spaced samples (values at
-    the angles 2πk/N) evaluated with periodic linear interpolation.
+    the N angles of :meth:`kink_angles`) evaluated with periodic linear
+    interpolation.
     """
 
     kind: str
@@ -136,16 +137,15 @@ class Profile:
         xs = np.asarray(x, dtype=float)
         if self.kind != "samples":
             return _BUILTINS[self.kind](xs)
-        vals = np.asarray(self.samples, dtype=float)
-        grid = np.linspace(0.0, TWO_PI, vals.size + 1)
-        wrapped = np.append(vals, vals[0])
-        return np.interp(normalize(xs), grid, wrapped)
+        if not np.isfinite(xs).all():
+            raise ValueError("angles must be finite")
+        return np.interp(xs, self.kink_angles(), self.samples, period=TWO_PI)
 
     def kink_angles(self) -> np.ndarray:
-        """Angles in [0, 2π) where the profile is not smooth; quadrature cuts here."""
+        """Angles in [0, 2π) where the profile is not smooth; quadrature cuts
+        here. For a sampled profile these are its N sample angles."""
         if self.kind == "samples":
-            n = len(self.samples)
-            return TWO_PI * np.arange(n) / n
+            return np.linspace(0.0, TWO_PI, len(self.samples), endpoint=False)
         return np.array(_BUILTIN_KINKS[self.kind], dtype=float)
 
     def to_dict(self) -> dict:
@@ -157,11 +157,11 @@ class Profile:
     def from_dict(cls, doc: dict) -> "Profile":
         if not isinstance(doc, dict):
             raise ValueError(f"profile document must be an object, got {doc!r}")
+        if ("builtin" in doc) == ("samples" in doc):
+            raise ValueError("profile document needs exactly one of the 'builtin' and 'samples' fields")
         if "builtin" in doc:
             return cls.builtin(doc["builtin"])
-        if "samples" in doc:
-            return cls.from_samples(doc["samples"])
-        raise ValueError("profile document needs a 'builtin' or 'samples' field")
+        return cls.from_samples(doc["samples"])
 
 
 @dataclass(frozen=True)
@@ -351,22 +351,3 @@ def chsh(c_ab: float, c_ab2: float, c_a2b: float, c_a2b2: float) -> float:
     """The CHSH functional |C(a,b) - C(a,b2)| + |C(a2,b) + C(a2,b2)|."""
     return abs(c_ab - c_ab2) + abs(c_a2b + c_a2b2)
 
-
-def empirically_equivalent(
-    m1: CandidateModel,
-    settings1: tuple[float, float],
-    m2: CandidateModel,
-    settings2: tuple[float, float],
-    tol: float,
-) -> bool:
-    """True iff the two candidates produce the same four quadrant masses at
-    their respective settings, within tol. Both models must be unit mass."""
-    t1 = unit_mass_table(m1, *settings1)
-    t2 = unit_mass_table(m2, *settings2)
-    return bool(np.all(np.abs(t1 - t2) <= tol))
-
-
-def abs_cos_density(a: float, s):
-    """The forced diagonal line density ¼|cos(s - a)|."""
-    out = 0.25 * np.abs(np.cos(np.asarray(s, dtype=float) - a))
-    return float(out) if out.ndim == 0 else out

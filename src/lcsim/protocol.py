@@ -325,7 +325,6 @@ def chsh_estimate(
     mode: str = KIND_COINCIDENCE,
     weight_side: int = 1,
     base_seed: int = 7,
-    offset: int = 1,
 ) -> dict:
     """CHSH from four independent runs at (a,b), (a,b2), (a2,b), (a2,b2).
 
@@ -340,7 +339,6 @@ def chsh_estimate(
             b=sb,
             mode=mode,
             weight_side=weight_side,
-            offset=offset,
             source_seed=base_seed + 100 * i,
             station1_seed=base_seed + 100 * i + 1,
             station2_seed=base_seed + 100 * i + 2,

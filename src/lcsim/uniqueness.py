@@ -35,6 +35,12 @@ MAX_DIFF_STEP = 1e-2
 #: Sampled profiles below this resolution are too coarse to probe smoothness.
 MIN_PROFILE_SAMPLES = 128
 
+#: Tolerance on the peak-normalized residuals of the necessary conditions.
+CONDITION_TOL = 1e-9
+
+#: Angles on which the necessary conditions find each profile's peak.
+CONDITION_GRID = 512
+
 NECESSITY_NOTE = (
     "necessary conditions are evaluated independently of reproduction; "
     "passing them does not imply the quadrant statistics are reproduced"
@@ -120,48 +126,41 @@ class UniquenessReport:
         return "\n".join(lines)
 
 
-def _profile_values(profile, xs: np.ndarray) -> np.ndarray:
+def _peak_scaled(profile, xs: np.ndarray):
+    """The profile on xs over its peak there (unscaled if the peak is 0), and
+    a function giving its value at one angle on the same scale."""
     vals = np.asarray(profile(xs), dtype=float)
     peak = float(vals.max())
-    return vals / peak if peak > 0.0 else vals
+    peak = peak if peak > 0.0 else 1.0
+    return vals / peak, lambda x: float(np.asarray(profile(np.array([x])), dtype=float)[0] / peak)
 
 
-def check_necessary_conditions(
-    m: CandidateModel,
-    tol: float = 1e-9,
-    weight_side: int = 1,
-    grid: int = 512,
-) -> tuple[ConditionResult, ...]:
+def check_necessary_conditions(m: CandidateModel, weight_side: int = 1) -> tuple[ConditionResult, ...]:
     """Pointwise constraints forced on any candidate reproducing the singlet
     statistics, evaluated on peak-normalized profiles so residuals are
-    scale-free.
+    scale-free; each holds when its residual is within CONDITION_TOL.
 
     With the weight on side 1 they read: p1(π/2)·p2(-π/2) = 0, rho constant,
     p2 constant, p1(-π/2) = 0; the roles of p1 and p2 swap for weight side 2.
     """
-    # (name, profile, its forced zero) of each side, as (weighted side, flat side).
-    (w_name, weighted, zero_name, zero), (f_name, flat, _, _) = on_side(
-        weight_side, ("p1", m.p1, "-pi/2", -HALF_PI), ("p2", m.p2, "pi/2", HALF_PI)
+    xs = np.linspace(0.0, TWO_PI, CONDITION_GRID, endpoint=False)
+    rho, _ = _peak_scaled(m.rho, xs)
+    (p1, p1_at), (p2, p2_at) = _peak_scaled(m.p1, xs), _peak_scaled(m.p2, xs)
+    # (name, values, value at one angle, forced zero) of each side, as (weighted side, flat side).
+    (w_name, _, w_at, zero_name, zero), (f_name, flat, *_) = on_side(
+        weight_side, ("p1", p1, p1_at, "-pi/2", -HALF_PI), ("p2", p2, p2_at, "pi/2", HALF_PI)
     )
-    xs = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    rho = _profile_values(m.rho, xs)
-    flat_values = _profile_values(flat, xs)
-
-    def at(vals_fn, x: float) -> float:
-        vals = np.asarray(vals_fn(np.array([x])), dtype=float)
-        peak = float(np.asarray(vals_fn(xs), dtype=float).max())
-        return float(vals[0] / peak) if peak > 0.0 else float(vals[0])
 
     def spread(vals: np.ndarray) -> float:
         return float(vals.max() - vals.min())
 
-    product_zero = abs(at(m.p1, HALF_PI) * at(m.p2, -HALF_PI))
-    second_zero = abs(at(weighted, zero))
+    product_zero = abs(p1_at(HALF_PI) * p2_at(-HALF_PI))
+    second_zero = abs(w_at(zero))
     return (
-        ConditionResult("p1(pi/2)*p2(-pi/2) = 0", product_zero <= tol, product_zero),
-        ConditionResult("rho constant", spread(rho) <= tol, spread(rho)),
-        ConditionResult(f"{f_name} constant", spread(flat_values) <= tol, spread(flat_values)),
-        ConditionResult(f"{w_name}({zero_name}) = 0", second_zero <= tol, second_zero),
+        ConditionResult("p1(pi/2)*p2(-pi/2) = 0", product_zero <= CONDITION_TOL, product_zero),
+        ConditionResult("rho constant", spread(rho) <= CONDITION_TOL, spread(rho)),
+        ConditionResult(f"{f_name} constant", spread(flat) <= CONDITION_TOL, spread(flat)),
+        ConditionResult(f"{w_name}({zero_name}) = 0", second_zero <= CONDITION_TOL, second_zero),
     )
 
 
@@ -217,7 +216,6 @@ def verify_reproduction(
     weight_side: int = 1,
     h: float = 1e-3,
     reconstruct: bool = True,
-    condition_tol: float = 1e-9,
 ) -> UniquenessReport:
     """Scan quadrature quadrant masses against the closed forms on a
     grid × grid lattice of settings and assemble the full report.
@@ -244,7 +242,7 @@ def verify_reproduction(
     i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
     max_err = float(errors[i, j, q])
 
-    conditions = check_necessary_conditions(m, tol=condition_tol, weight_side=weight_side)
+    conditions = check_necessary_conditions(m, weight_side=weight_side)
     recon = reconstruct_profile(m, h=h) if reconstruct else None
     return UniquenessReport(
         reproduces=bool(max_err <= tol),

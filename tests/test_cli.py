@@ -217,6 +217,19 @@ class TestUniqueness:
         assert code == EXIT_OK
         assert json.loads(out)["reproduces"] is True
 
+    def test_profile_with_builtin_and_samples_is_validation_error(self, capsys, tmp_path):
+        # Neither field may silently win: the samples would otherwise be dropped.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "rho": {"builtin": "uniform"},
+            "p1": {"builtin": "abs-cos", "samples": [1.0, 0.0, 1.0, 0.0]},
+            "p2": {"builtin": "uniform"},
+        }))
+        code, out, err = run_cli(capsys, "uniqueness", "--model", str(path), "--grid", "8", "--no-reconstruction")
+        assert code == EXIT_VALIDATION
+        assert "exactly one of" in err
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "uniqueness", "--model", "/nonexistent/model.json", "--grid", "8")
         assert code == EXIT_VALIDATION

@@ -12,7 +12,6 @@ from lcsim.lcmeasure import (
     DiscreteLCMeasure,
     LocalMarkovOperator,
     apply_local_markov,
-    check_pab_markovian,
     chsh_discrete,
     cosine_diagonal_family,
     cosine_diagonal_measure,
@@ -187,7 +186,7 @@ class TestRescale:
 class TestMarkovTransport:
     def test_identity_preserves_functionals(self):
         m = small_measure()
-        op = LocalMarkovOperator.identity(m.n1 * m.m1, m.n2 * m.m2)
+        op = LocalMarkovOperator(np.eye(m.n1 * m.m1), np.eye(m.n2 * m.m2))
         out = apply_local_markov(m, op)
         p1a, p2a = local_mass_functions(m)
         p1b, p2b = local_mass_functions(out)
@@ -219,7 +218,7 @@ class TestMarkovTransport:
     def test_dimension_mismatch(self):
         m = small_measure()
         with pytest.raises(ValueError, match="dimensions"):
-            apply_local_markov(m, LocalMarkovOperator.identity(4, 4))
+            apply_local_markov(m, LocalMarkovOperator(np.eye(4), np.eye(4)))
 
     def test_flags(self):
         rng = np.random.default_rng(4)
@@ -230,11 +229,13 @@ class TestMarkovTransport:
 
 
 class TestPabMarkovian:
+    # Transport keeps the unit-mass condition p1 ⊗ p2 = 1 on the support
+    # exactly when the transported measure is trivial.
     def test_stochastic_on_trivial(self):
         rng = np.random.default_rng(5)
         m = random_trivial_measure(rng, 6, 6, 3, 3)
         op = LocalMarkovOperator.random_stochastic(rng, 18, 18)
-        assert check_pab_markovian(m, op)
+        assert is_trivial(apply_local_markov(m, op)).trivial
 
     def test_scaled_pair_balances(self):
         # T1*(1) = 2 and T2*(1) = 1/2 leave the unit-mass product intact.
@@ -244,13 +245,16 @@ class TestPabMarkovian:
             2.0 * stochastic_matrix(rng, 18, 18),
             0.5 * stochastic_matrix(rng, 18, 18),
         )
-        assert check_pab_markovian(m, op)
+        assert not op.is_stochastic()
+        assert is_trivial(apply_local_markov(m, op)).trivial
 
     def test_zeroing_operator_fails(self):
         rng = np.random.default_rng(7)
         m = random_trivial_measure(rng, 6, 6, 3, 3)
         op = LocalMarkovOperator(np.zeros((18, 18)), np.eye(18))
-        assert not check_pab_markovian(m, op)
+        verdict = is_trivial(apply_local_markov(m, op))
+        assert not verdict.trivial
+        assert verdict.max_deviation == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDiscreteCorrelation:
@@ -320,13 +324,14 @@ class TestChshDiscrete:
 
 class TestCosineDiagonal:
     def test_riemann_oracle_and_target(self):
-        # Independent oracle: raw Riemann sum of (1/4)|cos(s-a)| f1 f2 on the
-        # same grid, built from first principles.
+        # Independent oracle: Riemann sum of (1/4)|cos(s-a)| f1 f2 on the same
+        # grid, built from first principles and divided by its total mass.
         n = 64
         grid = diagonal_grid(n)
 
         def oracle_corr(a, b):
             w = 0.25 * np.abs(np.cos(grid - a)) * (2 * math.pi / n)
+            w = w / w.sum()
             f1 = spin_values(1, a, grid).astype(float)
             f2 = spin_values(2, b, grid).astype(float)
             return float(np.sum(w * f1 * f2))
@@ -349,6 +354,18 @@ class TestCosineDiagonal:
     def test_weight_side_two(self):
         family, o1, o2 = cosine_diagonal_family(64, weight_side=2)
         assert abs(chsh_discrete(family, o1, o2) - 2 * math.sqrt(2)) < 0.05
+
+    @pytest.mark.parametrize("weight_side", [1, 2])
+    def test_unit_mass_and_tsirelson(self, weight_side):
+        # The midpoint rule alone leaves the mass at 1 + 4.0e-4 on this grid,
+        # which pushed CHSH 1.1e-3 above 2√2.
+        family, o1, o2 = cosine_diagonal_family(64, weight_side=weight_side)
+        for m in family:
+            p1, p2 = local_mass_functions(m)
+            assert abs(float(p1 @ m.PS @ p2) - 1.0) <= 1e-12
+        value = chsh_discrete(family, o1, o2)
+        assert value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert value <= 2 * math.sqrt(2) + 1e-12
 
 
 class TestSerialization:

@@ -14,17 +14,16 @@ from lcsim.models import (
     NormalizationError,
     Profile,
     Quadrant,
-    abs_cos_density,
     chsh,
     chsh_pairs,
     correlation,
     correlation_analytic,
-    empirically_equivalent,
     load_model,
     quadrant_prob_analytic,
     quadrant_prob_quadrature,
     quadrant_table_quadrature,
     save_model,
+    unit_mass_table,
 )
 
 ABS_COS = CandidateModel.abs_cos()
@@ -126,6 +125,21 @@ class TestProfiles:
         assert Profile.from_dict(prof.to_dict()) == prof
         assert Profile.from_dict({"builtin": "abs-cos"}) == Profile.builtin("abs-cos")
 
+    @pytest.mark.parametrize("doc", [{}, {"builtin": "abs-cos", "samples": [1.0, 0.0]}])
+    def test_dict_needs_exactly_one_field(self, doc):
+        with pytest.raises(ValueError, match="exactly one of"):
+            Profile.from_dict(doc)
+
+    def test_sample_angles_are_the_cuts(self):
+        # Interpolation nodes and quadrature cuts are one array, so a cut
+        # falls exactly on a node for any N, not only for powers of two.
+        prof = Profile.from_samples(np.arange(200) % 3)
+        nodes = prof.kink_angles()
+        assert nodes.size == 200 and nodes[0] == 0.0 and np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(prof(nodes), np.arange(200) % 3)
+        with pytest.raises(ValueError, match="finite"):
+            prof(np.array([0.0, np.nan]))
+
 
 class TestClosedForms:
     def test_equal_settings(self):
@@ -153,19 +167,20 @@ class TestClosedForms:
 
 
 class TestDensity:
+    # The forced diagonal line density ¼|cos(s - a)|, read off the model.
     def test_peak(self):
-        assert abs_cos_density(0.0, 0.0) == pytest.approx(0.25)
+        assert ABS_COS.density(0.0, 0.0, 1.3) == pytest.approx(0.25)
 
     def test_zero(self):
-        assert abs_cos_density(0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        assert ABS_COS.density(math.pi / 2, 0.0, 1.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_half_turn(self):
         a = math.pi / 3
-        assert abs_cos_density(a, a + math.pi) == pytest.approx(0.25)
+        assert ABS_COS.density(a + math.pi, a, 0.4) == pytest.approx(0.25)
 
     def test_model_density_matches(self):
         s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        assert np.allclose(ABS_COS.density(s, 0.7, 1.9), abs_cos_density(0.7, s))
+        assert np.allclose(ABS_COS.density(s, 0.7, 1.9), 0.25 * np.abs(np.cos(s - 0.7)))
 
 
 class TestQuadrature:
@@ -397,18 +412,22 @@ class TestChsh:
 
 
 class TestEmpiricalEquivalence:
+    # Two candidates are empirically equivalent at given settings when their
+    # unit-mass quadrant tables agree.
     def test_rotation_equivalence(self):
         a, b = 1.1, 0.4
-        assert empirically_equivalent(ABS_COS, (a, b), ABS_COS, (a - b, 0.0), 1e-12)
+        gap = np.abs(unit_mass_table(ABS_COS, a, b) - unit_mass_table(ABS_COS, a - b, 0.0))
+        assert gap.max() <= 1e-12
 
     def test_uniform_differs_from_abs_cos(self):
         # Frozen oracle gap at I×I: ½cos²(π/8) = 0.4267766953 vs 3/8.
         gap = 0.5 * math.cos(math.pi / 8) ** 2 - 0.375
         assert gap == pytest.approx(0.0517766953, abs=1e-9)
-        assert not empirically_equivalent(ABS_COS, (0.0, math.pi / 4), UNIFORM, (0.0, math.pi / 4), 1e-3)
+        tables = [unit_mass_table(m, 0.0, math.pi / 4) for m in (ABS_COS, UNIFORM)]
+        assert (tables[0] - tables[1])[Quadrant.II.index] == pytest.approx(gap, abs=1e-9)
 
     def test_reflexive(self):
-        assert empirically_equivalent(ABS_COS, (0.2, 1.7), ABS_COS, (0.2, 1.7), 0.0)
+        assert np.array_equal(unit_mass_table(ABS_COS, 0.2, 1.7), unit_mass_table(ABS_COS, 0.2, 1.7))
 
     def test_requires_normalized_models(self):
         bad = CandidateModel(
@@ -417,7 +436,7 @@ class TestEmpiricalEquivalence:
             p2=Profile.builtin("uniform"),
         )
         with pytest.raises(NormalizationError):
-            empirically_equivalent(bad, (0.0, 0.0), ABS_COS, (0.0, 0.0), 1e-6)
+            unit_mass_table(bad, 0.0, 0.0)
 
 
 class TestSerialization:
