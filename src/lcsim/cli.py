@@ -112,9 +112,10 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 def cmd_analytic(args) -> int:
     a = _angle(args, args.a)
     b = _angle(args, args.b)
-    table = {q.value: models.quadrant_prob_analytic(a, b, q) for q in Quadrant}
+    cells = models.quadrant_table_analytic(a, b)
+    table = dict(zip((q.value for q in Quadrant), cells.tolist()))
     total = sum(table.values())
-    corr = models.correlation_analytic(a, b)
+    corr = float(models.correlation(cells))
     if args.json:
         _emit_json(
             {"a": a, "b": b, "quadrants": table, "sum": total, "correlation": corr},
@@ -131,6 +132,8 @@ def cmd_analytic(args) -> int:
 def cmd_scan(args) -> int:
     k = args.grid
     step = 2.0 * math.pi / k
+    settings = np.arange(k) * step
+    c_analytic = models.correlation(models.quadrant_table_analytic(settings[:, None], settings))
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)
@@ -151,9 +154,8 @@ def cmd_scan(args) -> int:
                     station2_seed=args.seed + 3 * idx + 2,
                 )
                 c_mc = protocol.run_experiment(cfg).estimate.value
-                c_an = models.correlation_analytic(a, b)
                 # Full precision so the columns round-trip exactly.
-                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{c_an:.17g}", f"{c_mc:.17g}"])
+                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{c_analytic[i, j]:.17g}", f"{c_mc:.17g}"])
     finally:
         if args.out:
             writer_target.close()
@@ -200,6 +202,13 @@ def cmd_uniqueness(args) -> int:
     return EXIT_OK
 
 
+def _random_chsh(rng: np.random.Generator, measures, n1: int, n2: int) -> float:
+    """CHSH of `measures` under fresh random observables, side 1's two drawn first."""
+    obs1 = tuple(lcmeasure.random_observables(rng, n1) for _ in range(2))
+    obs2 = tuple(lcmeasure.random_observables(rng, n2) for _ in range(2))
+    return lcmeasure.chsh_discrete(measures, obs1, obs2)
+
+
 def cmd_trivial(args) -> int:
     if args.random is not None:
         rng = np.random.default_rng(args.seed)
@@ -209,9 +218,7 @@ def cmd_trivial(args) -> int:
         for _ in range(args.random):
             family = lcmeasure.random_trivial_family(rng, args.n1, args.n2, args.m1, args.m2)
             all_trivial = all_trivial and all(lcmeasure.is_trivial(m).trivial for m in family)
-            obs1 = tuple(lcmeasure.random_observables(rng, args.n1) for _ in range(2))
-            obs2 = tuple(lcmeasure.random_observables(rng, args.n2) for _ in range(2))
-            value = lcmeasure.chsh_discrete(family, obs1, obs2)
+            value = _random_chsh(rng, family, args.n1, args.n2)
             max_chsh = max(max_chsh, value)
             if value > 2.0 + 1e-9:
                 violations += 1
@@ -256,9 +263,7 @@ def cmd_trivial(args) -> int:
         rng = np.random.default_rng(args.seed)
         best = -math.inf
         for _ in range(args.sweep):
-            obs1 = tuple(lcmeasure.random_observables(rng, measure.n1) for _ in range(2))
-            obs2 = tuple(lcmeasure.random_observables(rng, measure.n2) for _ in range(2))
-            best = max(best, lcmeasure.chsh_discrete((measure,) * 4, obs1, obs2))
+            best = max(best, _random_chsh(rng, (measure,) * 4, measure.n1, measure.n2))
         doc["chsh"] = {
             "kind": "observable-sweep",
             "trials": args.sweep,

@@ -35,8 +35,14 @@ TRIVIAL_TOL = 1e-9
 UNIT_TOL = 1e-9
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _matrix(name: str, arr) -> np.ndarray:
+    """A read-only float copy of `arr`; ValueError unless it is a matrix with
+    finite, nonnegative entries."""
     out = np.array(arr, dtype=float)
+    if out.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {out.shape}")
+    if not np.all(np.isfinite(out)) or np.any(out < 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
     out.setflags(write=False)
     return out
 
@@ -50,16 +56,7 @@ class DiscreteLCMeasure:
     K2: np.ndarray
 
     def __post_init__(self) -> None:
-        PS = _readonly(self.PS)
-        K1 = _readonly(self.K1)
-        K2 = _readonly(self.K2)
-        for name, arr in (("PS", PS), ("K1", K1), ("K2", K2)):
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(arr < 0.0):
-                raise ValueError(f"{name} must be entrywise nonnegative")
+        PS, K1, K2 = _matrix("PS", self.PS), _matrix("K1", self.K1), _matrix("K2", self.K2)
         if K1.shape[0] != PS.shape[0] or K2.shape[0] != PS.shape[1]:
             raise ValueError(
                 f"kernel rows must match the source sides: PS {PS.shape}, "
@@ -161,13 +158,10 @@ class LocalMarkovOperator:
     T2: np.ndarray
 
     def __post_init__(self) -> None:
-        T1 = _readonly(self.T1)
-        T2 = _readonly(self.T2)
+        T1, T2 = _matrix("T1", self.T1), _matrix("T2", self.T2)
         for name, arr in (("T1", T1), ("T2", T2)):
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            if arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative")
         object.__setattr__(self, "T1", T1)
         object.__setattr__(self, "T2", T2)
 
@@ -262,9 +256,10 @@ def chsh_discrete(measures, obs1, obs2) -> float:
 
 
 def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Row-stochastic matrix with Dirichlet(1) rows."""
-    g = rng.gamma(1.0, size=(rows, cols))
-    return g / g.sum(axis=1, keepdims=True)
+    """Row-stochastic matrix with Dirichlet(1) rows: standard exponential draws over their row sums."""
+    g = rng.standard_exponential(size=(rows, cols))
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
@@ -431,6 +426,8 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
         raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
     m = DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
     declared = (doc["n1"], doc["n2"], doc["m1"], doc["m2"])
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in declared):
+        raise ValueError(f"declared dimensions {declared} must be integers")
     if declared != (m.n1, m.n2, m.m1, m.m2):
         raise ValueError(
             f"declared dimensions {declared} do not match matrices "

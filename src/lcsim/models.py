@@ -12,15 +12,15 @@ through the shifted arguments, so rotation invariance is structural rather
 than asserted. Only the product of the factors is observable; the split and
 the scale are conventions, and the total mass is a computed diagnostic.
 
-Quadrant masses (probabilities of the four joint-outcome cells) come either
-from the singlet closed forms, ½cos²((b-a)/2) on matched cells and
-½sin²((b-a)/2) on mixed ones, or, for an arbitrary candidate, from
-:func:`quadrant_table_quadrature`. That cuts each setting's circle at the four
-detection-arc endpoints and the shifted profile kinks, integrates every
+Quadrant tables hold the masses of the four joint-outcome cells in
+:class:`Quadrant` order on their last axis. Both backends broadcast their
+settings to shape (..., 4). :func:`quadrant_table_analytic` gives the singlet
+closed forms, ½cos²((b-a)/2) on matched cells and ½sin²((b-a)/2) on mixed ones.
+:func:`quadrant_table_quadrature` cuts an arbitrary candidate's circle at the
+four detection-arc endpoints and the shifted profile kinks, integrates every
 smooth piece with one Gauss-Legendre rule and sums it into the cell it lies
-in; one call covers a whole array of settings. Correlations and
-the CHSH statistic are signed sums of quadrant masses, so the analytic and
-quadrature backends share one code path.
+in. :func:`correlation` is the one signed sum that turns a table of either
+backend into a pair correlation.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ class Quadrant(Enum):
     IJ = "IxJ"
     JI = "JxI"
     JJ = "JxJ"
-
-    @property
-    def spin_product(self) -> int:
-        """Sign of f1*f2 on the cell: mixed cells give +1, matched give -1."""
-        return 1 if self in (Quadrant.IJ, Quadrant.JI) else -1
 
     @property
     def index(self) -> int:
@@ -256,12 +251,16 @@ def load_model(path) -> CandidateModel:
     return model
 
 
-def quadrant_prob_analytic(a: float, b: float, quadrant: Quadrant) -> float:
-    """Singlet closed form for one cell: ½cos²((b-a)/2) or ½sin²((b-a)/2)."""
-    half = 0.5 * (b - a)
-    if quadrant.spin_product < 0:
-        return 0.5 * math.cos(half) ** 2
-    return 0.5 * math.sin(half) ** 2
+def quadrant_table_analytic(a, b) -> np.ndarray:
+    """Singlet closed forms in :class:`Quadrant` order, shape (..., 4) for
+    broadcast settings (a, b): ½cos²((b-a)/2) on matched cells, ½sin²((b-a)/2)
+    on mixed ones. Squares go through libm ``pow``, as Python's float ``**``
+    does, so each cell is bitwise its scalar ``math`` formula."""
+    half = 0.5 * np.subtract(b, a, dtype=float)
+    table = np.empty(np.shape(half) + (4,))
+    table[..., 0] = table[..., 3] = 0.5 * np.float_power(np.cos(half), 2)
+    table[..., 1] = table[..., 2] = 0.5 * np.float_power(np.sin(half), 2)
+    return table
 
 
 def quadrant_prob_quadrature(m: CandidateModel, a, b, quadrant: Quadrant):
@@ -313,11 +312,6 @@ def quadrant_table_quadrature(m: CandidateModel, a, b, nodes: int = 16) -> np.nd
     return out.reshape(*shape, 4)
 
 
-def _signed_sum(table) -> float:
-    """Correlation from one table in Quadrant order: matched cells count -1."""
-    return float(sum(q.spin_product * float(p) for q, p in zip(Quadrant, table)))
-
-
 def unit_mass_table(m: CandidateModel, a: float, b: float) -> np.ndarray:
     """The quadrant table at (a, b); NormalizationError unless its cells sum
     to 1 within MASS_TOL."""
@@ -330,14 +324,12 @@ def unit_mass_table(m: CandidateModel, a: float, b: float) -> np.ndarray:
     return table
 
 
-def correlation(m: CandidateModel, a: float, b: float) -> float:
-    """Pair correlation from the four quadrant masses; needs unit mass."""
-    return _signed_sum(unit_mass_table(m, a, b))
-
-
-def correlation_analytic(a: float, b: float) -> float:
-    """Signed quadrant sum of the closed forms; equals -cos(b - a)."""
-    return _signed_sum([quadrant_prob_analytic(a, b, q) for q in Quadrant])
+def correlation(table):
+    """Pair correlation of quadrant tables: the signed sum -II + IJ + JI - JJ
+    over the last axis, added left to right. Matched cells carry f1*f2 = -1,
+    mixed ones +1; on the closed forms it equals -cos(b - a)."""
+    t = np.asarray(table, dtype=float)
+    return -t[..., 0] + t[..., 1] + t[..., 2] - t[..., 3]
 
 
 def chsh_pairs(settings):

@@ -3,9 +3,9 @@
 Three independent probes of whether a candidate reproduces the singlet
 quadrant statistics, and of what that forces:
 
-* :func:`verify_reproduction` scans the quadrature quadrant masses against
-  the closed forms over a setting grid, all in one table call, and reports
-  the gap between 16-node and 8-node tables as its quadrature error.
+* :func:`verify_reproduction` subtracts the closed-form quadrant tables from
+  the quadrature ones over a setting grid, one table call per backend, and
+  reports the gap between 16-node and 8-node tables as its quadrature error.
 * :func:`check_necessary_conditions` evaluates the pointwise constraints the
   closed forms impose on the profiles (zeros of the weighted side, constancy
   of the others). These are necessary, never sufficient.
@@ -25,6 +25,7 @@ from .models import (
     CandidateModel,
     Quadrant,
     quadrant_prob_quadrature,
+    quadrant_table_analytic,
     quadrant_table_quadrature,
     unit_mass_table,
 )
@@ -222,7 +223,7 @@ def verify_reproduction(
 
     The lattice is one table call. Its error estimate, the largest gap
     between the 16-node tables and 8-node ones, bounds the tolerance: a `tol`
-    below it is refused, since the scan cannot resolve it.
+    below it, or NaN, is refused, since the scan cannot resolve it.
     """
     on_side(weight_side, None, None)  # a bad side fails before any quadrature
     if grid < 8:
@@ -233,12 +234,9 @@ def verify_reproduction(
     a, b = np.meshgrid(settings, settings, indexing="ij")
     tables = quadrant_table_quadrature(m, a, b)
     quadrature_error = float(np.abs(tables - quadrant_table_quadrature(m, a, b, nodes=8)).max())
-    if tol < quadrature_error:
-        raise ValueError(f"tolerance {tol!r} is below the quadrature error estimate {quadrature_error:.3e}")
-    half = 0.5 * (b - a)
-    matched, mixed = 0.5 * np.cos(half) ** 2, 0.5 * np.sin(half) ** 2
-    closed = np.stack([matched if q.spin_product < 0 else mixed for q in Quadrant], axis=-1)
-    errors = np.abs(tables - closed)
+    if not tol >= quadrature_error:
+        raise ValueError(f"tolerance {tol!r} is NaN or below the quadrature error {quadrature_error:.3e}")
+    errors = np.abs(tables - quadrant_table_analytic(a, b))
     i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
     max_err = float(errors[i, j, q])
 

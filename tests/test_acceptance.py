@@ -51,8 +51,9 @@ def test_criterion_1_closed_forms():
                     Quadrant.JI: 0.5 * math.sin(d / 2) ** 2,
                 }
                 total = 0.0
+                table = models.quadrant_table_analytic(float(a), float(b))
                 for q in Quadrant:
-                    p = models.quadrant_prob_analytic(float(a), float(b), q)
+                    p = table[q.index]
                     worst = max(worst, abs(p - expected[q]))
                     total += p
                 assert abs(total - 1.0) <= 1e-12
@@ -71,7 +72,7 @@ def test_criterion_2_quadrature_fidelity():
                 for q in Quadrant:
                     err = abs(
                         models.quadrant_prob_quadrature(m, float(a), float(b), q)
-                        - models.quadrant_prob_analytic(float(a), float(b), q)
+                        - models.quadrant_table_analytic(float(a), float(b))[q.index]
                     )
                     worst = max(worst, err)
         assert worst <= 1e-8
@@ -84,7 +85,7 @@ def test_criterion_2_quadrature_fidelity():
             return max(
                 abs(
                     models.quadrant_table_quadrature(m, float(a), float(b), nodes)[q.index]
-                    - models.quadrant_prob_analytic(float(a), float(b), q)
+                    - models.quadrant_table_analytic(float(a), float(b))[q.index]
                 )
                 for a in sub
                 for b in sub
@@ -177,7 +178,7 @@ def test_criterion_7_uniqueness_verification():
         assert not cs_report.reproduces
         cs_at_quarter = models.quadrant_prob_quadrature(
             CandidateModel.cos_squared(), 0.0, math.pi / 4, Quadrant.II
-        ) - models.quadrant_prob_analytic(0.0, math.pi / 4, Quadrant.II)
+        ) - models.quadrant_table_analytic(0.0, math.pi / 4)[Quadrant.II.index]
         assert abs(cs_at_quarter - 0.0278007762) < 5e-4
         assert 0.0278 <= cs_report.max_quadrant_error <= 0.029
 
@@ -185,7 +186,7 @@ def test_criterion_7_uniqueness_verification():
         assert not un_report.reproduces
         un_at_quarter = models.quadrant_prob_quadrature(
             CandidateModel.uniform(), 0.0, math.pi / 4, Quadrant.II
-        ) - models.quadrant_prob_analytic(0.0, math.pi / 4, Quadrant.II)
+        ) - models.quadrant_table_analytic(0.0, math.pi / 4)[Quadrant.II.index]
         assert abs(abs(un_at_quarter) - 0.0517766953) < 5e-4
         assert abs(un_report.max_quadrant_error - 0.0517766953) < 5e-4
 

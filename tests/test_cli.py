@@ -253,6 +253,16 @@ class TestUniqueness:
         assert code == EXIT_VALIDATION
         assert "below the quadrature error" in err
 
+    def test_nan_tolerance_is_validation_error(self, capsys):
+        argv = ("uniqueness", "--builtin", "abs-cos", "--grid", "8", "--no-reconstruction", "--tol")
+        code, out, err = run_cli(capsys, *argv, "nan")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "tolerance nan is NaN or below the quadrature error" in err
+        code, out, _ = run_cli(capsys, *argv, "inf")
+        assert code == EXIT_OK
+        assert json.loads(out)["reproduces"] is True
+
     def test_sampled_model_on_a_fine_grid(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         samples = np.abs(np.cos(2.0 * math.pi * np.arange(256) / 256))
@@ -379,6 +389,18 @@ class TestTrivial:
             code, out, _ = run_cli(capsys, "trivial", "--measure", str(path))
             assert code == EXIT_OK
             assert json.loads(out)["chsh"]["grid"] == grid
+
+    @pytest.mark.parametrize("rows,declared", [(6, 6.0), (1, True)], ids=["float", "bool"])
+    def test_non_integer_declared_dimension_file(self, capsys, tmp_path, rows, declared):
+        m = lcmeasure.random_trivial_measure(np.random.default_rng(0), rows, 4, 2, 2)
+        doc = lcmeasure.measure_to_dict(m)
+        doc["n1"] = declared
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "must be integers" in err
 
     def test_negative_mass_file(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

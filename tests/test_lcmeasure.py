@@ -60,6 +60,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteLCMeasure(PS=np.full((2, 2), 0.25), K1=np.ones((3, 2)), K2=np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(np.ones(2), "K1 must be a matrix"), (np.array([[1.0], [np.inf]]), "K1 must be finite"),
+         (np.array([[1.0], [np.nan]]), "K1 must be finite"), (np.array([[1.0], [-1.0]]), "nonnegative")],
+    )
+    def test_every_matrix_is_checked(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteLCMeasure(PS=np.full((2, 2), 0.25), K1=bad, K2=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=message.replace("K1", "T2")):
+            LocalMarkovOperator(np.eye(2), bad)
+
+    def test_operators_must_be_square(self):
+        with pytest.raises(ValueError, match="T1 must be square"):
+            LocalMarkovOperator(np.ones((2, 3)), np.eye(2))
+
+    def test_matrices_are_readonly_copies(self):
+        ps = np.full((2, 2), 0.25)
+        m = DiscreteLCMeasure(PS=ps, K1=np.ones((2, 1), dtype=int), K2=np.ones((2, 2)))
+        assert m.PS is not ps and not m.PS.flags.writeable and m.K1.dtype == float
+        op = LocalMarkovOperator(np.eye(2), np.eye(3))
+        assert not op.T1.flags.writeable and not op.T2.flags.writeable
+
 
 class TestLocalMassFunctions:
     def test_stochastic_rows_give_unit_mass(self):
@@ -71,6 +93,15 @@ class TestLocalMassFunctions:
         p1, p2 = local_mass_functions(m)
         assert np.allclose(p1, 1.0)
         assert np.allclose(p2, 1.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (512, 512)])
+    def test_stochastic_rows_are_normalized_gamma_one_draws(self, shape):
+        # Reference: Dirichlet(1) rows as Gamma(1) draws over their row sums;
+        # the random stream, and so every seeded result, must not move.
+        ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        g = ref_rng.gamma(1.0, size=shape)
+        assert stochastic_matrix(rng, *shape).tobytes() == (g / g.sum(axis=1, keepdims=True)).tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_scaling_is_linear(self):
         k = stochastic_matrix(RNG, 3, 4)
@@ -398,4 +429,19 @@ class TestSerialization:
         doc = measure_to_dict(m)
         doc["m1"] = doc["m1"] + 1
         with pytest.raises(ValueError, match="dimensions"):
+            measure_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n1", "n2", "m1", "m2"])
+    @pytest.mark.parametrize("convert", [float, str, lambda n: [n]], ids=["float", "str", "list"])
+    def test_declared_dims_must_be_integers(self, key, convert):
+        doc = measure_to_dict(small_measure())
+        doc[key] = convert(doc[key])
+        with pytest.raises(ValueError, match="must be integers"):
+            measure_from_dict(doc)
+
+    def test_declared_dim_true_is_not_one(self):
+        doc = measure_to_dict(DiscreteLCMeasure(PS=np.ones((1, 1)), K1=np.ones((1, 1)), K2=np.ones((1, 1))))
+        assert measure_from_dict(doc)[0].n1 == 1
+        doc["n1"] = True
+        with pytest.raises(ValueError, match="must be integers"):
             measure_from_dict(doc)

@@ -17,10 +17,9 @@ from lcsim.models import (
     chsh,
     chsh_pairs,
     correlation,
-    correlation_analytic,
     load_model,
-    quadrant_prob_analytic,
     quadrant_prob_quadrature,
+    quadrant_table_analytic,
     quadrant_table_quadrature,
     save_model,
     unit_mass_table,
@@ -141,29 +140,92 @@ class TestProfiles:
             prof(np.array([0.0, np.nan]))
 
 
+def closed_form_cells(a: float, b: float) -> list[float]:
+    """Oracle: the four singlet cells in Quadrant order, one scalar at a time."""
+    half = 0.5 * (b - a)
+    matched, mixed = 0.5 * math.cos(half) ** 2, 0.5 * math.sin(half) ** 2
+    return [matched, mixed, mixed, matched]
+
+
+def signed_sum(table) -> float:
+    """Oracle: -II + IJ + JI - JJ, one cell at a time from the left."""
+    total = -float(table[0])
+    total += float(table[1])
+    total += float(table[2])
+    total -= float(table[3])
+    return total
+
+
+cell_lists = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4)
+
+
 class TestClosedForms:
     def test_equal_settings(self):
-        assert quadrant_prob_analytic(0.0, 0.0, Quadrant.II) == pytest.approx(0.5)
+        assert quadrant_table_analytic(0.0, 0.0)[Quadrant.II.index] == pytest.approx(0.5)
 
     def test_right_angle(self):
-        assert quadrant_prob_analytic(0.0, math.pi / 2, Quadrant.II) == pytest.approx(0.25)
+        assert quadrant_table_analytic(0.0, math.pi / 2)[Quadrant.II.index] == pytest.approx(0.25)
 
     def test_opposite_settings(self):
-        assert quadrant_prob_analytic(0.0, math.pi, Quadrant.II) == pytest.approx(0.0, abs=1e-30)
+        assert quadrant_table_analytic(0.0, math.pi)[Quadrant.II.index] == pytest.approx(0.0, abs=1e-30)
 
     def test_mixed_cells_use_sine(self):
         d = 0.7
-        assert quadrant_prob_analytic(0.0, d, Quadrant.IJ) == pytest.approx(0.5 * math.sin(d / 2) ** 2)
+        assert quadrant_table_analytic(0.0, d)[Quadrant.IJ.index] == pytest.approx(0.5 * math.sin(d / 2) ** 2)
 
     @given(a=small_angles, b=small_angles)
     def test_partition_of_unity(self, a, b):
-        probs = [quadrant_prob_analytic(a, b, q) for q in Quadrant]
-        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        probs = quadrant_table_analytic(a, b)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert all(-1e-15 <= p <= 0.5 + 1e-15 for p in probs)
 
     @given(a=small_angles, b=small_angles)
     def test_correlation_is_minus_cosine(self, a, b):
-        assert correlation_analytic(a, b) == pytest.approx(-math.cos(b - a), abs=1e-12)
+        assert correlation(quadrant_table_analytic(a, b)) == pytest.approx(-math.cos(b - a), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.3, 0.3 + math.pi), (0.3, 0.3 - math.pi),
+         (0.0, math.pi), (math.pi, 0.0), (0.0, TWO_PI), (0.0, -TWO_PI), (1.0, 1.0 + 4 * TWO_PI)],
+    )
+    def test_matches_cell_formulas_at_special_separations(self, a, b):
+        table = quadrant_table_analytic(a, b)
+        assert table.shape == (4,)
+        assert np.abs(table - closed_form_cells(a, b)).max() <= 1e-15
+
+    def test_matches_cell_formulas_on_grid(self):
+        # The 39-point scan grid holds settings where libm pow and x*x round
+        # differently; the table squares with pow, so the match is bitwise.
+        grid = np.arange(39) * (TWO_PI / 39)
+        tables = quadrant_table_analytic(grid[:, None], grid)
+        for i, a in enumerate(grid.tolist()):
+            for j, b in enumerate(grid.tolist()):
+                assert tables[i, j].tolist() == closed_form_cells(a, b)
+
+    def test_broadcast_equals_single_calls(self):
+        a = np.linspace(-7.0, 7.0, 5)[:, None]
+        b = np.linspace(0.0, TWO_PI, 3)
+        table = quadrant_table_analytic(a, b)
+        assert table.shape == (5, 3, 4)
+        for i in range(5):
+            for j in range(3):
+                assert np.array_equal(table[i, j], quadrant_table_analytic(float(a[i, 0]), float(b[j])))
+        assert quadrant_table_analytic(np.zeros((2, 0)), 1.0).shape == (2, 0, 4)
+
+
+class TestSignedSum:
+    @given(table=cell_lists)
+    def test_left_to_right_bitwise(self, table):
+        assert np.float64(correlation(table)).tobytes() == np.float64(signed_sum(table)).tobytes()
+
+    @given(rows=st.lists(cell_lists, min_size=1, max_size=6))
+    def test_last_axis_bitwise(self, rows):
+        out = correlation(np.array(rows))
+        assert out.shape == (len(rows),)
+        assert out.tobytes() == np.array([signed_sum(row) for row in rows]).tobytes()
+
+    def test_signs(self):
+        assert [correlation(np.eye(4)[q.index]) for q in Quadrant] == [-1.0, 1.0, 1.0, -1.0]
 
 
 class TestDensity:
@@ -210,7 +272,7 @@ class TestQuadrature:
                 for q in Quadrant:
                     err = abs(
                         quadrant_prob_quadrature(ABS_COS, float(a), float(b), q)
-                        - quadrant_prob_analytic(float(a), float(b), q)
+                        - quadrant_table_analytic(float(a), float(b))[q.index]
                     )
                     worst = max(worst, err)
         assert worst < 1e-8
@@ -221,7 +283,7 @@ class TestQuadrature:
             return max(
                 abs(
                     quadrant_table_quadrature(ABS_COS, float(a), float(b), nodes)[q.index]
-                    - quadrant_prob_analytic(float(a), float(b), q)
+                    - quadrant_table_analytic(float(a), float(b))[q.index]
                 )
                 for a in grid
                 for b in grid
@@ -365,13 +427,13 @@ class TestCorrelation:
     def test_abs_cos_values(self, b, expected):
         oracle = math.sin(b / 2) ** 2 - math.cos(b / 2) ** 2
         assert oracle == pytest.approx(expected, abs=1e-12)
-        assert correlation(ABS_COS, 0.0, b) == pytest.approx(expected, abs=1e-9)
+        assert correlation(unit_mass_table(ABS_COS, 0.0, b)) == pytest.approx(expected, abs=1e-9)
 
     def test_matches_minus_cosine_on_grid(self):
         grid = TWO_PI * np.arange(8) / 8 + 0.01
         for a in grid:
             for b in grid:
-                assert correlation(ABS_COS, float(a), float(b)) == pytest.approx(
+                assert correlation(unit_mass_table(ABS_COS, float(a), float(b))) == pytest.approx(
                     -math.cos(b - a), abs=1e-9
                 )
 
@@ -383,11 +445,11 @@ class TestCorrelation:
             scale=1.0,
         )
         with pytest.raises(NormalizationError, match="mass 4"):
-            correlation(lopsided, 0.0, 1.0)
+            unit_mass_table(lopsided, 0.0, 1.0)
 
 
 def model_chsh(m, settings) -> float:
-    return chsh(*(correlation(m, a, b) for a, b in chsh_pairs(settings)))
+    return chsh(*(correlation(unit_mass_table(m, a, b)) for a, b in chsh_pairs(settings)))
 
 
 class TestChsh:
@@ -397,7 +459,8 @@ class TestChsh:
 
     def test_tsirelson_value(self):
         assert model_chsh(ABS_COS, TSIRELSON_SETTINGS) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        analytic = chsh(*(correlation_analytic(a, b) for a, b in chsh_pairs(TSIRELSON_SETTINGS)))
+        a, b = np.array(chsh_pairs(TSIRELSON_SETTINGS)).T
+        analytic = chsh(*correlation(quadrant_table_analytic(a, b)))
         assert analytic == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_degenerate_settings(self):

@@ -1,10 +1,16 @@
-"""Every public function and method of lcsim has a caller outside the tests.
+"""Every public function and method of lcsim has a caller outside the tests,
+and every defaulted parameter of one is set by some call.
 
 A public name counts as used when a code identifier refers to it outside its
 own body: a Name, an Attribute or an import alias, never a string or a
 comment. References count in src/lcsim, scripts/ and the non-test files of
 perfbench/. Names are matched by their last component, so a method shares
 references with any attribute of the same name.
+
+A defaulted parameter counts as set when a call outside the function's own
+body, in src/lcsim, scripts/, perfbench/ or tests/, passes it by position or
+by keyword; calls are matched by name the same way. One that no call sets is
+a knob nobody turns and belongs in a module constant.
 """
 
 import ast
@@ -23,7 +29,6 @@ ALLOWED = {
     "models.CandidateModel.abs_cos": "constructor the acceptance gates call",
     "models.CandidateModel.cos_squared": "constructor the acceptance gates call",
     "models.save_model": "the documented model-file writer",
-    "models.correlation": "the only model-level correlation",
 }
 
 
@@ -76,6 +81,48 @@ def repo_unused() -> set[str]:
     return unused(modules, callers)
 
 
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` sets the parameter `name` at `position` (None when
+    keyword-only). **kwargs sets every parameter; *args counts as one
+    positional argument, since its length is unknown."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
+    """`qualified name.parameter` of each defaulted parameter of a public
+    function or method of `modules` that no call in the modules or in
+    `callers` sets outside the function's own body."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    defs = {q: node for name, tree in trees.items() for q, node in public_definitions(tree, name).items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        for node in ast.walk(tree):
+            name = referenced_name(node.func) if isinstance(node, ast.Call) else None
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+    flagged = set()
+    for qual, node in defs.items():
+        own = {id(n) for n in ast.walk(node)}
+        outside = [c for c in calls.get(node.name, []) if id(c) not in own]
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        bound = 1 if qual.count(".") == 2 and not static else 0  # self or cls
+        first_default = len(positional) - len(args.defaults)
+        knobs = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first_default]
+        knobs += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        flagged |= {f"{qual}.{arg}" for pos, arg in knobs if not any(passes(c, pos, arg) for c in outside)}
+    return flagged
+
+
+def repo_unset_knobs() -> set[str]:
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text() for d in ("scripts", "perfbench", "tests") for p in sorted((ROOT / d).glob("*.py"))]
+    return unset_knobs(modules, callers)
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(repo_unused() - ALLOWED.keys()) == []
 
@@ -99,3 +146,32 @@ from lib import used
 Box().write()
 '''
     assert unused({"lib": lib}, [caller]) == {"lib.recursive", "lib.mentioned", "lib.Box.read"}
+
+
+def test_every_default_is_set_by_some_call():
+    assert sorted(repo_unset_knobs()) == []
+
+
+def test_knob_scanner_counts_setting_calls_only():
+    lib = '''
+def f(x, by_position=1, by_keyword=2, unset=3, *, kw_only=4, kw_unset=5): pass
+def spread(x, a=1): pass
+def starred(x, a=1): pass
+def recursive(n, depth=0): return recursive(n - 1, depth=depth + 1)
+class Box:
+    def put(self, item, twice=False): pass
+    def take(self, count=1): pass
+    @staticmethod
+    def make(size=1): pass
+'''
+    caller = '''
+f(0, 1, by_keyword=2, kw_only=4)
+spread(0, **options)
+starred(*args)
+Box().put(1, True)
+Box.make(3)
+"take(count=2)"  # Box().take(2)
+'''
+    assert unset_knobs({"lib": lib}, [caller]) == {
+        "lib.f.unset", "lib.f.kw_unset", "lib.starred.a", "lib.recursive.depth", "lib.Box.take.count",
+    }
