@@ -2,8 +2,10 @@
 
 Subcommands: analytic (closed-form quadrant table), scan (CSV of analytic
 and Monte-Carlo correlations over a setting grid), simulate (one protocol
-run, JSON summary), uniqueness (candidate verification report, JSON), and
-trivial (triviality verdicts and CHSH sweeps for discrete measures).
+run, JSON summary), chsh (the four-run CHSH of the coincidence and standard
+estimators, JSON), uniqueness (candidate verification report, JSON),
+trivial (triviality verdicts and CHSH sweeps for discrete measures), and
+cosine-measure (writes a cosine-diagonal measure file for trivial).
 
 Exit codes: 0 success, 2 usage, 3 validation or input error (an input too
 large to allocate included), 4 statistical failure (for example a run with
@@ -70,16 +72,21 @@ def _meta_angle(meta: dict, key: str, default: float) -> float:
 COSINE_META_TOL = 1e-12
 
 
+def _cosine_fields(meta: dict) -> tuple[int, float, float, int, int, int]:
+    """The checked arguments (grid, a, b, m1, m2, weight_side) of cosine_diagonal_measure in `meta`."""
+    return (
+        _meta_int(meta, "grid"),
+        _meta_angle(meta, "a", TSIRELSON_SETTINGS[0]),
+        _meta_angle(meta, "b", TSIRELSON_SETTINGS[2]),
+        *(_meta_int(meta, key, default) for key, default in (("m1", 8), ("m2", 8), ("weight_side", 1))),
+    )
+
+
 def _cosine_meta(measure: lcmeasure.DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
     """(grid, m1, m2, weight_side) of a cosine-diagonal measure file, checked
     against the file's matrices: the shapes must match, and the matrices must
     equal cosine_diagonal_measure(grid, a, b, m1, m2, weight_side)."""
-    grid = _meta_int(meta, "grid")
-    m1 = _meta_int(meta, "m1", 8)
-    m2 = _meta_int(meta, "m2", 8)
-    weight_side = _meta_int(meta, "weight_side", 1)
-    a = _meta_angle(meta, "a", TSIRELSON_SETTINGS[0])
-    b = _meta_angle(meta, "b", TSIRELSON_SETTINGS[2])
+    grid, a, b, m1, m2, weight_side = _cosine_fields(meta)
     stored = (measure.n1, measure.n2, measure.m1, measure.m2)
     if stored != (grid, grid, m1, m2):
         raise ValueError(
@@ -184,6 +191,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def cmd_chsh(args) -> int:
+    doc: dict = {"pairs": args.pairs, "seed": args.seed, "settings": list(TSIRELSON_SETTINGS)}
+    for mode in (protocol.KIND_COINCIDENCE, protocol.KIND_STANDARD):
+        result = protocol.chsh_estimate(args.pairs, TSIRELSON_SETTINGS, mode=mode, base_seed=args.seed)
+        doc[mode] = {"chsh": result["chsh"], "runs": [run.to_dict() for run in result["runs"]]}
+    _emit_json(doc, None)
+    return EXIT_OK
+
+
 def cmd_uniqueness(args) -> int:
     if args.model:
         model = models.load_model(args.model)
@@ -274,6 +290,14 @@ def cmd_trivial(args) -> int:
     return EXIT_OK
 
 
+def cmd_cosine_measure(args) -> int:
+    meta = {"family": "cosine-diagonal", "grid": args.grid, "a": args.a, "b": args.b,
+            "m1": args.m1, "m2": args.m2, "weight_side": args.weight_side}
+    lcmeasure.save_measure(args.out, lcmeasure.cosine_diagonal_measure(*_cosine_fields(meta)), meta=meta)
+    _emit_json(meta, None)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -318,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debug-hidden", action="store_true", help="include the hidden configuration in the event log")
     p.set_defaults(func=cmd_simulate)
 
+    p = sub.add_parser("chsh", help="four-run CHSH of the coincidence and standard estimators")
+    p.add_argument("--pairs", type=_positive_int, default=1_000_000, help="pairs per setting pair")
+    p.add_argument("--seed", type=_nonneg_int, default=7, help="base seed of each mode's four runs")
+    p.set_defaults(func=cmd_chsh)
+
     p = sub.add_parser("uniqueness", help="verify a candidate against the singlet statistics")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=sorted(models.BUILTIN_SCALES))
@@ -342,6 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=_positive_int, default=8)
     p.add_argument("--out", help="also write the JSON document to this path")
     p.set_defaults(func=cmd_trivial)
+
+    p = sub.add_parser("cosine-measure", help="write a cosine-diagonal measure file for trivial --measure")
+    p.add_argument("--out", required=True, help="measure JSON output path")
+    p.add_argument("--grid", type=_positive_int, default=64, help="diagonal grid points")
+    p.add_argument("--a", type=float, default=TSIRELSON_SETTINGS[0], help="setting a (radians)")
+    p.add_argument("--b", type=float, default=TSIRELSON_SETTINGS[2], help="setting b (radians)")
+    p.add_argument("--m1", type=_positive_int, default=8)
+    p.add_argument("--m2", type=_positive_int, default=8)
+    p.add_argument("--weight-side", type=int, choices=(1, 2), default=1)
+    p.set_defaults(func=cmd_cosine_measure)
 
     return parser
 

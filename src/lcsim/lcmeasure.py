@@ -355,6 +355,8 @@ def cosine_diagonal_measure(
     uniform diagonal source, row masses |cos| over their grid mean on the
     weighted side. The induced mass Σ PS·p1·p2 is then 1, where the midpoint
     samples of (π/2)|cos| leave it at 1 + O(1/n²)."""
+    if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in (m1, m2)):
+        raise ValueError(f"kernel widths m1 and m2 must be positive integers, got {m1!r} and {m2!r}")
     setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lcsim import lcmeasure, protocol
-from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, main
+from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, build_parser, main
 from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
 from lcsim.uniqueness import verify_reproduction
@@ -170,6 +173,84 @@ class TestSimulate:
         assert "statistical failure" in err
 
 
+class TestChsh:
+    def test_both_modes_at_2000_pairs(self, capsys):
+        code, out, _ = run_cli(capsys, "chsh", "--pairs", "2000")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["pairs"], doc["seed"], doc["settings"]) == (2000, 7, list(TSIRELSON_SETTINGS))
+        assert doc["coincidence"]["chsh"] > 2.5
+        assert doc["standard"]["chsh"] < 2.3
+        assert [len(doc[mode]["runs"]) for mode in ("coincidence", "standard")] == [4, 4]
+
+    def test_equals_chsh_estimate_at_the_same_seed(self, capsys):
+        _, out, _ = run_cli(capsys, "chsh", "--pairs", "3000", "--seed", "11")
+        doc = json.loads(out)
+        for mode in ("coincidence", "standard"):
+            result = protocol.chsh_estimate(3000, TSIRELSON_SETTINGS, mode=mode, base_seed=11)
+            assert doc[mode]["chsh"] == result["chsh"]
+            assert doc[mode]["runs"] == [run.to_dict() for run in result["runs"]]
+
+    @pytest.mark.parametrize("argv", [("--pairs", "0"), ("--pairs", "many"), ("--seed", "-1")])
+    def test_bad_counts_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["chsh", *argv])
+        assert exc.value.code == 2
+
+
+class TestCosineMeasure:
+    def test_file_feeds_trivial(self, capsys, tmp_path):
+        path = tmp_path / "cosine.json"
+        code, _, _ = run_cli(capsys, "cosine-measure", "--grid", "8", "--out", str(path))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_OK
+        assert '"setting-family"' in out
+
+    @pytest.mark.parametrize(
+        "argv, args",
+        [((), (64, 0.0, math.pi / 4, 8, 8, 1)),
+         (("--grid", "16", "--a", "0.3", "--b", "2.1", "--m1", "3", "--m2", "5", "--weight-side", "2"),
+          (16, 0.3, 2.1, 3, 5, 2))],
+        ids=["defaults", "every-flag"],
+    )
+    def test_writes_the_measure_and_prints_its_meta(self, capsys, tmp_path, argv, args):
+        path, expected = tmp_path / "cli.json", tmp_path / "direct.json"
+        code, out, _ = run_cli(capsys, "cosine-measure", *argv, "--out", str(path))
+        assert code == EXIT_OK
+        meta = dict(zip(("grid", "a", "b", "m1", "m2", "weight_side"), args), family="cosine-diagonal")
+        lcmeasure.save_measure(expected, lcmeasure.cosine_diagonal_measure(*args), meta=meta)
+        assert path.read_bytes() == expected.read_bytes()
+        assert json.loads(out) == meta
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--grid", "1"), "two points"),
+         (("--a", "nan"), "finite number 'a'"),
+         (("--b", "nan"), "finite number 'b'"),
+         (("--b", "inf", "--weight-side", "2"), "finite number 'b'")],
+        ids=["grid-1", "a-nan", "b-nan-unweighted", "b-inf-weighted"],
+    )
+    def test_bad_grid_or_angle_is_validation_error(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "cosine.json"
+        code, out, err = run_cli(capsys, "cosine-measure", *argv, "--out", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "validation error" in err and message in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [("--m1", "0"), ("--m2", "-1"), ("--grid", "0"), ("--weight-side", "3")],
+        ids=["m1-zero", "m2-negative", "grid-zero", "weight-side-3"],
+    )
+    def test_bad_flag_is_usage_error(self, tmp_path, argv):
+        path = tmp_path / "cosine.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["cosine-measure", *argv, "--out", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+
+
 class TestUniqueness:
     def test_builtin_abs_cos(self, capsys):
         code, out, err = run_cli(
@@ -234,6 +315,15 @@ class TestUniqueness:
         code, _, err = run_cli(capsys, "uniqueness", "--model", "/nonexistent/model.json", "--grid", "8")
         assert code == EXIT_VALIDATION
         assert "error" in err
+
+    def test_h_ladder_is_second_order(self, capsys):
+        # README's h-ladder: halving the step quarters the reconstruction error.
+        errors = []
+        for h in ("2e-3", "1e-3"):
+            code, out, _ = run_cli(capsys, "uniqueness", "--builtin", "abs-cos", "--h", h)
+            assert code == EXIT_OK
+            errors.append(json.loads(out)["reconstruction"]["sup_error_interior"])
+        assert 3.5 < errors[0] / errors[1] < 4.5
 
     def test_panels_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -451,3 +541,22 @@ def test_input_too_large_to_allocate_is_validation_error(capsys, argv):
     assert code == EXIT_VALIDATION
     assert "too large to allocate" in err
     assert out == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every line of README's fenced code blocks that starts with `lcsim `."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("lcsim ")]
+
+
+def test_readme_commands_parse():
+    # Parsing only: a renamed or removed flag fails here before a reader finds it.
+    argvs = [shlex.split(line, comments=True)[1:] for line in readme_commands()]
+    parser = build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in argvs} >= {"chsh", "cosine-measure"}
+    assert re.search(r"\bscripts[/\\]", README.read_text()) is None  # no path into a scripts directory

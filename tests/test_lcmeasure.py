@@ -398,6 +398,17 @@ class TestCosineDiagonal:
         assert value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert value <= 2 * math.sqrt(2) + 1e-12
 
+    @pytest.mark.parametrize("weight_side", [1, 2])
+    @pytest.mark.parametrize("width", [0, -1, True, 2.0])
+    @pytest.mark.parametrize("key", ["m1", "m2"])
+    def test_kernel_widths_must_be_positive_integers(self, key, width, weight_side):
+        # Width 0 used to build an (n, 0) kernel of induced mass 0, and -1
+        # failed inside numpy; both must be refused before any array exists.
+        with pytest.raises(ValueError, match="kernel widths"):
+            cosine_diagonal_measure(8, 0.0, 0.0, weight_side=weight_side, **{key: width})
+        with pytest.raises(ValueError, match="kernel widths"):
+            cosine_diagonal_family(8, weight_side=weight_side, **{key: width})
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):

@@ -408,6 +408,32 @@ class TestExperiment:
             _, r1, r2 = run_trial(cfg)
             assert summarize(cfg, r1, r2) == run_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "mode,target",
+        [
+            ("coincidence", -math.cos(0.7)),
+            ("weighted", -math.cos(0.7)),
+            ("standard", sawtooth(0.7)),
+        ],
+        ids=["coincidence", "weighted", "standard"],
+    )
+    def test_stderr_is_calibrated_across_seeds(self, mode, target):
+        # Over 200 seeds the z-scores of an honest estimate with an honest
+        # stderr are close to N(0, 1); one lucky seed cannot pass this.
+        z = np.array([
+            (est.value - target) / est.stderr
+            for est in (
+                run_experiment(ExperimentConfig(
+                    n=2_000, a=0.0, b=0.7, mode=mode,
+                    source_seed=3 * k, station1_seed=3 * k + 1, station2_seed=3 * k + 2,
+                )).estimate
+                for k in range(200)
+            )
+        ])
+        assert abs(z.mean()) <= 0.3
+        assert 0.8 <= z.std(ddof=1) <= 1.2
+        assert np.abs(z).max() <= 5.0
+
 
 class TestLocality:
     def test_station1_blind_to_station2_setting(self):

@@ -3,13 +3,13 @@ and every defaulted parameter of one is set by some call.
 
 A public name counts as used when a code identifier refers to it outside its
 own body: a Name, an Attribute or an import alias, never a string or a
-comment. References count in src/lcsim, scripts/ and the non-test files of
-perfbench/. Names are matched by their last component, so a method shares
-references with any attribute of the same name.
+comment. References count in src/lcsim and the non-test files of perfbench/.
+Names are matched by their last component, so a method shares references
+with any attribute of the same name.
 
 A defaulted parameter counts as set when a call outside the function's own
-body, in src/lcsim, scripts/, perfbench/ or tests/, passes it by position or
-by keyword; calls are matched by name the same way. One that no call sets is
+body, in src/lcsim, perfbench/ or tests/, passes it by position or by
+keyword; calls are matched by name the same way. One that no call sets is
 a knob nobody turns and belongs in a module constant.
 """
 
@@ -76,8 +76,7 @@ def unused(modules: dict[str, str], callers: list[str]) -> set[str]:
 
 def repo_unused() -> set[str]:
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    callers = [p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))]
-    callers += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
     return unused(modules, callers)
 
 
@@ -119,7 +118,7 @@ def unset_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
 
 def repo_unset_knobs() -> set[str]:
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    callers = [p.read_text() for d in ("scripts", "perfbench", "tests") for p in sorted((ROOT / d).glob("*.py"))]
+    callers = [p.read_text() for d in ("perfbench", "tests") for p in sorted((ROOT / d).glob("*.py"))]
     return unset_knobs(modules, callers)
 
 
