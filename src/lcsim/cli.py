@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="verify a candidate against the singlet statistics")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=sorted(models.BUILTIN_SCALES))
+    group.add_argument("--builtin", choices=sorted(models.BUILTINS))
     group.add_argument("--model", help="candidate model JSON file")
     p.add_argument("--grid", type=_positive_int, default=32)
     p.add_argument("--tol", type=float, default=1e-6)

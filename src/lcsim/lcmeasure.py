@@ -31,8 +31,13 @@ SUPPORT_EPS = 1e-12
 #: Tolerance of the triviality classification.
 TRIVIAL_TOL = 1e-9
 
-#: Tolerance on unit row sums and on a rescaled source's unit mass.
+#: Tolerance on unit row sums and on a source's unit mass.
 UNIT_TOL = 1e-9
+
+#: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
+#: grid × grid matrix, so memory grows as grid²: `lcsim cosine-measure` peaks
+#: near 270 MB at grid 2048 and would need about 1 GB at 4096.
+MAX_COSINE_GRID = 4096
 
 
 def _matrix(name: str, arr) -> np.ndarray:
@@ -63,7 +68,7 @@ class DiscreteLCMeasure:
                 f"K1 {K1.shape}, K2 {K2.shape}"
             )
         total = float(PS.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > UNIT_TOL:
             raise ValueError(f"source matrix must sum to 1, got {total!r}")
         object.__setattr__(self, "PS", PS)
         object.__setattr__(self, "K1", K1)
@@ -121,7 +126,7 @@ def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
         vals = p1[rows]
         weights = m.PS.sum(axis=1)[rows]
         if vals.size and float(vals.max() - vals.min()) <= TRIVIAL_TOL * max(1.0, float(vals.max())):
-            c = float(np.average(vals, weights=weights)) if weights.sum() > 0 else float(vals.mean())
+            c = float(np.average(vals, weights=weights))
     return TrivialityVerdict(trivial=trivial, c=c, max_deviation=max_dev)
 
 
@@ -358,6 +363,8 @@ def cosine_diagonal_measure(
     if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in (m1, m2)):
         raise ValueError(f"kernel widths m1 and m2 must be positive integers, got {m1!r} and {m2!r}")
     setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
+    if n_grid > MAX_COSINE_GRID:
+        raise ValueError(f"cosine-diagonal grid must be at most {MAX_COSINE_GRID}, got {n_grid!r}")
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
     w = np.abs(np.cos(grid - setting))

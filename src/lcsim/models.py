@@ -68,20 +68,12 @@ class Quadrant(Enum):
         return list(Quadrant).index(self)
 
 
-_BUILTINS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "abs-cos": lambda x: np.abs(np.cos(x)),
-    "cos-squared": lambda x: np.cos(x) ** 2,
-    "uniform": lambda x: np.ones_like(x),
-}
-
-#: The scale that gives each builtin candidate unit mass.
-BUILTIN_SCALES = {"abs-cos": 0.25, "cos-squared": 1.0 / math.pi, "uniform": 1.0 / TWO_PI}
-
-# Angles in [0, 2π) where each builtin fails to be smooth.
-_BUILTIN_KINKS: dict[str, tuple[float, ...]] = {
-    "abs-cos": (HALF_PI, 3.0 * HALF_PI),
-    "cos-squared": (),
-    "uniform": (),
+#: Each builtin profile: name -> (function, the scale that gives the
+#: one-sided candidate unit mass, angles in [0, 2π) where it is not smooth).
+BUILTINS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, tuple[float, ...]]] = {
+    "abs-cos": (lambda x: np.abs(np.cos(x)), 0.25, (HALF_PI, 3.0 * HALF_PI)),
+    "cos-squared": (lambda x: np.cos(x) ** 2, 1.0 / math.pi, ()),
+    "uniform": (np.ones_like, 1.0 / TWO_PI, ()),
 }
 
 
@@ -110,28 +102,20 @@ class Profile:
             if not np.all(np.isfinite(values)) or np.any(values < 0.0):
                 raise ValueError("profile samples must be finite and nonnegative")
             object.__setattr__(self, "samples", tuple(float(v) for v in values))
-        elif self.kind in _BUILTINS:
+        elif self.kind in BUILTINS:
             if self.samples is not None:
                 raise ValueError("builtin profiles carry no samples")
         else:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
     @classmethod
-    def builtin(cls, name: str) -> "Profile":
-        return cls(kind=name)
-
-    @classmethod
     def from_samples(cls, values) -> "Profile":
         return cls(kind="samples", samples=values)
-
-    @property
-    def n_samples(self) -> int:
-        return 0 if self.samples is None else len(self.samples)
 
     def __call__(self, x) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         if self.kind != "samples":
-            return _BUILTINS[self.kind](xs)
+            return BUILTINS[self.kind][0](xs)
         if not np.isfinite(xs).all():
             raise ValueError("angles must be finite")
         return np.interp(xs, self.kink_angles(), self.samples, period=TWO_PI)
@@ -141,7 +125,7 @@ class Profile:
         here. For a sampled profile these are its N sample angles."""
         if self.kind == "samples":
             return np.linspace(0.0, TWO_PI, len(self.samples), endpoint=False)
-        return np.array(_BUILTIN_KINKS[self.kind], dtype=float)
+        return np.array(BUILTINS[self.kind][2], dtype=float)
 
     def to_dict(self) -> dict:
         if self.kind == "samples":
@@ -155,7 +139,7 @@ class Profile:
         if ("builtin" in doc) == ("samples" in doc):
             raise ValueError("profile document needs exactly one of the 'builtin' and 'samples' fields")
         if "builtin" in doc:
-            return cls.builtin(doc["builtin"])
+            return cls(doc["builtin"])
         return cls.from_samples(doc["samples"])
 
 
@@ -182,24 +166,9 @@ class CandidateModel:
     @classmethod
     def one_sided(cls, name: str, weight_side: int = 1) -> "CandidateModel":
         """Unit-mass builtin candidate `name`: its profile on the weighted side, all else flat."""
-        flat = Profile.builtin("uniform")
-        p1, p2 = on_side(weight_side, Profile.builtin(name), flat)
-        return cls(rho=flat, p1=p1, p2=p2, scale=BUILTIN_SCALES[name])
-
-    @classmethod
-    def abs_cos(cls, weight_side: int = 1) -> "CandidateModel":
-        """The unit-mass |cos|/4 model, with the weight on either side."""
-        return cls.one_sided("abs-cos", weight_side)
-
-    @classmethod
-    def cos_squared(cls, weight_side: int = 1) -> "CandidateModel":
-        """cos² apparatus profile on one side, everything else flat, unit mass."""
-        return cls.one_sided("cos-squared", weight_side)
-
-    @classmethod
-    def uniform(cls) -> "CandidateModel":
-        """Constant density 1/(2π) on the diagonal."""
-        return cls.one_sided("uniform")
+        flat = Profile("uniform")
+        p1, p2 = on_side(weight_side, Profile(name), flat)
+        return cls(rho=flat, p1=p1, p2=p2, scale=BUILTINS[name][1])
 
     def normalized(self) -> "CandidateModel":
         """Rescale so the total mass at equal settings is 1."""
@@ -207,10 +176,6 @@ class CandidateModel:
         if mass <= 0.0:
             raise ValueError("cannot normalize a model with zero mass")
         return replace(self, scale=self.scale / mass)
-
-    def sampled_sizes(self) -> tuple[int, ...]:
-        """Sample counts of the sampled profiles (empty if all builtin)."""
-        return tuple(p.n_samples for p in (self.rho, self.p1, self.p2) if p.kind == "samples")
 
     def to_dict(self) -> dict:
         return {

@@ -192,7 +192,8 @@ def reconstruct_profile(
         )
     if samples < 3:
         raise ValueError("need at least three sample points")
-    too_coarse = [n for n in m.sampled_sizes() if n < MIN_PROFILE_SAMPLES]
+    sizes = [len(p.samples) for p in (m.rho, m.p1, m.p2) if p.kind == "samples"]
+    too_coarse = [n for n in sizes if n < MIN_PROFILE_SAMPLES]
     if too_coarse:
         raise ValueError(
             f"sampled profiles with {too_coarse} points are below the "

@@ -64,7 +64,7 @@ def test_criterion_1_closed_forms():
 def test_criterion_2_quadrature_fidelity():
     with criterion("2 quadrature matches closed forms"):
         start = time.perf_counter()
-        m = CandidateModel.abs_cos()
+        m = CandidateModel.one_sided("abs-cos")
         grid = TWO_PI * np.arange(32) / 32
         worst = 0.0
         for a in grid:
@@ -168,31 +168,31 @@ def test_criterion_6_markov_transport():
 
 def test_criterion_7_uniqueness_verification():
     with criterion("7 reproduction scan and profile reconstruction"):
-        report = uniqueness.verify_reproduction(CandidateModel.abs_cos(), grid=32, reconstruct=False)
+        report = uniqueness.verify_reproduction(CandidateModel.one_sided("abs-cos"), grid=32, reconstruct=False)
         assert report.reproduces
         assert report.max_quadrant_error < 1e-9
 
         # The two failing candidates, with the error at separation π/4 frozen
         # from the closed-form integration oracle (see test_uniqueness).
-        cs_report = uniqueness.verify_reproduction(CandidateModel.cos_squared(), grid=32, reconstruct=False)
+        cs_report = uniqueness.verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=32, reconstruct=False)
         assert not cs_report.reproduces
         cs_at_quarter = models.quadrant_prob_quadrature(
-            CandidateModel.cos_squared(), 0.0, math.pi / 4, Quadrant.II
+            CandidateModel.one_sided("cos-squared"), 0.0, math.pi / 4, Quadrant.II
         ) - models.quadrant_table_analytic(0.0, math.pi / 4)[Quadrant.II.index]
         assert abs(cs_at_quarter - 0.0278007762) < 5e-4
         assert 0.0278 <= cs_report.max_quadrant_error <= 0.029
 
-        un_report = uniqueness.verify_reproduction(CandidateModel.uniform(), grid=32, reconstruct=False)
+        un_report = uniqueness.verify_reproduction(CandidateModel.one_sided("uniform"), grid=32, reconstruct=False)
         assert not un_report.reproduces
         un_at_quarter = models.quadrant_prob_quadrature(
-            CandidateModel.uniform(), 0.0, math.pi / 4, Quadrant.II
+            CandidateModel.one_sided("uniform"), 0.0, math.pi / 4, Quadrant.II
         ) - models.quadrant_table_analytic(0.0, math.pi / 4)[Quadrant.II.index]
         assert abs(abs(un_at_quarter) - 0.0517766953) < 5e-4
         assert abs(un_report.max_quadrant_error - 0.0517766953) < 5e-4
 
-        fine = uniqueness.reconstruct_profile(CandidateModel.abs_cos(), h=1e-3, samples=101)
+        fine = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=1e-3, samples=101)
         assert fine.sup_error < 1e-5
-        coarse = uniqueness.reconstruct_profile(CandidateModel.abs_cos(), h=2e-3, samples=101)
+        coarse = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=2e-3, samples=101)
         ratio = coarse.sup_error / fine.sup_error
         assert 3.2 <= ratio <= 4.8
 

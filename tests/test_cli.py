@@ -239,6 +239,27 @@ class TestCosineMeasure:
         assert "validation error" in err and message in err
         assert not path.exists()
 
+    def test_grid_above_4096_is_validation_error(self, capsys, tmp_path, monkeypatch):
+        # The dense grid × grid source is refused before it exists: building
+        # it through the patched constructor fails the test instead.
+        class DenseSourceBuilt(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise DenseSourceBuilt
+
+        monkeypatch.setattr(np, "diag", refuse)
+        path = tmp_path / "cosine.json"
+        code, out, err = run_cli(capsys, "cosine-measure", "--grid", "4097", "--out", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "validation error" in err and "at most 4096, got 4097" in err
+        assert not path.exists()
+        with pytest.raises(ValueError, match="at most 4096"):
+            lcmeasure.cosine_diagonal_family(4097)
+        with pytest.raises(DenseSourceBuilt):
+            main(["cosine-measure", "--grid", "4096", "--out", str(path)])
+
     @pytest.mark.parametrize(
         "argv", [("--m1", "0"), ("--m2", "-1"), ("--grid", "0"), ("--weight-side", "3")],
         ids=["m1-zero", "m2-negative", "grid-zero", "weight-side-3"],
@@ -281,7 +302,7 @@ class TestUniqueness:
         doc = json.loads(out)
         assert [c["holds"] for c in doc["necessary_conditions"]] == [True] * 4
         assert "FAILS" not in err
-        want = verify_reproduction(CandidateModel.abs_cos(2), grid=8, weight_side=2, reconstruct=False)
+        want = verify_reproduction(CandidateModel.one_sided("abs-cos", 2), grid=8, weight_side=2, reconstruct=False)
         assert doc == json.loads(json.dumps(want.to_dict()))
 
     def test_model_file(self, capsys, tmp_path):

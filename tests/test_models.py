@@ -25,13 +25,13 @@ from lcsim.models import (
     unit_mass_table,
 )
 
-ABS_COS = CandidateModel.abs_cos()
-COS_SQUARED = CandidateModel.cos_squared()
-UNIFORM = CandidateModel.uniform()
+ABS_COS = CandidateModel.one_sided("abs-cos")
+COS_SQUARED = CandidateModel.one_sided("cos-squared")
+UNIFORM = CandidateModel.one_sided("uniform")
 SAMPLED_ABS_COS = CandidateModel(
-    rho=Profile.builtin("uniform"),
+    rho=Profile("uniform"),
     p1=Profile.from_samples(np.abs(np.cos(TWO_PI * np.arange(256) / 256))),
-    p2=Profile.builtin("uniform"),
+    p2=Profile("uniform"),
 ).normalized()
 
 small_angles = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
@@ -96,9 +96,9 @@ def reference_cell(m, a, b, quadrant, panels=REFERENCE_PANELS) -> float:
 class TestProfiles:
     def test_builtin_values(self):
         x = np.array([0.0, math.pi / 3, math.pi / 2])
-        assert np.allclose(Profile.builtin("abs-cos")(x), np.abs(np.cos(x)))
-        assert np.allclose(Profile.builtin("cos-squared")(x), np.cos(x) ** 2)
-        assert np.allclose(Profile.builtin("uniform")(x), 1.0)
+        assert np.allclose(Profile("abs-cos")(x), np.abs(np.cos(x)))
+        assert np.allclose(Profile("cos-squared")(x), np.cos(x) ** 2)
+        assert np.allclose(Profile("uniform")(x), 1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestProfiles:
     def test_roundtrip_dict(self):
         prof = Profile.from_samples([0.5, 1.0, 0.25])
         assert Profile.from_dict(prof.to_dict()) == prof
-        assert Profile.from_dict({"builtin": "abs-cos"}) == Profile.builtin("abs-cos")
+        assert Profile.from_dict({"builtin": "abs-cos"}) == Profile("abs-cos")
 
     @pytest.mark.parametrize("doc", [{}, {"builtin": "abs-cos", "samples": [1.0, 0.0]}])
     def test_dict_needs_exactly_one_field(self, doc):
@@ -157,6 +157,25 @@ def signed_sum(table) -> float:
 
 
 cell_lists = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4)
+
+
+class TestBuiltinTable:
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("name", sorted(models.BUILTINS))
+    def test_scale_gives_unit_mass(self, name, side):
+        mass = quadrant_table_quadrature(CandidateModel.one_sided(name, side), 0.0, 0.0).sum()
+        assert abs(mass - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(models.BUILTINS))
+    def test_kinks_are_cut(self, name):
+        # On p1 or p2 the abs-cos kinks fall on arc endpoints, which are cut
+        # anyway; on rho they fall inside the pieces unless the row lists them.
+        flat = Profile("uniform")
+        m = CandidateModel(rho=Profile(name), p1=flat, p2=flat, scale=models.BUILTINS[name][1])
+        settings = TWO_PI * np.arange(16) / 16 + 0.1
+        a, b = settings[:, None], settings
+        gap = np.abs(quadrant_table_quadrature(m, a, b) - quadrant_table_quadrature(m, a, b, nodes=8)).max()
+        assert gap <= 1e-10
 
 
 class TestClosedForms:
@@ -309,9 +328,9 @@ class TestQuadrature:
     def test_rotation_invariance_structural(self, delta):
         samples = 0.5 + 0.5 * np.cos(3 * np.linspace(0.0, TWO_PI, 200, endpoint=False))
         model = CandidateModel(
-            rho=Profile.builtin("uniform"),
+            rho=Profile("uniform"),
             p1=Profile.from_samples(samples),
-            p2=Profile.builtin("uniform"),
+            p2=Profile("uniform"),
         ).normalized()
         a, b = 0.4, 1.3
         for q in (Quadrant.II, Quadrant.JI):
@@ -439,9 +458,9 @@ class TestCorrelation:
 
     def test_unnormalized_model_reports_mass(self):
         lopsided = CandidateModel(
-            rho=Profile.builtin("uniform"),
-            p1=Profile.builtin("abs-cos"),
-            p2=Profile.builtin("uniform"),
+            rho=Profile("uniform"),
+            p1=Profile("abs-cos"),
+            p2=Profile("uniform"),
             scale=1.0,
         )
         with pytest.raises(NormalizationError, match="mass 4"):
@@ -494,9 +513,9 @@ class TestEmpiricalEquivalence:
 
     def test_requires_normalized_models(self):
         bad = CandidateModel(
-            rho=Profile.builtin("uniform"),
-            p1=Profile.builtin("uniform"),
-            p2=Profile.builtin("uniform"),
+            rho=Profile("uniform"),
+            p1=Profile("uniform"),
+            p2=Profile("uniform"),
         )
         with pytest.raises(NormalizationError):
             unit_mass_table(bad, 0.0, 0.0)
@@ -523,7 +542,7 @@ class TestSerialization:
             load_model(path)
 
     def test_mirrored_weight_side(self):
-        mirrored = CandidateModel.abs_cos(weight_side=2)
+        mirrored = CandidateModel.one_sided("abs-cos", weight_side=2)
         assert quadrant_table_quadrature(mirrored, 0.3, 2.0).sum() == pytest.approx(1.0, abs=1e-12)
         # The I×I mass is symmetric in which side carries the |cos| weight.
         for a, b in ((0.0, 0.9), (1.2, 4.4)):

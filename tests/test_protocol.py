@@ -1,10 +1,12 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from lcsim.circle import TWO_PI
+from lcsim.models import quadrant_table_analytic
 from lcsim.protocol import (
     EVENT_LOG_BLOCK,
     MAX_TICK,
@@ -433,6 +435,32 @@ class TestExperiment:
         assert abs(z.mean()) <= 0.3
         assert 0.8 <= z.std(ddof=1) <= 1.2
         assert np.abs(z).max() <= 5.0
+
+
+class TestCellCounts:
+    def test_coincidence_cells_fit_the_closed_forms(self):
+        # Pearson χ² of the four coincidence cells of every setting on the
+        # 16 × 16 grid against coincidences × the singlet quadrant table. Each
+        # cell index is 2·[f1 = -1] + [f2 = +1], so II = (+1, -1), IJ = (+1, +1),
+        # JI = (-1, -1) and JJ = (-1, +1). A cell the table gives no mass must
+        # stay empty and adds no degree of freedom; each setting's counts are
+        # tied to its coincidences, which takes one more.
+        settings = np.arange(16) * (TWO_PI / 16)
+        chi2, dof = 0.0, 0
+        for idx, (a, b) in enumerate(itertools.product(settings, settings)):
+            cfg = ExperimentConfig(
+                n=20_000, a=float(a), b=float(b),
+                source_seed=5 + 3 * idx, station1_seed=5 + 3 * idx + 1, station2_seed=5 + 3 * idx + 2,
+            )
+            _, r1, r2 = run_trial(cfg)
+            _, f1, f2 = match_coincidences(r1, r2)
+            counts = np.bincount(2 * (f1 == -1) + (f2 == 1), minlength=4)
+            table = quadrant_table_analytic(a, b)
+            expected, live = counts.sum() * table, table > 1e-12
+            assert not counts[~live].any()
+            chi2 += float((((counts - expected) ** 2)[live] / expected[live]).sum())
+            dof += int(live.sum()) - 1
+        assert chi2 <= dof + 5 * math.sqrt(2 * dof)
 
 
 class TestLocality:

@@ -26,8 +26,6 @@ ALLOWED = {
     "lcmeasure.rescale": "README's kernel/source construction of a nontrivial measure",
     "lcmeasure.LocalMarkovOperator.is_stochastic": "oracle for the random stochastic operators",
     "lcmeasure.LocalMarkovOperator.is_permutation": "oracle for the random permutation operators",
-    "models.CandidateModel.abs_cos": "constructor the acceptance gates call",
-    "models.CandidateModel.cos_squared": "constructor the acceptance gates call",
     "models.save_model": "the documented model-file writer",
 }
 

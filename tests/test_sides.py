@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import circle, lcmeasure, protocol, uniqueness
-from lcsim.models import BUILTIN_SCALES, CandidateModel, Profile
+from lcsim.models import BUILTINS, CandidateModel, Profile
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -31,14 +31,14 @@ def test_on_side_is_its_own_inverse():
 
 
 class TestWeightSideTwoIsSideOneSwapped:
-    @pytest.mark.parametrize("name", sorted(BUILTIN_SCALES))
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_builtin_models(self, name):
         one, two = CandidateModel.one_sided(name, 1), CandidateModel.one_sided(name, 2)
         assert (two.rho, two.p1, two.p2, two.scale) == (one.rho, one.p2, one.p1, one.scale)
 
-    @pytest.mark.parametrize("build", [CandidateModel.abs_cos, CandidateModel.cos_squared])
-    def test_abs_cos_and_cos_squared(self, build):
-        one, two = build(1), build(2)
+    @pytest.mark.parametrize("name", ["abs-cos", "cos-squared"], ids=["abs_cos", "cos_squared"])
+    def test_abs_cos_and_cos_squared(self, name):
+        one, two = CandidateModel.one_sided(name, 1), CandidateModel.one_sided(name, 2)
         assert (two.p1, two.p2) == (one.p2, one.p1)
         assert one.p1 != one.p2
 
@@ -66,11 +66,11 @@ class TestWeightSideTwoIsSideOneSwapped:
     @pytest.mark.parametrize(
         "model",
         [
-            CandidateModel.abs_cos(),
-            CandidateModel.cos_squared(),
-            CandidateModel.uniform(),
+            CandidateModel.one_sided("abs-cos"),
+            CandidateModel.one_sided("cos-squared"),
+            CandidateModel.one_sided("uniform"),
             CandidateModel(
-                rho=Profile.builtin("uniform"),
+                rho=Profile("uniform"),
                 p1=Profile.from_samples([0.0, 1.0, 3.0, 2.0]),
                 p2=Profile.from_samples([1.0, 0.5, 1.0, 0.25]),
             ),
@@ -84,7 +84,7 @@ class TestWeightSideTwoIsSideOneSwapped:
         one = uniqueness.check_necessary_conditions(model, weight_side=1)
         two = uniqueness.check_necessary_conditions(swapped, weight_side=2)
         assert [c.holds for c in one] == [c.holds for c in two]
-        exact = model.sampled_sizes() == ()
+        exact = "samples" not in {p.kind for p in (model.rho, model.p1, model.p2)}
         assert [c.residual for c in two] == [c.residual if exact else pytest.approx(c.residual, abs=1e-15) for c in one]
         assert [c.name for c in two] == ["p1(pi/2)*p2(-pi/2) = 0", "rho constant", "p1 constant", "p2(pi/2) = 0"]
 
@@ -94,14 +94,14 @@ class TestWeightSideTwoIsSideOneSwapped:
         assert np.array_equal(circle.spin_values(2, setting, s), -circle.spin_values(1, setting, s))
 
 
-ABS_COS = CandidateModel.abs_cos()
+ABS_COS = CandidateModel.one_sided("abs-cos")
 
 SIDE_ENTRY_POINTS = {
     "on_side": lambda side: circle.on_side(side, 1, 2),
     "spin_values": lambda side: circle.spin_values(side, 0.0, [0.0]),
     "one_sided": lambda side: CandidateModel.one_sided("uniform", side),
-    "abs_cos": lambda side: CandidateModel.abs_cos(side),
-    "cos_squared": lambda side: CandidateModel.cos_squared(side),
+    "abs_cos": lambda side: CandidateModel.one_sided("abs-cos", side),
+    "cos_squared": lambda side: CandidateModel.one_sided("cos-squared", side),
     "cosine_diagonal_measure": lambda side: lcmeasure.cosine_diagonal_measure(8, 0.0, 0.0, weight_side=side),
     "cosine_diagonal_family": lambda side: lcmeasure.cosine_diagonal_family(8, weight_side=side),
     "StationConfig": lambda side: protocol.StationConfig(side=side, setting=0.0),
@@ -109,7 +109,7 @@ SIDE_ENTRY_POINTS = {
     "chsh_estimate": lambda side: protocol.chsh_estimate(10, weight_side=side),
     "check_necessary_conditions": lambda side: uniqueness.check_necessary_conditions(ABS_COS, weight_side=side),
     "verify_reproduction": lambda side: uniqueness.verify_reproduction(
-        CandidateModel.uniform(), grid=8, weight_side=side, reconstruct=False
+        CandidateModel.one_sided("uniform"), grid=8, weight_side=side, reconstruct=False
     ),
 }
 

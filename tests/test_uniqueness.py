@@ -14,11 +14,11 @@ from lcsim.uniqueness import (
     verify_reproduction,
 )
 
-ABS_COS = CandidateModel.abs_cos()
+ABS_COS = CandidateModel.one_sided("abs-cos")
 BARE_ABS_COS = CandidateModel(  # |cos| with scale 1: mass 4
-    rho=Profile.builtin("uniform"),
-    p1=Profile.builtin("abs-cos"),
-    p2=Profile.builtin("uniform"),
+    rho=Profile("uniform"),
+    p1=Profile("abs-cos"),
+    p2=Profile("uniform"),
 )
 
 
@@ -52,7 +52,7 @@ class TestVerifyReproduction:
 
     def test_mirrored_form_also_reproduces(self):
         report = verify_reproduction(
-            CandidateModel.abs_cos(weight_side=2), grid=16, weight_side=2, reconstruct=False
+            CandidateModel.one_sided("abs-cos", weight_side=2), grid=16, weight_side=2, reconstruct=False
         )
         assert report.reproduces
         assert all(c.holds for c in report.necessary_conditions)
@@ -60,10 +60,10 @@ class TestVerifyReproduction:
     def test_cos_squared_fails_with_frozen_error(self):
         # Oracle values frozen before the implementation was trusted.
         assert cos2_ii_error(math.pi / 4) == pytest.approx(0.0278007762, abs=1e-9)
-        report = verify_reproduction(CandidateModel.cos_squared(), grid=32, reconstruct=False)
+        report = verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=32, reconstruct=False)
         assert not report.reproduces
         at_quarter = quadrant_prob_quadrature(
-            CandidateModel.cos_squared(), 0.0, math.pi / 4, Quadrant.II
+            CandidateModel.one_sided("cos-squared"), 0.0, math.pi / 4, Quadrant.II
         ) - 0.5 * math.cos(math.pi / 8) ** 2
         assert at_quarter == pytest.approx(0.0278007762, abs=1e-9)
         assert report.max_quadrant_error == pytest.approx(grid_max(cos2_ii_error), abs=1e-9)
@@ -71,7 +71,7 @@ class TestVerifyReproduction:
 
     def test_uniform_fails_with_frozen_error(self):
         assert uniform_ii_error(math.pi / 4) == pytest.approx(-0.0517766953, abs=1e-9)
-        report = verify_reproduction(CandidateModel.uniform(), grid=32, reconstruct=False)
+        report = verify_reproduction(CandidateModel.one_sided("uniform"), grid=32, reconstruct=False)
         assert not report.reproduces
         assert report.max_quadrant_error == pytest.approx(0.0517766953, abs=1e-9)
 
@@ -95,7 +95,7 @@ class TestVerifyReproduction:
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_quadrature_error_bounds_the_distance_to_the_closed_forms(self, side):
-        report = verify_reproduction(CandidateModel.abs_cos(side), grid=32, weight_side=side, reconstruct=False)
+        report = verify_reproduction(CandidateModel.one_sided("abs-cos", side), grid=32, weight_side=side, reconstruct=False)
         assert 0.0 < report.quadrature_error < 1e-13
         assert report.quadrature_error >= report.max_quadrant_error - 1e-15
         assert report.to_dict()["quadrature_error"] == report.quadrature_error
@@ -103,11 +103,11 @@ class TestVerifyReproduction:
 
     def test_tolerance_below_the_quadrature_error_refused(self):
         # 8 nodes resolve cos² on a half circle only to about 4e-11.
-        error = verify_reproduction(CandidateModel.cos_squared(), grid=8, reconstruct=False).quadrature_error
+        error = verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, reconstruct=False).quadrature_error
         assert 1e-12 < error < 1e-9
         with pytest.raises(ValueError, match="below the quadrature error"):
-            verify_reproduction(CandidateModel.cos_squared(), grid=8, tol=error / 2, reconstruct=False)
-        verify_reproduction(CandidateModel.cos_squared(), grid=8, tol=error, reconstruct=False)
+            verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error / 2, reconstruct=False)
+        verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error, reconstruct=False)
 
 
 class TestNecessaryConditions:
@@ -125,18 +125,18 @@ class TestNecessaryConditions:
     def test_cos_squared_passes_conditions_despite_failing(self):
         # cos² has the right zeros and constants; only the reconstruction and
         # the quadrant scan expose it. Necessity is not sufficiency.
-        results = check_necessary_conditions(CandidateModel.cos_squared())
+        results = check_necessary_conditions(CandidateModel.one_sided("cos-squared"))
         assert all(c.holds for c in results)
 
     def test_uniform_profile_has_no_zero(self):
-        results = check_necessary_conditions(CandidateModel.uniform())
+        results = check_necessary_conditions(CandidateModel.one_sided("uniform"))
         by_name = {c.name: c for c in results}
         assert not by_name["p1(pi/2)*p2(-pi/2) = 0"].holds
         assert by_name["p1(pi/2)*p2(-pi/2) = 0"].residual == pytest.approx(1.0)
         assert not by_name["p1(-pi/2) = 0"].holds
 
     def test_mirrored_names(self):
-        results = check_necessary_conditions(CandidateModel.abs_cos(weight_side=2), weight_side=2)
+        results = check_necessary_conditions(CandidateModel.one_sided("abs-cos", weight_side=2), weight_side=2)
         names = [c.name for c in results]
         assert "p1 constant" in names
         assert "p2(pi/2) = 0" in names
@@ -176,18 +176,18 @@ class TestReconstruction:
 
     def test_coarse_sampled_profile_rejected(self):
         coarse = CandidateModel(
-            rho=Profile.builtin("uniform"),
+            rho=Profile("uniform"),
             p1=Profile.from_samples(np.abs(np.cos(np.linspace(0, TWO_PI, 64, endpoint=False)))),
-            p2=Profile.builtin("uniform"),
+            p2=Profile("uniform"),
         ).normalized()
         with pytest.raises(ValueError, match="128"):
             reconstruct_profile(coarse)
 
     def test_fine_sampled_profile_accepted(self):
         fine = CandidateModel(
-            rho=Profile.builtin("uniform"),
+            rho=Profile("uniform"),
             p1=Profile.from_samples(np.abs(np.cos(np.linspace(0, TWO_PI, 512, endpoint=False)))),
-            p2=Profile.builtin("uniform"),
+            p2=Profile("uniform"),
         ).normalized()
         result = reconstruct_profile(fine, h=1e-3, samples=41)
         assert result.sup_error < 1e-3  # limited by the linear interpolation
@@ -202,7 +202,7 @@ class TestReconstruction:
 
 class TestReport:
     def test_json_roundtrip_and_note(self):
-        report = verify_reproduction(CandidateModel.uniform(), grid=8, reconstruct=False)
+        report = verify_reproduction(CandidateModel.one_sided("uniform"), grid=8, reconstruct=False)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["reproduces"] is False
         assert doc["note"] == NECESSITY_NOTE
@@ -214,7 +214,7 @@ class TestReport:
         }
 
     def test_table_mentions_necessity(self):
-        report = verify_reproduction(CandidateModel.cos_squared(), grid=8, reconstruct=False)
+        report = verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, reconstruct=False)
         table = report.format_table()
         assert "NO" in table
         assert "necessary" in table
