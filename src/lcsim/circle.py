@@ -102,9 +102,13 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
     sign, _ = on_side(side, 1, -1, "side")
     # One float buffer: the phase past the left endpoint of I(setting).
     t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
-    if not np.isfinite(t).all():  # checked first, so np.mod never warns
+    if not np.isfinite(t).all():  # checked first, so np.fmod never warns
         raise ValueError("angles must be finite")
-    np.mod(t, TWO_PI, out=t)
+    # np.mod's own arithmetic, without its division: fmod, then one period
+    # added to a negative remainder. Only the sign of a zero can differ (-0.0
+    # stays), which no comparison below sees.
+    np.fmod(t, TWO_PI, out=t)
+    np.add(t, TWO_PI, out=t, where=t < 0.0)
     # Side 1 reads +1 for t in [0, π - BOUNDARY_EPS), and for t within
     # BOUNDARY_EPS below the period: a left-endpoint tie that rounding pushed there.
     plus = np.less(t, math.pi - BOUNDARY_EPS, out=np.empty(t.shape, dtype=bool))

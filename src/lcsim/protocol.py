@@ -5,9 +5,9 @@ angle; two station actors independently apply setting-dependent acceptance or
 weighting rules and record timestamped ±1 outcomes; a matcher intersects the
 timestamp sets. Stations never see each other's settings, records, or seeds:
 every stage is a pure function of its own inputs, so the no-communication
-contract is enforced by the call graph, and running the stages in any order
-or thread layout cannot change a byte of the output. Each actor owns an
-independent counter-based generator (Philox), which makes whole runs
+contract is enforced by the call graph, and running the stages in any order,
+block size or thread layout cannot change a byte of the output. Each actor
+owns an independent counter-based generator (Philox), which makes whole runs
 replayable and lets locality be audited bit for bit.
 
 Detection is encoded by presence of the timestamp: an emission whose local
@@ -49,8 +49,13 @@ EXPERIMENT_MODES = tuple(WEIGHTED_STATION_MODE)
 
 MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
 
-#: Rows of the event log formatted and written at a time; bounds its memory.
+#: Pairs per block of a run, and rows of the event log formatted and written
+#: at a time: each block's arrays stay in cache, and memory stays bounded.
 EVENT_LOG_BLOCK = 65_536
+
+#: 10, 100, ..., 10**18: a tick magnitude has one digit more than the number
+#: of these it reaches.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
 class EmptyCoincidenceError(RuntimeError):
@@ -113,20 +118,31 @@ class StationConfig:
             raise ValueError(f"tick offset {self.offset!r} exceeds the int64 maximum {MAX_TICK}")
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _generator(seed: int, position: int) -> np.random.Generator:
+    """Philox(seed) at its `position`-th draw, bitwise the stream from draw 0
+    onwards: Philox makes four draws per counter step, so it advances whole
+    steps and then discards the rest."""
+    bit_generator = np.random.Philox(seed)
+    if position:
+        bit_generator.advance(position // 4)
+        bit_generator.random_raw(position % 4)
+    return np.random.Generator(bit_generator)
 
 
-def run_source(n: int, seed: int) -> Emissions:
-    """Emit n pairs at ticks 0..n-1 with configurations drawn uniformly on
-    [0, 2π). A pure function of (n, seed); settings never enter."""
+def run_source(n: int, seed: int, start: int = 0) -> Emissions:
+    """Emit pairs start..start+n-1 of the source's stream, at those ticks,
+    with configurations drawn uniformly on [0, 2π). A pure function of
+    (n, seed, start); settings never enter, and consecutive blocks join into
+    the whole run bit for bit."""
     if n < 1:
         raise ValueError(f"pair count must be at least 1, got {n!r}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    rng = _generator(seed)
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    rng = _generator(seed, start)
     return Emissions(
-        ticks=np.arange(n, dtype=np.int64),
+        ticks=np.arange(start, start + n, dtype=np.int64),
         s=rng.uniform(0.0, TWO_PI, size=n),
     )
 
@@ -135,8 +151,10 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     """Process the emission stream with purely local information.
 
     Acceptance keeps an emission with probability |cos(s - setting)| drawn
-    from the station's own generator; the two always-detect rules keep all,
-    the weighted one with weight (π/2)|cos(s - setting)|. A kept emission
+    from the station's own generator, one draw per emission from the draw
+    numbered by the first emission tick, so a block of a run draws what the
+    whole run draws for it. The two always-detect rules keep all, the
+    weighted one with weight (π/2)|cos(s - setting)|. A kept emission
     records spin_values(side, setting, s) at tick + offset.
     """
     values = spin_values(cfg.side, cfg.setting, emissions.s)
@@ -146,7 +164,8 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     window = np.abs(np.cos(emissions.s - cfg.setting))
     if cfg.mode == MODE_WEIGHTED:
         return Detections(ticks=ticks, values=values, weights=(math.pi / 2.0) * window)
-    keep = _generator(cfg.seed).random(len(emissions)) < window
+    position = int(emissions.ticks[0]) if len(emissions) else 0
+    keep = _generator(cfg.seed, position).random(len(emissions)) < window
     return Detections(ticks=ticks[keep], values=values[keep])
 
 
@@ -183,44 +202,55 @@ class CorrelationEstimate:
 
 
 def _estimate(products: np.ndarray, kind: str) -> CorrelationEstimate:
+    """Mean and stderr of the per-pair products. Only the coincidence
+    estimator can be left without products; the others refuse empty lists."""
     n = int(products.size)
+    if n == 0:
+        raise EmptyCoincidenceError("no coincidences recorded; the estimator is undefined")
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return CorrelationEstimate(value=value, n=n, stderr=stderr, kind=kind)
 
 
-def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
-    """Mean product over coincidences (the distant-pair estimator)."""
+def _coincidence_products(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     if f1.size != f2.size:
         raise ValueError("coincidence value sequences must have equal length")
-    if f1.size == 0:
-        raise EmptyCoincidenceError("no coincidences recorded; the estimator is undefined")
-    return _estimate(f1 * f2, KIND_COINCIDENCE)
+    return f1 * f2
 
 
-def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
+def _matched_products(r1: Detections, r2: Detections, kind: str) -> np.ndarray:
+    """Per-pair products of the standard or weighted estimator, after its
+    checks: every pair detected on both sides and, when weighted, exactly one
+    side carrying nonnegative weights."""
     if not np.array_equal(r1.ticks, r2.ticks):
         raise ValueError(f"tick mismatch: the {kind} estimator needs every pair detected on both sides")
     if len(r1) == 0:
         raise ValueError("empty detection lists")
-
-
-def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
-    """Mean product over a fully detected, fully matched ensemble."""
-    _check_fully_matched(r1, r2, KIND_STANDARD)
-    return _estimate(r1.values * r2.values, KIND_STANDARD)
-
-
-def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
-    """Importance-weighted mean product; exactly one side must carry locally
-    computed weights (π/2)|cos(s - setting)|."""
-    _check_fully_matched(r1, r2, KIND_WEIGHTED)
+    products = r1.values * r2.values
+    if kind == KIND_STANDARD:
+        return products
     if (r1.weights is None) == (r2.weights is None):
         raise ValueError("exactly one side must carry importance weights")
     weights = r1.weights if r1.weights is not None else r2.weights
     if np.any(weights < 0.0):
         raise ValueError("importance weights must be nonnegative")
-    return _estimate(weights * (r1.values * r2.values), KIND_WEIGHTED)
+    return weights * products
+
+
+def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
+    """Mean product over coincidences (the distant-pair estimator)."""
+    return _estimate(_coincidence_products(f1, f2), KIND_COINCIDENCE)
+
+
+def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
+    """Mean product over a fully detected, fully matched ensemble."""
+    return _estimate(_matched_products(r1, r2, KIND_STANDARD), KIND_STANDARD)
+
+
+def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
+    """Importance-weighted mean product; exactly one side must carry locally
+    computed weights (π/2)|cos(s - setting)|."""
+    return _estimate(_matched_products(r1, r2, KIND_WEIGHTED), KIND_WEIGHTED)
 
 
 @dataclass(frozen=True)
@@ -283,39 +313,61 @@ class ExperimentSummary:
         }
 
 
-def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]:
-    """Source then the two stations. The emission stream is a function of
-    (n, source seed) only, and each station sees only its own config."""
-    emissions = run_source(cfg.n, cfg.source_seed)
+def _trial_blocks(cfg: ExperimentConfig, size: int):
+    """Source then the two stations, over consecutive blocks of at most
+    `size` pairs: (emissions, side-1 records, side-2 records) per block. The
+    emission stream is a function of (n, source seed) only, each station
+    sees only its own config, and the blocks join into the whole run."""
     st1, st2 = cfg.station_configs()
-    return emissions, run_station(st1, emissions), run_station(st2, emissions)
+    for start in range(0, cfg.n, size):
+        emissions = run_source(min(size, cfg.n - start), cfg.source_seed, start)
+        yield emissions, run_station(st1, emissions), run_station(st2, emissions)
+
+
+def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]:
+    """Source then the two stations, over the whole run at once."""
+    (trial,) = _trial_blocks(cfg, cfg.n)
+    return trial
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Full protocol: source, stations, matcher, estimator."""
-    _, r1, r2 = run_trial(cfg)
-    return summarize(cfg, r1, r2)
+    """Full protocol: source, stations, matcher and estimator products,
+    block by block in blocks of EVENT_LOG_BLOCK pairs, then the estimate."""
+    return _summary(cfg, ((r1, r2) for _, r1, r2 in _trial_blocks(cfg, EVENT_LOG_BLOCK)))
 
 
 def summarize(cfg: ExperimentConfig, r1: Detections, r2: Detections) -> ExperimentSummary:
-    """Matcher and estimator over the two stations' records of one trial."""
-    _, f1, f2 = match_coincidences(r1, r2)
-    coincidences = int(f1.size)
-    if cfg.mode == KIND_COINCIDENCE:
-        estimate = correlation_dp(f1, f2)
-    elif cfg.mode == KIND_WEIGHTED:
-        estimate = correlation_weighted(r1, r2)
-    else:
-        estimate = correlation_standard(r1, r2)
+    """Matcher and estimator over the two stations' records of a whole trial."""
+    return _summary(cfg, [(r1, r2)])
+
+
+def _summary(cfg: ExperimentConfig, records) -> ExperimentSummary:
+    """Matcher and estimator over the stations' records of one run, given as
+    (side 1, side 2) blocks. Each block passes every check of the estimator
+    and puts its products into one buffer; the estimate is taken once over
+    that buffer, so it does not depend on the blocks."""
+    products = np.empty(cfg.n, dtype=np.float64 if cfg.mode == KIND_WEIGHTED else np.int8)
+    filled = detections1 = detections2 = coincidences = 0
+    for r1, r2 in records:
+        _, f1, f2 = match_coincidences(r1, r2)
+        if cfg.mode == KIND_COINCIDENCE:
+            block = _coincidence_products(f1, f2)
+        else:
+            block = _matched_products(r1, r2, cfg.mode)
+        products[filled : filled + block.size] = block
+        filled += block.size
+        detections1 += len(r1)
+        detections2 += len(r2)
+        coincidences += int(f1.size)
     return ExperimentSummary(
         a=cfg.a,
         b=cfg.b,
         n=cfg.n,
-        detections1=len(r1),
-        detections2=len(r2),
+        detections1=detections1,
+        detections2=detections2,
         coincidences=coincidences,
         coincidence_rate=coincidences / cfg.n,
-        estimate=estimate,
+        estimate=_estimate(products[:filled], cfg.mode),
     )
 
 
@@ -347,6 +399,29 @@ def chsh_estimate(
     return {"chsh": chsh(*(s.estimate.value for s in summaries)), "runs": summaries}
 
 
+def _plain_rows(ticks: np.ndarray, side2: np.ndarray, values: np.ndarray) -> bytes:
+    """Event-log rows `tick,side,value\r\n`, built as one uint8 matrix with a
+    row per event and a column per byte that a row may hold: the tick's sign,
+    its digits right-aligned, then `,side,` and the value. Unused bytes (a
+    plus sign, leading zeros, the minus of +1) are masked out, and the rest
+    read in row order are the rows."""
+    # Read as uint64, |int64 minimum| (which wraps to itself) is exact too.
+    magnitude = np.abs(ticks).view(np.uint64)
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")
+    width = int(digits.max(initial=1))
+    rows = np.empty((ticks.size, width + 8), dtype=np.uint8)
+    rows[:] = np.frombuffer(b"-" + b"0" * width + b",1,-1\r\n", dtype=np.uint8)
+    for column in range(width, 0, -1):
+        magnitude, digit = np.divmod(magnitude, np.uint64(10))
+        rows[:, column] += digit.astype(np.uint8)
+    rows[:, width + 2] += side2
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 0] = ticks < 0
+    keep[:, 1 : width + 1] = np.arange(width) >= (width - digits)[:, None]
+    keep[:, width + 4] = values < 0
+    return rows[keep].tobytes()
+
+
 def write_event_log(
     path,
     cfg: ExperimentConfig,
@@ -366,10 +441,8 @@ def write_event_log(
     if not np.all(np.abs(values) == 1):
         raise ValueError("event log values must be ±1")
     order = np.argsort(ticks, kind="stable")  # side 1 first on equal ticks
-    # A plain row is its tick and one of four tails, indexed 2 * (side - 1) + (value == +1).
-    tails = (",1,-1\r\n", ",1,1\r\n", ",2,-1\r\n", ",2,1\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write("tick,side,s_hidden,value\r\n" if debug_hidden else "tick,side,value\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")
         for start in range(0, order.size, EVENT_LOG_BLOCK):
             rows = order[start : start + EVENT_LOG_BLOCK]
             t, v, side2 = ticks[rows], values[rows], rows >= len(r1)
@@ -377,6 +450,6 @@ def write_event_log(
                 s_hidden = emissions.s[t - cfg.offset]
                 lines = map("{},{},{:.17g},{}\r\n".format, t.tolist(), (side2 + 1).tolist(), s_hidden.tolist(),
                             v.tolist())
+                fh.write("".join(lines).encode())
             else:
-                lines = map("{}{}".format, t.tolist(), map(tails.__getitem__, (2 * side2 + (v > 0)).tolist()))
-            fh.write("".join(lines))
+                fh.write(_plain_rows(t, side2, v))

@@ -257,6 +257,54 @@ class TestSpinValuesReference:
                     spin_values(side, bad, [0.0])
 
 
+def mod_spin_values(side: int, setting: float, s) -> np.ndarray:
+    """The one-buffer kernel on np.mod that the np.fmod kernel replaced: the
+    reference spin_values must match value for value."""
+    sign = 1 if side == 1 else -1
+    t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
+    np.mod(t, TWO_PI, out=t)
+    plus = (t < math.pi - BOUNDARY_EPS) | (t >= TWO_PI - BOUNDARY_EPS)
+    return np.where(plus, sign, -sign).astype(np.int8)
+
+
+class TestSpinKernelReference:
+    SETTINGS = (0.0, 0.7, -3.0, HALF_PI, TWO_PI, 1e6)
+
+    def assert_matches(self, setting: float, s) -> None:
+        for side in (1, 2):
+            got = spin_values(side, setting, s)
+            assert got.tobytes() == mod_spin_values(side, setting, s).tobytes()
+
+    def test_arc_endpoints_eps_and_ulps(self):
+        for a in self.SETTINGS:
+            points = [
+                x
+                for end in (a - HALF_PI, a + HALF_PI)
+                for shift in (-BOUNDARY_EPS, 0.0, BOUNDARY_EPS)
+                for x in ulp_neighbours(end + shift)
+            ]
+            self.assert_matches(a, np.array(points))
+
+    def test_signed_zeros_and_whole_turns(self):
+        k = np.concatenate((np.arange(-64, 65), 10.0 ** np.arange(2, 15)))
+        turns = np.concatenate((k * TWO_PI, -k * TWO_PI))
+        points = np.concatenate(([0.0, -0.0], turns, np.nextafter(turns, -math.inf), np.nextafter(turns, math.inf)))
+        for a in self.SETTINGS + (-HALF_PI, 1.5 * math.pi):
+            self.assert_matches(a, points)
+
+    def test_magnitudes_up_to_1e15(self):
+        rng = np.random.default_rng(9)
+        magnitudes = 10.0 ** rng.uniform(-3.0, 15.0, 100_000)
+        points = np.concatenate((magnitudes, -magnitudes, [1e15, -1e15]))
+        for a in self.SETTINGS:
+            self.assert_matches(a, points)
+
+    def test_a_million_random_angles(self):
+        points = np.random.default_rng(10).uniform(-20.0, 20.0, 1_000_000)
+        for a in (0.0, 0.7, -3.0):
+            self.assert_matches(a, points)
+
+
 class TestIntersect:
     def test_quarter_overlap(self):
         # I(0) ∩ I(π/2) is the single arc [0, π/2).

@@ -127,9 +127,9 @@ class TestSimulate:
         emitted = []
         run_source = protocol.run_source
 
-        def counted_source(n, seed):
+        def counted_source(n, seed, start=0):
             emitted.append(n)
-            return run_source(n, seed)
+            return run_source(n, seed, start)
 
         monkeypatch.setattr(protocol, "run_source", counted_source)
         argv = ("simulate", "--pairs", "300", "--a", "0", "--b", "1.0", "--events-csv", str(tmp_path / "e.csv"))

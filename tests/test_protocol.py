@@ -1,10 +1,13 @@
 import csv
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lcsim import protocol
 from lcsim.circle import TWO_PI
 from lcsim.models import quadrant_table_analytic
 from lcsim.protocol import (
@@ -556,3 +559,91 @@ class TestEventLog:
         # The hidden column round-trips the emission configuration.
         tick, side, s_hidden, value = rows[1]
         assert float(s_hidden) == pytest.approx(emissions.s[int(tick) - cfg.offset])
+
+
+class TestEventLogDigits:
+    """The plain rows are built digit by digit in a uint8 buffer; every tick
+    width, a sign, and a side without detections give the reference bytes."""
+
+    @pytest.mark.parametrize(
+        "n, offset",
+        [
+            (101, 0),  # ticks 0, 9, 10, 99 and 100 in one block
+            (10, 10**18 - 5),  # 18 and 19 digits in one block
+            (10, MAX_TICK - 9),  # the last tick is MAX_TICK
+            (12, -5),  # negative ticks, down to -5
+            (10, -(2**63)),  # the int64 minimum, whose magnitude wraps to itself
+        ],
+        ids=["small-widths", "1e18", "max-tick", "negative", "int64-min"],
+    )
+    @pytest.mark.parametrize("debug_hidden", [False, True])
+    def test_bytes_match_reference_writer(self, tmp_path, n, offset, debug_hidden):
+        cfg = ExperimentConfig(n=n, a=0.4, b=2.2, offset=offset)
+        emissions, r1, r2 = run_trial(cfg)
+        empty = Detections(ticks=np.array([], dtype=np.int64), values=np.array([], dtype=np.int8))
+        for pair in ((r1, r2), (r1, empty), (empty, r2)):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write_event_log(got, cfg, emissions, *pair, debug_hidden)
+            reference_event_log(want, cfg, emissions, *pair, debug_hidden)
+            assert got.read_bytes() == want.read_bytes()
+        if offset == 0:
+            ticks = {int(row[0]) for row in csv.reader(got.read_text().splitlines()[1:])}
+            assert {0, 9, 10, 99, 100} <= ticks
+
+
+class TestStreaming:
+    """run_experiment runs blocks of EVENT_LOG_BLOCK pairs, so its memory
+    does not grow with the arrays of the whole run, and no block size
+    changes a byte of any output."""
+
+    N = 600  # a multiple of neither 4 (Philox draws per step) nor 7
+
+    @pytest.mark.parametrize("weight_side", [1, 2])
+    @pytest.mark.parametrize("mode", ["coincidence", "weighted", "standard"])
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, tmp_path, mode, weight_side):
+        cfg = ExperimentConfig(n=self.N, a=0.4, b=2.2, mode=mode, weight_side=weight_side, offset=7)
+        outputs = []
+        for block in (1, 7, 4096, self.N):
+            monkeypatch.setattr(protocol, "EVENT_LOG_BLOCK", block)
+            chsh = chsh_estimate(250, mode=mode, weight_side=weight_side, base_seed=3)
+            docs = [run_experiment(cfg).to_dict(), chsh["chsh"], [run.to_dict() for run in chsh["runs"]]]
+            emissions, r1, r2 = run_trial(cfg)
+            for debug_hidden in (False, True):
+                log = tmp_path / f"events-{block}-{debug_hidden}.csv"
+                write_event_log(log, cfg, emissions, r1, r2, debug_hidden)
+                docs.append(log.read_bytes().decode())
+            outputs.append(json.dumps(docs))
+        assert outputs[1:] == outputs[:1] * 3
+        assert json.loads(outputs[0])[0] == summarize(cfg, r1, r2).to_dict()
+
+    def test_source_blocks_are_slices_of_the_whole_stream(self):
+        whole = run_source(1000, seed=9)
+        for start in (1, 2, 3, 5, 6, 7, 258, 997):
+            k = min(37, 1000 - start)
+            part = run_source(k, 9, start)
+            assert part.ticks.tobytes() == whole.ticks[start : start + k].tobytes()
+            assert part.s.tobytes() == whole.s[start : start + k].tobytes()
+        with pytest.raises(ValueError, match="start"):
+            run_source(5, 9, -1)
+
+    def test_acceptance_station_draws_from_its_first_tick(self):
+        cfg = StationConfig(side=1, setting=0.3, mode="acceptance", seed=12)
+        whole = run_station(cfg, run_source(1000, seed=4))
+        part = run_station(cfg, run_source(333, 4, 301))
+        inside = (whole.ticks >= 302) & (whole.ticks < 635)
+        assert part.ticks.tobytes() == whole.ticks[inside].tobytes()
+        assert part.values.tobytes() == whole.values[inside].tobytes()
+
+    @pytest.mark.parametrize("mode", ["coincidence", "weighted", "standard"])
+    def test_peak_memory_at_a_million_pairs(self, mode):
+        # The whole-run arrays took 52 to 68 MB here; the blocks leave one
+        # product per pair (int8, or float64 when weighted) and the estimator's
+        # float64 deviations.
+        cfg = ExperimentConfig(n=1_000_000, a=0.3, b=2.0, mode=mode)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
