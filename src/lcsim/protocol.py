@@ -157,34 +157,68 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     weighted one with weight (π/2)|cos(s - setting)|. A kept emission
     records spin_values(side, setting, s) at tick + offset.
     """
-    values = spin_values(cfg.side, cfg.setting, emissions.s)
-    ticks = emissions.ticks + np.int64(cfg.offset)
+    offset = np.int64(cfg.offset)
     if cfg.mode == MODE_ALWAYS:
-        return Detections(ticks=ticks, values=values)
-    window = np.abs(np.cos(emissions.s - cfg.setting))
+        # Spins first: the ticks then reuse the memory of their float temporary.
+        values = spin_values(cfg.side, cfg.setting, emissions.s)
+        return Detections(ticks=emissions.ticks + offset, values=values)
+    # The window |cos(s - setting)|, computed in place in one phase buffer.
+    window = np.subtract(emissions.s, cfg.setting, dtype=float)
+    if not np.isfinite(window).all():  # checked first, so np.cos never warns
+        raise ValueError("angles must be finite")
+    np.abs(np.cos(window, out=window), out=window)
     if cfg.mode == MODE_WEIGHTED:
-        return Detections(ticks=ticks, values=values, weights=(math.pi / 2.0) * window)
+        window *= math.pi / 2.0
+        values = spin_values(cfg.side, cfg.setting, emissions.s)
+        return Detections(ticks=emissions.ticks + offset, values=values, weights=window)
     position = int(emissions.ticks[0]) if len(emissions) else 0
-    keep = _generator(cfg.seed, position).random(len(emissions)) < window
-    return Detections(ticks=ticks[keep], values=values[keep])
+    # Accept first, then evaluate spins and ticks for the kept emissions only.
+    kept = np.flatnonzero(_generator(cfg.seed, position).random(len(emissions)) < window)
+    return Detections(
+        ticks=emissions.ticks.take(kept) + offset,
+        values=spin_values(cfg.side, cfg.setting, emissions.s.take(kept)),
+    )
 
 
 def _check_tick_stream(d: Detections, name: str) -> None:
-    if d.ticks.size and not np.all(np.diff(d.ticks) > 0):
+    # Adjacent ticks are compared, not differenced: a difference can wrap in int64.
+    if not np.all(d.ticks[1:] > d.ticks[:-1]):
         raise ValueError(f"{name} ticks must be strictly increasing and unique")
+
+
+def _is_run(ticks: np.ndarray) -> bool:
+    """Whether a strictly increasing tick stream is one nonempty run of consecutive ticks."""
+    return ticks.size > 0 and int(ticks[-1]) - int(ticks[0]) == ticks.size - 1
+
+
+def _run_slice(ticks: np.ndarray, run: np.ndarray) -> tuple[slice, np.ndarray]:
+    """The slice of the strictly increasing `ticks` that lies inside the run
+    of consecutive ticks `run`, and the positions of those ticks in the run."""
+    inside = slice(np.searchsorted(ticks, run[0], side="left"), np.searchsorted(ticks, run[-1], side="right"))
+    return inside, ticks[inside] - run[0]
 
 
 def match_coincidences(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Timestamp-set intersection: (common ticks, side-1 values, side-2
-    values), in tick order.
+    values), in tick order, as new arrays.
 
     Both streams are strictly increasing, so the ticks each side shares with
-    the other come out in the same order on both sides. numpy's `isin` looks
-    them up in a table when the tick range is small and sorts otherwise, so
+    the other come out in the same order on both sides. When one side is a
+    run of consecutive ticks (the always-detecting side of every experiment
+    is), the shared ticks are one slice of the other side, found by binary
+    search, and their positions in the run are their offsets from its first
+    tick. Two streams with gaps fall back on numpy's `isin`, which looks the
+    ticks up in a table when the tick range is small and sorts otherwise, so
     sparse ticks up to MAX_TICK stay bounded in memory.
     """
     _check_tick_stream(r1, "side 1")
     _check_tick_stream(r2, "side 2")
+    if _is_run(r2.ticks):
+        inside, positions = _run_slice(r1.ticks, r2.ticks)
+        return r1.ticks[inside].copy(), r1.values[inside].copy(), r2.values.take(positions)
+    if _is_run(r1.ticks):
+        inside, positions = _run_slice(r2.ticks, r1.ticks)
+        return r2.ticks[inside].copy(), r1.values.take(positions), r2.values[inside].copy()
     k1 = np.isin(r1.ticks, r2.ticks)
     k2 = np.isin(r2.ticks, r1.ticks)
     return r1.ticks[k1], r1.values[k1], r2.values[k2]

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from lcsim import protocol
-from lcsim.circle import TWO_PI
+from lcsim.circle import TWO_PI, spin_values
 from lcsim.models import quadrant_table_analytic
 from lcsim.protocol import (
     EVENT_LOG_BLOCK,
     MAX_TICK,
     MODE_WEIGHTED,
+    STATION_MODES,
     CorrelationEstimate,
     Detections,
     Emissions,
@@ -34,15 +35,32 @@ from lcsim.protocol import (
 )
 
 N_MC = 100_000
+MIN_TICK = np.iinfo(np.int64).min
 
 
-# The earlier matcher, estimator and event-log writer, kept as the references
-# the numpy rewrites must match exactly.
+# The earlier matcher, station, estimator and event-log writer, kept as the
+# references the numpy rewrites must match exactly.
 
 
 def reference_match(r1, r2):
     common, i1, i2 = np.intersect1d(r1.ticks, r2.ticks, assume_unique=True, return_indices=True)
     return common, r1.values[i1], r2.values[i2]
+
+
+def reference_station(cfg, emissions):
+    """Evaluate every emission, then mask: one whole-stream Philox draw per
+    emission, from draw 0."""
+    values = spin_values(cfg.side, cfg.setting, emissions.s)
+    ticks = emissions.ticks + np.int64(cfg.offset)
+    if cfg.mode == "always-detect":
+        return Detections(ticks=ticks, values=values)
+    window = np.abs(np.cos(emissions.s - cfg.setting))
+    if cfg.mode == MODE_WEIGHTED:
+        return Detections(ticks=ticks, values=values, weights=(math.pi / 2.0) * window)
+    position = int(emissions.ticks[0]) if len(emissions) else 0
+    draws = np.random.Generator(np.random.Philox(cfg.seed)).random(position + len(emissions))[position:]
+    keep = draws < window
+    return Detections(ticks=ticks[keep], values=values[keep])
 
 
 def reference_estimate(products, kind):
@@ -155,6 +173,61 @@ class TestStation:
             StationConfig(side=1, setting=0.0, mode="weighted")
 
 
+class TestStationReference:
+    """Accepting first and evaluating only the kept emissions records
+    exactly what evaluating everything and masking records."""
+
+    def assert_matches_reference(self, cfg, emissions):
+        got, want = run_station(cfg, emissions), reference_station(cfg, emissions)
+        for name in ("ticks", "values", "weights"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+        return got
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("mode", STATION_MODES)
+    def test_bitwise_equal_to_evaluate_then_mask(self, mode, side):
+        for setting, start in ((0.3, 0), (2.9, 1), (-4.1, 65_539)):
+            cfg = StationConfig(side=side, setting=setting, mode=mode, seed=21, offset=7)
+            got = self.assert_matches_reference(cfg, run_source(5003, 5, start))
+            assert len(got) > 0
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("mode", STATION_MODES)
+    def test_bitwise_equal_when_nothing_is_kept(self, mode, side):
+        # |cos| at a right angle is 6e-17, so no uniform draw falls below it.
+        ticks = np.arange(4097, 6097, dtype=np.int64)
+        emissions = Emissions(ticks=ticks, s=np.full(ticks.size, 1.0 + math.pi / 2))
+        cfg = StationConfig(side=side, setting=1.0, mode=mode, seed=3, offset=7)
+        got = self.assert_matches_reference(cfg, emissions)
+        assert (len(got) == 0) == (mode == "acceptance")
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("mode", STATION_MODES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_raise_before_any_warning(self, mode, side, bad):
+        # pytest turns warnings into errors, so a RuntimeWarning from np.cos
+        # would fail this test instead of the ValueError.
+        e = run_source(300, seed=2, start=10)
+        for s_bad in (0, 150, 299):
+            s = e.s.copy()
+            s[s_bad] = bad
+            cfg = StationConfig(side=side, setting=0.4, mode=mode, seed=1, offset=7)
+            with pytest.raises(ValueError, match="finite"):
+                run_station(cfg, Emissions(ticks=e.ticks, s=s))
+        # A non-finite setting gives a NaN window, which would keep nothing.
+        with pytest.raises(ValueError, match="finite"):
+            run_station(StationConfig(side=side, setting=bad, mode=mode, seed=1, offset=7), e)
+        # Every emission at a right angle but one non-finite one: nothing is kept.
+        s = np.full(300, 0.4 + math.pi / 2)
+        s[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_station(StationConfig(side=side, setting=0.4, mode=mode, seed=1), Emissions(ticks=e.ticks, s=s))
+
+
 class TestMatcher:
     def make(self, ticks, values):
         return Detections(ticks=np.asarray(ticks, dtype=np.int64), values=np.asarray(values, dtype=np.int8))
@@ -179,6 +252,14 @@ class TestMatcher:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             match_coincidences(self.make([2, 1], [1, 1]), self.make([1], [1]))
+
+    @pytest.mark.parametrize("ticks", [[2, 2], [MAX_TICK, MIN_TICK], [0, MAX_TICK, MIN_TICK], [-1, MIN_TICK]])
+    def test_non_increasing_rejected_on_either_side(self, ticks):
+        # [MAX_TICK, MIN_TICK] has a difference that wraps to +1 in int64.
+        bad, good = self.make(ticks, [1] * len(ticks)), self.make([0], [1])
+        for r1, r2, side in ((bad, good, "side 1"), (good, bad, "side 2")):
+            with pytest.raises(ValueError, match=f"{side} ticks must be strictly increasing"):
+                match_coincidences(r1, r2)
 
 
 class TestMatcherReference:
@@ -219,13 +300,80 @@ class TestMatcherReference:
         self.assert_matches_reference([0, MAX_TICK], [0, MAX_TICK])
         self.assert_matches_reference([0, MAX_TICK - 1], [1, MAX_TICK])
 
-    def test_experiment_streams(self):
+    def test_spans_beyond_the_int64_range(self):
+        # Differences of these adjacent ticks wrap in int64; they are still
+        # strictly increasing.
+        self.assert_matches_reference([-5, MAX_TICK], [-5, MAX_TICK])
+        self.assert_matches_reference([-5, MAX_TICK], [MAX_TICK])
+        self.assert_matches_reference([MIN_TICK, MAX_TICK], [MIN_TICK, 0, MAX_TICK])
+        self.assert_matches_reference([MIN_TICK, -1, 1, MAX_TICK], [MIN_TICK, MIN_TICK + 1])
+
+    def assert_run_matches_reference(self, run, other):
+        """The run on either side, against the other stream."""
+        run = np.asarray(run, dtype=np.int64)
+        assert run.size and np.all(np.diff(run) == 1)
+        self.assert_matches_reference(run, other, seed=1)
+        self.assert_matches_reference(other, run, seed=2)
+
+    def test_run_against_every_overlap(self):
+        run = np.arange(100, 200)
+        for other in (
+            np.arange(120, 180, 3),  # inside the run
+            [100, 199],  # its two ends
+            np.arange(50, 260, 2),  # the run inside the other stream
+            [99, 100, 199, 200],
+            np.arange(150, 300, 2),  # partial overlaps
+            np.arange(0, 130, 4),
+            np.arange(150, 250),  # another run
+            run,
+            np.arange(80, 100),  # adjacent
+            np.arange(200, 220),
+            [99, 200],
+            np.arange(300, 400, 5),  # disjoint
+            np.arange(0, 50),
+            [],
+        ):
+            self.assert_run_matches_reference(run, other)
+
+    def test_single_tick_runs(self):
+        for other in ([5], [4, 5, 6, 8], [4, 6], [0, 5], [5, 9], [6], []):
+            self.assert_run_matches_reference([5], other)
+
+    def test_runs_at_the_ends_of_the_tick_range(self):
+        cases = (
+            (np.arange(-1000, -900), [-2000, -1000, -950, -901, -900, 5]),
+            (MIN_TICK + np.arange(50), [MIN_TICK, MIN_TICK + 10, MIN_TICK + 49, MIN_TICK + 50, 0, MAX_TICK]),
+            (MIN_TICK + np.arange(50), [MIN_TICK + 50, MAX_TICK]),
+            (MAX_TICK - np.arange(50)[::-1], [MIN_TICK, MAX_TICK - 60, MAX_TICK - 49, MAX_TICK - 10, MAX_TICK]),
+            (MAX_TICK - np.arange(50)[::-1], [MIN_TICK, MAX_TICK - 50]),
+            (MAX_TICK - np.arange(50)[::-1], MAX_TICK - np.arange(70)[::-1]),
+            ([MAX_TICK], [MIN_TICK, MAX_TICK]),
+            ([MIN_TICK], [MIN_TICK, MAX_TICK]),
+            (np.arange(-3, 4), [MIN_TICK, -3, 0, 3, MAX_TICK]),
+        )
+        for run, other in cases:
+            self.assert_run_matches_reference(run, other)
+
+    def test_results_are_new_arrays(self):
+        r1 = Detections(ticks=np.arange(10, dtype=np.int64), values=np.ones(10, dtype=np.int8))
+        r2 = Detections(ticks=np.arange(5, 15, dtype=np.int64), values=-np.ones(10, dtype=np.int8))
+        for a, b in ((r1, r2), (r2, r1)):
+            for out in match_coincidences(a, b):
+                for record in (a.ticks, a.values, b.ticks, b.values):
+                    assert not np.shares_memory(out, record)
+
+    def test_experiment_streams(self, monkeypatch):
         for mode in ("coincidence", "weighted", "standard"):
             for weight_side in (1, 2):
                 cfg = ExperimentConfig(n=20_000, a=0.3, b=2.0, mode=mode, weight_side=weight_side, offset=7)
                 _, r1, r2 = run_trial(cfg)
-                got = match_coincidences(r1, r2)
-                for g, w in zip(got, reference_match(r1, r2)):
+                want = reference_match(r1, r2)
+                # The always-detecting side is a run, so no table lookup runs.
+                with monkeypatch.context() as m:
+                    m.setattr(np, "isin", None)
+                    got = match_coincidences(r1, r2)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
                     assert g.tobytes() == w.tobytes()
 
 
