@@ -1,0 +1,105 @@
+"""Golden outputs of the protocol commands: one sha256 per in-process
+`lcsim` invocation, over its exit code, stdout, stderr and every file it
+writes, frozen in golden.json.
+
+Each invocation runs in a fresh directory with relative output paths, so the
+digests do not depend on where the suite runs. To rewrite golden.json after
+an intended change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+from pathlib import Path
+
+import pytest
+
+from lcsim.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+# Small runs, together well under a second: every experiment mode on both
+# weight sides with the full event log, settings outside [0, 2π), a run of
+# more than one block, the scan on both sides, the CHSH command and a refused
+# input.
+INVOCATIONS = [
+    *(
+        f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
+        f"--events-csv events.csv --debug-hidden --out summary.json"
+        for mode in ("coincidence", "weighted", "standard")
+        for side in (1, 2)
+    ),
+    "simulate --pairs 2000 --a 0.3 --b 2.2 --events-csv events.csv",
+    "simulate --pairs 2000 --a 40 --b -7 --weight-side 2 --events-csv events.csv",
+    "simulate --pairs 2000 --a 1000 --b 0.5 --mode weighted --events-csv events.csv --debug-hidden",
+    "simulate --pairs 70000 --a 1000 --b -7 --seed 9",
+    "simulate --pairs 10 --a nan --b 0",
+    *(f"scan --grid 4 --pairs 2000 --weight-side {side} --out scan.csv" for side in (1, 2)),
+    "scan --grid 4 --pairs 500 --seed 3",
+    "chsh --pairs 20000",
+]
+
+
+def run(argv: str, directory: Path) -> dict[str, bytes]:
+    """Exit code, stdout, stderr and each written file of `lcsim argv` run
+    in `directory`, which must be empty, by name."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(shlex.split(argv))
+    finally:
+        os.chdir(cwd)
+    parts = {"exit code": str(code).encode(), "stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
+    for path in sorted(directory.iterdir()):
+        parts[f"file {path.name}"] = path.read_bytes()
+    return parts
+
+
+def digest(parts: dict[str, bytes]) -> str:
+    """sha256 over the parts, each framed by its name and length."""
+    h = hashlib.sha256()
+    for name, data in parts.items():
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_invocation_has_a_digest(golden):
+    assert sorted(golden) == sorted(INVOCATIONS)
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS)
+def test_outputs_match_golden(argv, golden, tmp_path):
+    assert digest(run(argv, tmp_path)) == golden[argv], f"output of `lcsim {argv}` changed"
+
+
+def test_a_swapped_event_log_row_changes_the_digest(golden, tmp_path):
+    argv = INVOCATIONS[0]
+    parts = run(argv, tmp_path)
+    assert digest(parts) == golden[argv]
+    header, first, second, *rest = parts["file events.csv"].split(b"\r\n")
+    assert first != second
+    parts["file events.csv"] = b"\r\n".join([header, second, first, *rest])
+    assert digest(parts) != golden[argv]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    digests = {}
+    for argv in INVOCATIONS:
+        with tempfile.TemporaryDirectory() as directory:
+            digests[argv] = digest(run(argv, Path(directory)))
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
