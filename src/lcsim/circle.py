@@ -21,6 +21,11 @@ HALF_PI = 0.5 * math.pi
 # so no statistic can depend on this choice.
 BOUNDARY_EPS = 1e-12
 
+# spin_values reduces phases in (-2π, 4π) without np.fmod. Doubling is exact,
+# so this is the float 2π times two, the end of Sterbenz's range for t - 2π.
+# Settings and configurations in [0, 2π) put every phase inside it.
+SPIN_PHASE_BOUND = 2.0 * TWO_PI
+
 
 def normalize(x):
     """Canonical representative of x in [0, 2π): a float for a scalar, an
@@ -100,14 +105,22 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
     half-open: the left endpoint belongs to the arc, the right one does not.
     """
     sign, _ = on_side(side, 1, -1, "side")
+    if not math.isfinite(setting):  # checked first, so inf - inf never warns
+        raise ValueError("angles must be finite")
     # One float buffer: the phase past the left endpoint of I(setting).
     t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
-    if not np.isfinite(t).all():  # checked first, so np.fmod never warns
-        raise ValueError("angles must be finite")
     # np.mod's own arithmetic, without its division: fmod, then one period
     # added to a negative remainder. Only the sign of a zero can differ (-0.0
-    # stays), which no comparison below sees.
-    np.fmod(t, TWO_PI, out=t)
+    # stays), which no comparison below sees. On (-2π, 4π) fmod itself is not
+    # needed: it leaves t in (-2π, 2π) as it is, and for t in [2π, 4π) its
+    # remainder is t - 2π, which float subtraction gives exactly (Sterbenz:
+    # 2π <= t <= 2·2π). NaN fails both range tests.
+    if -TWO_PI < t.min(initial=0.0) and t.max(initial=0.0) < SPIN_PHASE_BOUND:
+        np.subtract(t, TWO_PI, out=t, where=t >= TWO_PI)
+    else:
+        if not np.isfinite(t).all():  # checked first, so np.fmod never warns
+            raise ValueError("angles must be finite")
+        np.fmod(t, TWO_PI, out=t)
     np.add(t, TWO_PI, out=t, where=t < 0.0)
     # Side 1 reads +1 for t in [0, π - BOUNDARY_EPS), and for t within
     # BOUNDARY_EPS below the period: a left-endpoint tie that rounding pushed there.

@@ -53,6 +53,19 @@ MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
 #: at a time: each block's arrays stay in cache, and memory stays bounded.
 EVENT_LOG_BLOCK = 65_536
 
+#: The acceptance rule decides u < |cos x| in float32 wherever the float32
+#: difference g of u and |cos x| exceeds ACCEPT_MARGIN; see _accepted. For
+#: |x| <= ACCEPT_PHASE_BOUND, the float32 |cos x| is within 2^-24·|x| <= 3.82e-6
+#: of the true one from rounding x to float32 (cos is 1-Lipschitz), plus a few
+#: float32 ulps of at most 2^-24 = 6e-8 each from np.cos; float64 np.cos is
+#: within 1.1e-16 of it. Rounding u to float32 moves it by at most 2^-25, and
+#: g, rounded once, keeps its sign and is within 2^-24·|g| of the exact float32
+#: difference. Together: below 4.2e-6, so where |g| > ACCEPT_MARGIN its sign is
+#: the float64 decision. About 2·ACCEPT_MARGIN of the uniform draws, 1.3 per
+#: 65,536, lie closer and are decided with float64 np.cos.
+ACCEPT_PHASE_BOUND = 64.0
+ACCEPT_MARGIN = 1e-5
+
 #: 10, 100, ..., 10**18: a tick magnitude has one digit more than the number
 #: of these it reaches.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
@@ -162,22 +175,50 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
         # Spins first: the ticks then reuse the memory of their float temporary.
         values = spin_values(cfg.side, cfg.setting, emissions.s)
         return Detections(ticks=emissions.ticks + offset, values=values)
-    # The window |cos(s - setting)|, computed in place in one phase buffer.
-    window = np.subtract(emissions.s, cfg.setting, dtype=float)
-    if not np.isfinite(window).all():  # checked first, so np.cos never warns
+    if not math.isfinite(cfg.setting):  # checked first, so inf - inf never warns
         raise ValueError("angles must be finite")
-    np.abs(np.cos(window, out=window), out=window)
+    phase = np.subtract(emissions.s, cfg.setting, dtype=float)
     if cfg.mode == MODE_WEIGHTED:
+        # The weight (π/2)|cos(s - setting)|, computed in place in the phase buffer.
+        _check_finite(phase)
+        window = np.abs(np.cos(phase, out=phase), out=phase)
         window *= math.pi / 2.0
         values = spin_values(cfg.side, cfg.setting, emissions.s)
         return Detections(ticks=emissions.ticks + offset, values=values, weights=window)
     position = int(emissions.ticks[0]) if len(emissions) else 0
     # Accept first, then evaluate spins and ticks for the kept emissions only.
-    kept = np.flatnonzero(_generator(cfg.seed, position).random(len(emissions)) < window)
+    kept = _accepted(_generator(cfg.seed, position).random(len(emissions)), phase)
     return Detections(
         ticks=emissions.ticks.take(kept) + offset,
         values=spin_values(cfg.side, cfg.setting, emissions.s.take(kept)),
     )
+
+
+def _check_finite(phase: np.ndarray) -> None:
+    if not np.isfinite(phase).all():  # checked first, so np.cos never warns
+        raise ValueError("angles must be finite")
+
+
+def _accepted(u: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Indices of the emissions kept by the draws u: where u < |cos(phase)|,
+    decided exactly as with float64 np.cos.
+
+    Only the decisions are kept, so where every |phase| <= ACCEPT_PHASE_BOUND
+    they are made in float32, where np.cos is over ten times cheaper, and
+    float64 np.cos is taken only where u lies within ACCEPT_MARGIN of |cos|.
+    Outside that bound, NaN and infinities included, every |cos| is float64.
+    """
+    if not (-ACCEPT_PHASE_BOUND <= phase.min(initial=0.0) and phase.max(initial=0.0) <= ACCEPT_PHASE_BOUND):
+        _check_finite(phase)
+        return np.flatnonzero(u < np.abs(np.cos(phase, out=phase), out=phase))
+    window = phase.astype(np.float32)
+    np.abs(np.cos(window, out=window), out=window)
+    gap = u.astype(np.float32)
+    gap -= window
+    kept = gap < 0.0
+    close = np.flatnonzero(np.abs(gap, out=gap) <= ACCEPT_MARGIN)
+    kept[close] = u[close] < np.abs(np.cos(phase[close]))
+    return np.flatnonzero(kept)
 
 
 def _check_tick_stream(d: Detections, name: str) -> None:

@@ -248,13 +248,15 @@ class TestSpinValuesReference:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_without_warning(self, bad):
+        # With both non-finite, s - setting can warn (inf - inf), so a
+        # non-finite setting is refused first, even with no configurations.
+        cases = [(0.0, [0.0, bad]), (bad, [0.0]), (bad, bad), (bad, [0.0, bad]), (bad, [math.inf]), (bad, [])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for side in (1, 2):
-                with pytest.raises(ValueError, match="finite"):
-                    spin_values(side, 0.0, [0.0, bad])
-                with pytest.raises(ValueError, match="finite"):
-                    spin_values(side, bad, [0.0])
+                for setting, s in cases:
+                    with pytest.raises(ValueError, match="finite"):
+                        spin_values(side, setting, s)
 
 
 def mod_spin_values(side: int, setting: float, s) -> np.ndarray:
@@ -298,6 +300,35 @@ class TestSpinKernelReference:
         points = np.concatenate((magnitudes, -magnitudes, [1e15, -1e15]))
         for a in self.SETTINGS:
             self.assert_matches(a, points)
+
+    def test_phase_range_edges(self):
+        # At setting π/2 the phase is s itself. Each point alone, in range
+        # (-2π, 4π) or not, decides the path of its block by itself.
+        edges = np.array([-TWO_PI, 0.0, TWO_PI, 2.0 * TWO_PI])
+        steps = [edges]
+        for _ in range(3):
+            steps = [np.nextafter(steps[0], -math.inf), *steps, np.nextafter(steps[-1], math.inf)]
+        points = np.concatenate(steps)
+        for a in (HALF_PI, *self.SETTINGS):
+            shifted = points + (a - HALF_PI)
+            self.assert_matches(a, shifted)
+            for x in shifted:
+                self.assert_matches(a, [x])
+
+    def test_blocks_mixing_in_and_out_of_range(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 1000)
+        for outside in (-TWO_PI, 2.0 * TWO_PI, -3.0 * math.pi, 5.0 * math.pi, 100.0, -1e6, 1e15):
+            for at in (0, 500, 999):
+                block = inside.copy()
+                block[at] = outside
+                self.assert_matches(HALF_PI, block)
+        self.assert_matches(HALF_PI, inside)
+        # Blocks in range never reach np.fmod.
+        monkeypatch.setattr(np, "fmod", None)
+        self.assert_matches(HALF_PI, inside)
+        for setting in (0.0, 3.0, np.nextafter(TWO_PI, 0.0)):
+            self.assert_matches(setting, rng.uniform(0.0, TWO_PI, 1000))
 
     def test_a_million_random_angles(self):
         points = np.random.default_rng(10).uniform(-20.0, 20.0, 1_000_000)

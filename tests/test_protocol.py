@@ -63,6 +63,36 @@ def reference_station(cfg, emissions):
     return Detections(ticks=ticks[keep], values=values[keep])
 
 
+def philox_draws(seed, start, n):
+    """Draws start..start+n-1 of Philox(seed): what a station draws for those ticks."""
+    return np.random.Generator(np.random.Philox(seed)).random(start + n)[start:]
+
+
+def on_the_draws(setting, u, reach=64):
+    """Configurations whose |cos(s - setting)| sits on the draws u.
+
+    For each draw, s starts at setting ± arccos(u) reduced to [0, 2π), the
+    sign alternating; of the floats within `reach` ulps of it, the one whose
+    |cos(s - setting)| is closest to u is kept and then moved by -3..3 ulps in
+    turn, so the window lies a few ulps of s above or below the draw, or on it.
+    """
+    sign = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)
+    s = np.mod(setting + sign * np.arccos(u), TWO_PI)
+    for _ in range(reach):
+        s = np.nextafter(s, -math.inf)
+    best, err = s, np.inf
+    for _ in range(2 * reach + 1):
+        closer = np.abs(np.abs(np.cos(s - setting)) - u) < err
+        best = np.where(closer, s, best)
+        err = np.where(closer, np.abs(np.abs(np.cos(s - setting)) - u), err)
+        s = np.nextafter(s, math.inf)
+    shift = (np.arange(u.size) // 2) % 7 - 3
+    for step in range(3):
+        best = np.where(shift > step, np.nextafter(best, math.inf), best)
+        best = np.where(-shift > step, np.nextafter(best, -math.inf), best)
+    return best
+
+
 def reference_estimate(products, kind):
     n = int(products.size)
     value = float(products.mean())
@@ -205,6 +235,32 @@ class TestStationReference:
         got = self.assert_matches_reference(cfg, emissions)
         assert (len(got) == 0) == (mode == "acceptance")
 
+    ADVERSARIAL_SETTINGS = (0.3, -4.1, 40.0, 1e3)  # |s - 1e3| > ACCEPT_PHASE_BOUND: the float64 path
+
+    def adversarial(self, setting, side, start=65_539, n=4200):
+        cfg = StationConfig(side=side, setting=setting, mode="acceptance", seed=21, offset=7)
+        u = philox_draws(cfg.seed, start, n)
+        ticks = np.arange(start, start + n, dtype=np.int64)
+        emissions = Emissions(ticks=ticks, s=on_the_draws(setting, u))
+        window = np.abs(np.cos(emissions.s - setting))
+        assert np.abs(window - u).max() < 1e-13  # far inside the float32 prefilter's error
+        assert 0 < np.count_nonzero(u < window) < n and np.any(u == window)
+        return cfg, emissions
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("setting", ADVERSARIAL_SETTINGS)
+    def test_acceptance_on_its_own_draws(self, setting, side):
+        self.assert_matches_reference(*self.adversarial(setting, side))
+
+    def test_acceptance_without_a_margin_decides_wrongly(self, monkeypatch):
+        # The mutant that trusts float32 |cos| everywhere: only the float64
+        # path, which never reads the margin, still matches.
+        monkeypatch.setattr(protocol, "ACCEPT_MARGIN", 0.0)
+        for setting in self.ADVERSARIAL_SETTINGS:
+            cfg, emissions = self.adversarial(setting, side=1)
+            got, want = run_station(cfg, emissions), reference_station(cfg, emissions)
+            assert np.array_equal(got.ticks, want.ticks) == (abs(setting) > protocol.ACCEPT_PHASE_BOUND)
+
     @pytest.mark.parametrize("side", [1, 2])
     @pytest.mark.parametrize("mode", STATION_MODES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -218,9 +274,15 @@ class TestStationReference:
             cfg = StationConfig(side=side, setting=0.4, mode=mode, seed=1, offset=7)
             with pytest.raises(ValueError, match="finite"):
                 run_station(cfg, Emissions(ticks=e.ticks, s=s))
-        # A non-finite setting gives a NaN window, which would keep nothing.
-        with pytest.raises(ValueError, match="finite"):
-            run_station(StationConfig(side=side, setting=bad, mode=mode, seed=1, offset=7), e)
+        # A non-finite setting gives a NaN window, which would keep nothing,
+        # and with a non-finite s too, s - setting can warn (inf - inf).
+        for s_bad in (None, math.nan, math.inf, -math.inf):
+            s = e.s.copy()
+            if s_bad is not None:
+                s[150] = s_bad
+            with pytest.raises(ValueError, match="finite"):
+                run_station(StationConfig(side=side, setting=bad, mode=mode, seed=1, offset=7),
+                            Emissions(ticks=e.ticks, s=s))
         # Every emission at a right angle but one non-finite one: nothing is kept.
         s = np.full(300, 0.4 + math.pi / 2)
         s[7] = bad
