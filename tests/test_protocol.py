@@ -82,9 +82,8 @@ def on_the_draws(setting, u, reach=64):
         s = np.nextafter(s, -math.inf)
     best, err = s, np.inf
     for _ in range(2 * reach + 1):
-        closer = np.abs(np.abs(np.cos(s - setting)) - u) < err
-        best = np.where(closer, s, best)
-        err = np.where(closer, np.abs(np.abs(np.cos(s - setting)) - u), err)
+        e = np.abs(np.abs(np.cos(s - setting)) - u)
+        best, err = np.where(e < err, s, best), np.minimum(e, err)
         s = np.nextafter(s, math.inf)
     shift = (np.arange(u.size) // 2) % 7 - 3
     for step in range(3):
