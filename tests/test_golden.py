@@ -24,9 +24,9 @@ from lcsim.cli import main
 GOLDEN = Path(__file__).with_name("golden.json")
 
 # Small runs, together well under a second: every experiment mode on both
-# weight sides with the full event log, settings outside [0, 2π), a run of
-# more than one block, the scan on both sides, the CHSH command and a refused
-# input.
+# weight sides with the full event log, settings outside [0, 2π), runs of
+# more than one block with and without their logs, a run without
+# coincidences, the scan on both sides, the CHSH command and a refused input.
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -38,6 +38,11 @@ INVOCATIONS = [
     "simulate --pairs 2000 --a 40 --b -7 --weight-side 2 --events-csv events.csv",
     "simulate --pairs 2000 --a 1000 --b 0.5 --mode weighted --events-csv events.csv --debug-hidden",
     "simulate --pairs 70000 --a 1000 --b -7 --seed 9",
+    "simulate --pairs 70000 --a 1000 --b -7 --seed 9 --events-csv events.csv",
+    "simulate --pairs 70000 --a 0.3 --b 2.2 --mode weighted --weight-side 2 --offset 5 "
+    "--events-csv events.csv --debug-hidden",
+    # A quarter turn from seed 101's hidden angle: no coincidence, exit 4, a two-row log.
+    "simulate --pairs 1 --a 2.1129123801808496 --b 0 --events-csv events.csv",
     "simulate --pairs 10 --a nan --b 0",
     *(f"scan --grid 4 --pairs 2000 --weight-side {side} --out scan.csv" for side in (1, 2)),
     "scan --grid 4 --pairs 500 --seed 3",
