@@ -184,13 +184,7 @@ def cmd_simulate(args) -> int:
         station1_seed=st1_seed,
         station2_seed=st2_seed,
     )
-    if args.events_csv:
-        # The one path that holds the whole run: the log is sorted over all of it.
-        emissions, r1, r2 = protocol.run_trial(cfg)
-        protocol.write_event_log(args.events_csv, cfg, emissions, r1, r2, args.debug_hidden)
-        summary = protocol.summarize(cfg, r1, r2)
-    else:
-        summary = protocol.run_experiment(cfg)
+    summary = protocol.run_experiment(cfg, args.events_csv, args.debug_hidden)
     _emit_json(summary.to_dict(), args.out)
     return EXIT_OK
 

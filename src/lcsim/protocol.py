@@ -10,6 +10,9 @@ block size or thread layout cannot change a byte of the output. Each actor
 owns an independent counter-based generator (Philox), which makes whole runs
 replayable and lets locality be audited bit for bit.
 
+A run streams through every stage, the per-event log included, in blocks
+of EVENT_LOG_BLOCK pairs, so its memory stays bounded for any pair count.
+
 Detection is encoded by presence of the timestamp: an emission whose local
 configuration leaves the detection window simply produces no record. With
 acceptance probability |cos(s - setting)| on exactly one side, conditioning
@@ -49,8 +52,8 @@ EXPERIMENT_MODES = tuple(WEIGHTED_STATION_MODE)
 
 MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
 
-#: Pairs per block of a run, and rows of the event log formatted and written
-#: at a time: each block's arrays stay in cache, and memory stays bounded.
+#: Pairs per block of a run, whose event-log rows are formatted and written
+#: together: each block's arrays stay in cache, and memory stays bounded.
 EVENT_LOG_BLOCK = 65_536
 
 #: The acceptance rule decides u < |cos x| in float32 wherever the float32
@@ -405,25 +408,17 @@ def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]
     return trial
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Full protocol: source, stations, matcher and estimator products,
-    block by block in blocks of EVENT_LOG_BLOCK pairs, then the estimate."""
-    return _summary(cfg, ((r1, r2) for _, r1, r2 in _trial_blocks(cfg, EVENT_LOG_BLOCK)))
-
-
-def summarize(cfg: ExperimentConfig, r1: Detections, r2: Detections) -> ExperimentSummary:
-    """Matcher and estimator over the two stations' records of a whole trial."""
-    return _summary(cfg, [(r1, r2)])
-
-
-def _summary(cfg: ExperimentConfig, records) -> ExperimentSummary:
-    """Matcher and estimator over the stations' records of one run, given as
-    (side 1, side 2) blocks. Each block passes every check of the estimator
-    and puts its products into one buffer; the estimate is taken once over
-    that buffer, so it does not depend on the blocks."""
+def run_experiment(cfg: ExperimentConfig, events_csv=None, debug_hidden: bool = False) -> ExperimentSummary:
+    """Full protocol, block by block in blocks of EVENT_LOG_BLOCK pairs:
+    source, stations, the event log when `events_csv` is a path (see
+    write_event_log), matcher and estimator products; then the estimate,
+    taken once over the products of all blocks, so it does not depend on
+    them. An estimate without coincidences is refused after the full log."""
     products = np.empty(cfg.n, dtype=np.float64 if cfg.mode == KIND_WEIGHTED else np.int8)
     filled = detections1 = detections2 = coincidences = 0
-    for r1, r2 in records:
+    for emissions, r1, r2 in _trial_blocks(cfg, EVENT_LOG_BLOCK):
+        if events_csv is not None:
+            write_event_log(events_csv, cfg, emissions, r1, r2, debug_hidden)
         _, f1, f2 = match_coincidences(r1, r2)
         if cfg.mode == KIND_COINCIDENCE:
             block = _coincidence_products(f1, f2)
@@ -505,26 +500,27 @@ def write_event_log(
     r2: Detections,
     debug_hidden: bool = False,
 ) -> None:
-    """Per-event CSV, rows sorted by (tick, side), formatted and written
-    EVENT_LOG_BLOCK rows at a time.
+    """Per-event CSV of one run block's records, rows sorted by (tick, side).
 
-    The hidden configuration column is written only under debug_hidden;
-    honest stations never expose it after emission.
+    Records whose emissions start at pair 0 create the file and its header;
+    a later block's records are appended. Every tick of a block precedes
+    every tick of the next, so a run's blocks written in order give the
+    whole run's log. The hidden configuration column is written only under
+    debug_hidden; honest stations never expose it after emission.
     """
     ticks = np.concatenate((r1.ticks, r2.ticks))
     values = np.concatenate((r1.values, r2.values))
     if not np.all(np.abs(values) == 1):
         raise ValueError("event log values must be ±1")
     order = np.argsort(ticks, kind="stable")  # side 1 first on equal ticks
-    with open(path, "wb") as fh:
-        fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")
-        for start in range(0, order.size, EVENT_LOG_BLOCK):
-            rows = order[start : start + EVENT_LOG_BLOCK]
-            t, v, side2 = ticks[rows], values[rows], rows >= len(r1)
-            if debug_hidden:
-                s_hidden = emissions.s[t - cfg.offset]
-                lines = map("{},{},{:.17g},{}\r\n".format, t.tolist(), (side2 + 1).tolist(), s_hidden.tolist(),
-                            v.tolist())
-                fh.write("".join(lines).encode())
-            else:
-                fh.write(_plain_rows(t, side2, v))
+    t, v, side2 = ticks[order], values[order], order >= len(r1)
+    first = int(emissions.ticks[0])
+    with open(path, "ab" if first else "wb") as fh:
+        if not first:
+            fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")
+        if debug_hidden:
+            s_hidden = emissions.s[t - cfg.offset - first]
+            lines = map("{},{},{:.17g},{}\r\n".format, t.tolist(), (side2 + 1).tolist(), s_hidden.tolist(), v.tolist())
+            fh.write("".join(lines).encode())
+        else:
+            fh.write(_plain_rows(t, side2, v))

@@ -42,6 +42,10 @@ CONDITION_TOL = 1e-9
 #: Angles on which the necessary conditions find each profile's peak.
 CONDITION_GRID = 512
 
+#: Largest setting grid of the reproduction scan. Its lattice holds about
+#: 133 bytes per setting, so this grid takes about 560 MB.
+MAX_GRID = 2048
+
 NECESSITY_NOTE = (
     "necessary conditions are evaluated independently of reproduction; "
     "passing them does not imply the quadrant statistics are reproduced"
@@ -229,6 +233,8 @@ def verify_reproduction(
     on_side(weight_side, None, None)  # a bad side fails before any quadrature
     if grid < 8:
         raise ValueError(f"setting grid needs at least 8 points per axis, got {grid!r}")
+    if grid > MAX_GRID:
+        raise ValueError(f"setting grid takes at most {MAX_GRID} points per axis, got {grid!r}")
     mass = float(unit_mass_table(m, 0.0, 0.0).sum())
 
     settings = TWO_PI * np.arange(grid) / grid

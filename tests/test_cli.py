@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcsim import lcmeasure, protocol
+from lcsim import lcmeasure, models, protocol, uniqueness
 from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, build_parser, main
 from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
@@ -150,6 +150,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, *argv, *(["--events-csv", str(log)] if events else []))
         assert code == EXIT_VALIDATION
         assert "int64" in err
+        assert not log.exists()
+
+    def test_refused_setting_writes_no_event_log(self, capsys, tmp_path):
+        log = tmp_path / "e.csv"
+        code, _, err = run_cli(capsys, "simulate", "--pairs", "10", "--a", "nan", "--b", "0", "--events-csv", str(log))
+        assert code == EXIT_VALIDATION
+        assert "finite" in err
         assert not log.exists()
 
     def test_zero_coincidences_exit_code(self, capsys):
@@ -304,6 +311,16 @@ class TestUniqueness:
         assert "FAILS" not in err
         want = verify_reproduction(CandidateModel.one_sided("abs-cos", 2), grid=8, weight_side=2, reconstruct=False)
         assert doc == json.loads(json.dumps(want.to_dict()))
+
+    def test_grid_above_the_limit_exits_before_quadrature(self, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(models, "quadrant_table_quadrature", no_quadrature)
+        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", no_quadrature)
+        code, out, err = run_cli(capsys, "uniqueness", "--builtin", "abs-cos", "--grid", "2049")
+        assert code == EXIT_VALIDATION
+        assert out == "" and "at most 2048" in err
 
     def test_model_file(self, capsys, tmp_path):
         path = tmp_path / "model.json"

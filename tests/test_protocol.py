@@ -2,12 +2,16 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lcsim import protocol
+from lcsim import cli, protocol
 from lcsim.circle import TWO_PI, spin_values
 from lcsim.models import quadrant_table_analytic
 from lcsim.protocol import (
@@ -30,7 +34,6 @@ from lcsim.protocol import (
     run_source,
     run_station,
     run_trial,
-    summarize,
     write_event_log,
 )
 
@@ -114,6 +117,16 @@ def reference_event_log(path, cfg, emissions, r1, r2, debug_hidden=False):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def peak_rss_mb(argv) -> float:
+    """Peak resident memory of a child process that runs `lcsim argv`: its
+    VmHWM, since ru_maxrss keeps the resident memory of the forking parent."""
+    code = "import sys; from lcsim import cli; cli.main(sys.argv[1:]); " \
+           "print(*[line for line in open('/proc/self/status') if line.startswith('VmHWM')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    return int(run.stdout.split()[-2]) / 1024  # "VmHWM: <kB> kB"
 
 
 def increasing_ticks(rng, size, high):
@@ -616,12 +629,6 @@ class TestExperiment:
         assert np.array_equal(r2.ticks, np.arange(7, 12))  # side 2 detects every pair
         write_event_log(tmp_path / "events.csv", cfg, emissions, r1, r2, debug_hidden=True)
 
-    def test_summarize_is_the_rest_of_run_experiment(self):
-        for mode in ("coincidence", "weighted", "standard"):
-            cfg = ExperimentConfig(n=5_000, a=0.2, b=1.9, mode=mode)
-            _, r1, r2 = run_trial(cfg)
-            assert summarize(cfg, r1, r2) == run_experiment(cfg)
-
     @pytest.mark.parametrize(
         "mode,target",
         [
@@ -713,7 +720,7 @@ class TestEventLog:
             ({"weight_side": 2}, True),
             ({"offset": 7}, True),
             ({"offset": 7}, False),
-            # More rows than one block, and (weighted: 2n rows) an exact multiple of it.
+            # The records of two run blocks at once; weighted, 2n rows.
             ({"n": 2 * EVENT_LOG_BLOCK}, False),
             ({"n": 2 * EVENT_LOG_BLOCK, "mode": "weighted", "offset": 7}, True),
         ],
@@ -816,14 +823,31 @@ class TestStreaming:
             monkeypatch.setattr(protocol, "EVENT_LOG_BLOCK", block)
             chsh = chsh_estimate(250, mode=mode, weight_side=weight_side, base_seed=3)
             docs = [run_experiment(cfg).to_dict(), chsh["chsh"], [run.to_dict() for run in chsh["runs"]]]
-            emissions, r1, r2 = run_trial(cfg)
             for debug_hidden in (False, True):
                 log = tmp_path / f"events-{block}-{debug_hidden}.csv"
-                write_event_log(log, cfg, emissions, r1, r2, debug_hidden)
+                assert run_experiment(cfg, events_csv=log, debug_hidden=debug_hidden).to_dict() == docs[0]
                 docs.append(log.read_bytes().decode())
             outputs.append(json.dumps(docs))
         assert outputs[1:] == outputs[:1] * 3
-        assert json.loads(outputs[0])[0] == summarize(cfg, r1, r2).to_dict()
+        # The streamed logs are the whole-run records' logs.
+        emissions, r1, r2 = run_trial(cfg)
+        for debug_hidden in (False, True):
+            whole = tmp_path / f"whole-{debug_hidden}.csv"
+            write_event_log(whole, cfg, emissions, r1, r2, debug_hidden)
+            assert whole.read_bytes() == (tmp_path / f"events-1-{debug_hidden}.csv").read_bytes()
+
+    @pytest.mark.parametrize("debug_hidden", [False, True])
+    def test_event_log_blocks_join_into_the_whole_run_log(self, tmp_path, debug_hidden):
+        cfg = ExperimentConfig(n=self.N, a=0.4, b=2.2, mode="weighted", weight_side=2, offset=7)
+        st1, st2 = cfg.station_configs()
+        blocks, whole = tmp_path / "blocks.csv", tmp_path / "whole.csv"
+        blocks.write_bytes(b"stale rows that the first block must replace\r\n" * 3)
+        for start in range(0, self.N, 37):
+            emissions = run_source(min(37, self.N - start), cfg.source_seed, start)
+            write_event_log(blocks, cfg, emissions, run_station(st1, emissions), run_station(st2, emissions),
+                            debug_hidden)
+        write_event_log(whole, cfg, *run_trial(cfg), debug_hidden)
+        assert blocks.read_bytes() == whole.read_bytes()
 
     def test_source_blocks_are_slices_of_the_whole_stream(self):
         whole = run_source(1000, seed=9)
@@ -856,3 +880,23 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak <= 20e6
+
+    def test_peak_memory_of_a_logged_million_pair_run(self, tmp_path):
+        # The log is written block by block too: the whole-run log took 65 MB here.
+        argv = ["simulate", "--pairs", "1000000", "--a", "0.3", "--b", "2.2", "--events-csv", str(tmp_path / "e.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+
+    def test_peak_rss_of_a_million_pair_hidden_column_log(self, tmp_path):
+        # tracemalloc would trace each of the millions of objects that format
+        # the hidden column and take half a minute, so this compares the peak
+        # resident memory of child processes instead. A block's formatting
+        # took 24 MB over the run without a log; the whole-run log took 64 MB.
+        argv = ["simulate", "--pairs", "1000000", "--a", "0.3", "--b", "2.2"]
+        logged = argv + ["--events-csv", str(tmp_path / "e.csv"), "--debug-hidden"]
+        assert peak_rss_mb(logged) <= peak_rss_mb(argv) + 40

@@ -27,6 +27,7 @@ ALLOWED = {
     "lcmeasure.LocalMarkovOperator.is_stochastic": "oracle for the random stochastic operators",
     "lcmeasure.LocalMarkovOperator.is_permutation": "oracle for the random permutation operators",
     "models.save_model": "the documented model-file writer",
+    "protocol.run_trial": "whole-run records that the streamed run is compared against in tests",
 }
 
 
