@@ -41,7 +41,7 @@ INVOCATIONS = [
     "simulate --pairs 70000 --a 1000 --b -7 --seed 9 --events-csv events.csv",
     "simulate --pairs 70000 --a 0.3 --b 2.2 --mode weighted --weight-side 2 --offset 5 "
     "--events-csv events.csv --debug-hidden",
-    # A quarter turn from seed 101's hidden angle: no coincidence, exit 4, a two-row log.
+    # A quarter turn from seed 101's hidden angle: no coincidence, exit 4, a header and one row.
     "simulate --pairs 1 --a 2.1129123801808496 --b 0 --events-csv events.csv",
     "simulate --pairs 10 --a nan --b 0",
     *(f"scan --grid 4 --pairs 2000 --weight-side {side} --out scan.csv" for side in (1, 2)),

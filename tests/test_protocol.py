@@ -842,8 +842,9 @@ class TestStreaming:
         st1, st2 = cfg.station_configs()
         blocks, whole = tmp_path / "blocks.csv", tmp_path / "whole.csv"
         blocks.write_bytes(b"stale rows that the first block must replace\r\n" * 3)
-        for start in range(0, self.N, 37):
-            emissions = run_source(min(37, self.N - start), cfg.source_seed, start)
+        bounds = (0, 1, 5, 64, 300, 301, self.N)  # blocks of unequal sizes
+        for start, stop in zip(bounds, bounds[1:]):
+            emissions = run_source(stop - start, cfg.source_seed, start)
             write_event_log(blocks, cfg, emissions, run_station(st1, emissions), run_station(st2, emissions),
                             debug_hidden)
         write_event_log(whole, cfg, *run_trial(cfg), debug_hidden)
