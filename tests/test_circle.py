@@ -335,6 +335,58 @@ class TestSpinKernelReference:
         for a in (0.0, 0.7, -3.0):
             self.assert_matches(a, points)
 
+    def test_64_ulps_around_every_flip_of_random_settings(self):
+        settings = np.random.default_rng(12).uniform(-TWO_PI, 2.0 * TWO_PI, 1000)
+        flips = reference_flips(settings)
+        probes = float_of(flips[:, :, None] + np.arange(-64, 65))
+        for a, around in zip(settings.tolist(), probes):
+            self.assert_matches(a, around.ravel())  # one block over all six flips
+        for a, around in zip(settings[:100].tolist(), probes):
+            for block in around:  # one block per flip
+                self.assert_matches(a, block)
+
+    def test_zero_subnormal_and_just_below_the_period(self):
+        points = [0.0, 5e-324, np.nextafter(TWO_PI, 0.0)]
+        settings = np.random.default_rng(13).uniform(-TWO_PI, 2.0 * TWO_PI, 1000)
+        for a in (*self.SETTINGS, -HALF_PI, *settings.tolist()):
+            self.assert_matches(a, points)
+            for x in points:
+                self.assert_matches(a, [x])
+
+
+def key_of(x) -> np.ndarray:
+    """int64 keys in the order of the float64s x, -0.0 just below 0.0:
+    consecutive floats have consecutive keys."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, -1 - (bits & np.iinfo(np.int64).max), bits)
+
+
+def float_of(keys) -> np.ndarray:
+    """The float64s of int64 keys; the inverse of key_of."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return np.where(keys < 0, (-1 - keys) | np.iinfo(np.int64).min, keys).view(np.float64)
+
+
+def reference_flips(settings: np.ndarray) -> np.ndarray:
+    """Keys of the floats s where mod_spin_values flips, six per setting,
+    found by bisection on mod_spin_values' own rule: one flip lies within
+    1e-13 of each of a - π/2 + k·π - BOUNDARY_EPS, k = -2..3."""
+    c = settings[:, None] - HALF_PI
+
+    def plus(keys):
+        t = np.mod(float_of(keys) - c, TWO_PI)
+        return (t < math.pi - BOUNDARY_EPS) | (t >= TWO_PI - BOUNDARY_EPS)
+
+    near = c + (np.arange(-2, 4) * math.pi - BOUNDARY_EPS)
+    lo, hi = key_of(near - 1e-13), key_of(near + 1e-13)
+    before = plus(lo)
+    assert (plus(hi) != before).all()
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        flipped = plus(mid) != before
+        hi, lo = np.where(flipped, mid, hi), np.where(flipped, lo, mid)
+    return hi
+
 
 class TestIntersect:
     def test_quarter_overlap(self):

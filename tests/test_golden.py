@@ -24,7 +24,8 @@ from lcsim.cli import main
 GOLDEN = Path(__file__).with_name("golden.json")
 
 # Small runs, together well under a second: every experiment mode on both
-# weight sides with the full event log, settings outside [0, 2π), runs of
+# weight sides with the full event log, settings outside [0, 2π) and on the
+# edges of the spin kernel's phase range, runs of
 # more than one block with and without their logs, a run without
 # coincidences, the scan on both sides, the CHSH command and a refused input.
 INVOCATIONS = [
@@ -41,6 +42,14 @@ INVOCATIONS = [
     "simulate --pairs 70000 --a 1000 --b -7 --seed 9 --events-csv events.csv",
     "simulate --pairs 70000 --a 0.3 --b 2.2 --mode weighted --weight-side 2 --offset 5 "
     "--events-csv events.csv --debug-hidden",
+    # Settings whose spin breakpoints sit on the edges of the phase range:
+    # a = π/2 makes the phase s itself, b = 3π/2 puts it at s - π, and the
+    # last setting is the float just below 2π.
+    *(
+        f"simulate --pairs 3001 --a 1.5707963267948966 --b 4.71238898038469 --mode {mode} --events-csv events.csv"
+        for mode in ("coincidence", "weighted", "standard")
+    ),
+    "simulate --pairs 3001 --a 6.283185307179585 --b 0.3 --weight-side 2 --events-csv events.csv --debug-hidden",
     # A quarter turn from seed 101's hidden angle: no coincidence, exit 4, a header and one row.
     "simulate --pairs 1 --a 2.1129123801808496 --b 0 --events-csv events.csv",
     "simulate --pairs 10 --a nan --b 0",
