@@ -5,12 +5,23 @@ either to the canonical representative in [0, 2π). Detection arcs come in two
 families, I(a) = [a - π/2, a + π/2) and J(a) = [a + π/2, a + 3π/2), which
 partition the circle for every setting a and satisfy I(a + π) = J(a);
 :func:`spin_values` reads +1 on I and -1 on J, vectorized over configurations.
+
+Because float subtraction rounds monotonically, the computed phase s - c
+never decreases as s grows, so on a block of nearby configurations the spin
+rule is a step function of s itself. spin_values classifies such a block by
+comparing s with at most a few per-setting breakpoints, each the least float
+past one of the rule's six phase flips (PHASE_FLIPS). They are found once by
+an exact search over the float64 bit patterns and kept in a bounded cache
+per (flip, setting), so the output is the rule's, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,9 +32,10 @@ HALF_PI = 0.5 * math.pi
 # so no statistic can depend on this choice.
 BOUNDARY_EPS = 1e-12
 
-# spin_values reduces phases in (-2π, 4π) without np.fmod. Doubling is exact,
-# so this is the float 2π times two, the end of Sterbenz's range for t - 2π.
-# Settings and configurations in [0, 2π) put every phase inside it.
+# spin_values classifies blocks whose phases lie in (-2π, 4π) by breakpoints,
+# without np.fmod. Doubling is exact, so this is the float 2π times two, the
+# end of Sterbenz's range for t - 2π. Settings and configurations in [0, 2π)
+# put every phase inside it.
 SPIN_PHASE_BOUND = 2.0 * TWO_PI
 
 
@@ -97,36 +109,133 @@ def arc_intersect(x: Arc, y: Arc) -> list[Arc]:
     return [Arc(start, length) for start, length in pieces]
 
 
+# Side 1 reads +1 on phases in [0, _MINUS_FROM) and [_PLUS_FROM, 2π): a
+# left-endpoint tie that rounding pushed just below the period counts as 0.
+_MINUS_FROM = math.pi - BOUNDARY_EPS
+_PLUS_FROM = TWO_PI - BOUNDARY_EPS
+
+#: Bound on the (flip, c) pairs whose breakpoint spin_values keeps; a run
+#: needs at most six per setting.
+SPIN_BREAKPOINT_CACHE = 4096
+
+
+def _plus_at(t: float) -> bool:
+    """Whether side 1 reads +1 at one phase t in (-2π, 2·2π), reduced to
+    [0, 2π) as np.mod reduces it there: t - 2π is exact from 2π on
+    (Sterbenz), and a negative phase gains one period."""
+    if t >= TWO_PI:
+        t -= TWO_PI
+    if t < 0.0:
+        t += TWO_PI
+    return t < _MINUS_FROM or t >= _PLUS_FROM
+
+
+def _key(x: float) -> int:
+    """An integer key in float order; consecutive floats have consecutive
+    keys, and -0.0 sits just below 0.0."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -1 - (bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float(key: int) -> float:
+    """The float of a key; the inverse of _key."""
+    (x,) = struct.unpack("<d", struct.pack("<q", key if key >= 0 else -1 - key))
+    return x if key >= 0 else -x
+
+
+_KEY_RANGE = (_key(-math.inf), _key(math.inf))
+
+
+def _least(holds, guess: float) -> float:
+    """The least float x with holds(x), for a predicate that is false below
+    some float and true from it on, at least between -inf and inf: galloping
+    from `guess` over the float keys to a bracket, then bisection."""
+    lo = hi = _key(guess)
+    step = 1
+    while holds(_float(lo)):
+        hi, lo, step = lo, max(lo - step, _KEY_RANGE[0]), 2 * step
+    while not holds(_float(hi)):
+        lo, hi, step = hi, min(hi + step, _KEY_RANGE[1]), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(_float(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return _float(hi)
+
+
+#: The phases in (-2π, 2·2π) where the spin rule flips, in increasing order,
+#: starting from +1 just above -2π: where t + 2π reaches π - BOUNDARY_EPS and
+#: 2π - BOUNDARY_EPS, where t does, and where t - 2π does. Each is the least
+#: float phase at which _plus_at takes its new value, searched from a float
+#: within a few ulps of it.
+PHASE_FLIPS = tuple(
+    _least(lambda t, plus=bool(k % 2): _plus_at(t) is plus, start + edge)
+    for k, (start, edge) in enumerate(itertools.product((-TWO_PI, 0.0, TWO_PI), (_MINUS_FROM, _PLUS_FROM)))
+)
+
+
+@lru_cache(maxsize=SPIN_BREAKPOINT_CACHE)
+def _breakpoint(flip: float, c: float) -> float:
+    """The least float s whose phase s - c, as float subtraction rounds it,
+    reaches `flip`. Near s = 0 floats are much denser than near c, so this
+    can lie some 10**12 floats away from flip + c, the start of the search."""
+    return _least(lambda s: s - c >= flip, flip + c)
+
+
 def spin_values(side: int, setting: float, s) -> np.ndarray:
     """±1 spin outcomes at configurations s, as an int8 array.
 
     Side 1 reads +1 on I(setting) and -1 on J(setting); side 2 uses the
     opposite signs, so equal settings are perfectly anti-correlated. Arcs are
     half-open: the left endpoint belongs to the arc, the right one does not.
+
+    The rule reads the phase t = s - c past the left endpoint c = setting - π/2
+    of I(setting), reduced to [0, 2π): +1 below π - BOUNDARY_EPS and from
+    2π - BOUNDARY_EPS on. Float subtraction rounds monotonically, so t, as
+    computed, never decreases as s grows. Where every phase of a block lies
+    in (-2π, 2·2π), the rule is a step function of t that flips at the six
+    fixed floats PHASE_FLIPS, so its value at s is its parity of breakpoints
+    passed: the breakpoint of a flip T is the least float s whose computed
+    phase reaches T (_breakpoint, cached per flip and c). Applied to the
+    block's least and greatest s, the same monotonicity gives the block's
+    phase range; it decides the path and which flips lie inside the block,
+    at most three for configurations in [0, 2π), each one comparison per
+    element. Other blocks, NaN and infinities included, reduce every phase
+    with np.fmod.
     """
     sign, _ = on_side(side, 1, -1, "side")
     if not math.isfinite(setting):  # checked first, so inf - inf never warns
         raise ValueError("angles must be finite")
-    # One float buffer: the phase past the left endpoint of I(setting).
-    t = np.asarray(np.subtract(s, setting - HALF_PI, dtype=float))
-    # np.mod's own arithmetic, without its division: fmod, then one period
-    # added to a negative remainder. Only the sign of a zero can differ (-0.0
-    # stays), which no comparison below sees. On (-2π, 4π) fmod itself is not
-    # needed: it leaves t in (-2π, 2π) as it is, and for t in [2π, 4π) its
-    # remainder is t - 2π, which float subtraction gives exactly (Sterbenz:
-    # 2π <= t <= 2·2π). NaN fails both range tests.
-    if -TWO_PI < t.min(initial=0.0) and t.max(initial=0.0) < SPIN_PHASE_BOUND:
-        np.subtract(t, TWO_PI, out=t, where=t >= TWO_PI)
+    c = float(setting - HALF_PI)
+    s = np.asarray(s, dtype=float)
+    # The least and greatest phase of the block; NaN fails both range tests.
+    lo = float(s.min(initial=math.inf)) - c
+    hi = float(s.max(initial=-math.inf)) - c
+    if -TWO_PI < lo and hi < SPIN_PHASE_BOUND:
+        # flag marks the values past an odd number of the flips inside the
+        # block; every value is past the flips below it. Side 1 reads +1
+        # past an even number in all.
+        flag = np.zeros(s.shape, dtype=bool)
+        passed = np.empty(s.shape, dtype=bool)
+        for flip in PHASE_FLIPS:
+            if lo < flip <= hi:
+                flag ^= np.greater_equal(s, _breakpoint(flip, c), out=passed)
+        if sum(flip <= lo for flip in PHASE_FLIPS) % 2 == 0:
+            sign = -sign
     else:
+        t = np.asarray(np.subtract(s, c))
         if not np.isfinite(t).all():  # checked first, so np.fmod never warns
             raise ValueError("angles must be finite")
+        # np.mod's own arithmetic, without its division: fmod, then one
+        # period added to a negative remainder. Only the sign of a zero can
+        # differ (-0.0 stays), which no comparison below sees.
         np.fmod(t, TWO_PI, out=t)
-    np.add(t, TWO_PI, out=t, where=t < 0.0)
-    # Side 1 reads +1 for t in [0, π - BOUNDARY_EPS), and for t within
-    # BOUNDARY_EPS below the period: a left-endpoint tie that rounding pushed there.
-    plus = np.less(t, math.pi - BOUNDARY_EPS, out=np.empty(t.shape, dtype=bool))
-    plus |= t >= TWO_PI - BOUNDARY_EPS
-    values = plus.view(np.int8)  # 1 where plus, else 0; becomes ±1 in place
+        np.add(t, TWO_PI, out=t, where=t < 0.0)
+        flag = np.less(t, _MINUS_FROM, out=np.empty(t.shape, dtype=bool))
+        flag |= t >= _PLUS_FROM
+    values = flag.view(np.int8)  # 1 where flag, else 0; becomes ±1 in place
     values *= 2 * sign
     values -= sign
     return values
