@@ -39,6 +39,12 @@ UNIT_TOL = 1e-9
 #: near 270 MB at grid 2048 and would need about 1 GB at 4096.
 MAX_COSINE_GRID = 4096
 
+#: Most entries of each random matrix: the n1 × n2 source and the n1 × m1 and
+#: n2 × m2 kernels. A random trivial family at the cap, `lcsim trivial
+#: --random 1 --n1 2048 --n2 2048`, peaks at 239 MB, about 50 bytes per
+#: source entry: the four members each hold their own copy of it.
+MAX_RANDOM_ENTRIES = 2**22
+
 
 def _matrix(name: str, arr) -> np.ndarray:
     """A read-only float copy of `arr`; ValueError unless it is a matrix with
@@ -267,6 +273,17 @@ def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return g
 
 
+def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> None:
+    """ValueError, before anything is drawn, when a random measure's source
+    or kernels would exceed MAX_RANDOM_ENTRIES entries."""
+    for name, rows, cols in (("source n1 × n2", n1, n2), ("kernel n1 × m1", n1, m1), ("kernel n2 × m2", n2, m2)):
+        if rows * cols > MAX_RANDOM_ENTRIES:
+            raise ValueError(
+                f"random {name} of {rows * cols} entries is too large to allocate "
+                f"(at most {MAX_RANDOM_ENTRIES})"
+            )
+
+
 def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
     g = rng.gamma(1.0, size=(n1, n2))
     return g / g.sum()
@@ -280,6 +297,7 @@ def random_trivial_measure(
     m2: int = 8,
 ) -> DiscreteLCMeasure:
     """Trivial by construction: row masses are a random c on one side, 1/c on the other."""
+    _check_random_shape(n1, n2, m1, m2)
     c = float(np.exp(rng.uniform(-1.5, 1.5)))
     return DiscreteLCMeasure(
         PS=random_source(rng, n1, n2),
@@ -296,6 +314,7 @@ def random_trivial_family(
     m2: int = 8,
 ) -> tuple[DiscreteLCMeasure, ...]:
     """Four trivial measures sharing one source, one per CHSH setting."""
+    _check_random_shape(n1, n2, m1, m2)
     PS = random_source(rng, n1, n2)
     members = []
     for _ in range(4):
@@ -319,6 +338,7 @@ def random_nontrivial_measure(
     min_deviation: float = 1e-3,
 ) -> DiscreteLCMeasure:
     """Row masses vary across configurations, so p1 ⊗ p2 cannot sit at 1."""
+    _check_random_shape(n1, n2, m1, m2)
     for _ in range(64):
         g1 = np.exp(rng.uniform(-1.0, 1.0, size=n1))
         g2 = np.exp(rng.uniform(-1.0, 1.0, size=n2))

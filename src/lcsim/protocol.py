@@ -56,6 +56,10 @@ MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
 #: together: each block's arrays stay in cache, and memory stays bounded.
 EVENT_LOG_BLOCK = 65_536
 
+#: Rows of the hidden-column event log formatted and written together: the
+#: rows of a piece exist as Python strings at once, those of a block never.
+HIDDEN_LOG_PIECE = 4096
+
 #: The acceptance rule decides u < |cos x| in float32 wherever the float32
 #: difference g of u and |cos x| exceeds ACCEPT_MARGIN; see _accepted. For
 #: |x| <= ACCEPT_PHASE_BOUND, the float32 |cos x| is within 2^-24·|x| <= 3.82e-6
@@ -156,11 +160,11 @@ def run_source(n: int, seed: int, start: int = 0) -> Emissions:
         raise ValueError("seed must be nonnegative")
     if start < 0:
         raise ValueError("start must be nonnegative")
-    rng = _generator(seed, start)
-    return Emissions(
-        ticks=np.arange(start, start + n, dtype=np.int64),
-        s=rng.uniform(0.0, TWO_PI, size=n),
-    )
+    # Bitwise Generator.uniform(0.0, TWO_PI, n), which computes 0 + 2π·u
+    # from the same doubles u, without its argument handling.
+    s = _generator(seed, start).random(n)
+    s *= TWO_PI
+    return Emissions(ticks=np.arange(start, start + n, dtype=np.int64), s=s)
 
 
 def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
@@ -520,7 +524,10 @@ def write_event_log(
             fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")
         if debug_hidden:
             s_hidden = emissions.s[t - cfg.offset - first]
-            lines = map("{},{},{:.17g},{}\r\n".format, t.tolist(), (side2 + 1).tolist(), s_hidden.tolist(), v.tolist())
-            fh.write("".join(lines).encode())
+            row = "{},{},{:.17g},{}\r\n".format
+            for start in range(0, t.size, HIDDEN_LOG_PIECE):
+                piece = slice(start, start + HIDDEN_LOG_PIECE)
+                lines = map(row, t[piece].tolist(), (side2[piece] + 1).tolist(), s_hidden[piece].tolist(), v[piece].tolist())
+                fh.write("".join(lines).encode())
         else:
             fh.write(_plain_rows(t, side2, v))

@@ -121,6 +121,52 @@ def test_criterion_3_monte_carlo_protocol():
             assert time.perf_counter() - start < 30.0
 
 
+# Seed sweeps beside criteria 3 and 8: the z-scores of a count over many
+# independent coincidence runs must look like N(0, 1), which one lucky seed
+# cannot make them do.
+SWEEP_RUNS = 200
+SWEEP_PAIRS = 20_000
+
+
+def coincidence_z_scores(a: float, first_seed: int, statistic) -> np.ndarray:
+    """z-scores of a binomial count over SWEEP_RUNS coincidence runs at a and
+    b = 2πk/8 + 0.05, k = run mod 8: statistic(f1, f2, b) gives (count of
+    coincidences in the event, its probability per coincidence)."""
+    z = []
+    for run in range(SWEEP_RUNS):
+        b = TWO_PI * (run % 8) / 8 + 0.05
+        seed = first_seed + 3 * run
+        cfg = protocol.ExperimentConfig(
+            n=SWEEP_PAIRS, a=a, b=b, source_seed=seed, station1_seed=seed + 1, station2_seed=seed + 2,
+        )
+        _, r1, r2 = protocol.run_trial(cfg)
+        _, f1, f2 = protocol.match_coincidences(r1, r2)
+        count, p = statistic(f1, f2, b)
+        z.append((count - f1.size * p) / math.sqrt(f1.size * p * (1.0 - p)))
+    return np.array(z)
+
+
+def assert_standard_normal(z: np.ndarray) -> None:
+    assert abs(z.mean()) <= 0.3  # 4.2 standard errors at 200 runs
+    assert 0.8 <= z.std(ddof=1) <= 1.2
+    assert np.abs(z).max() <= 5.0
+
+
+def test_criterion_3_cell_frequency_across_seeds():
+    with criterion("3 (+1, -1) cell frequency across seeds"):
+        a = 0.0
+        z = coincidence_z_scores(
+            a, 3000, lambda f1, f2, b: (int(np.count_nonzero((f1 == 1) & (f2 == -1))), 0.5 * math.cos((b - a) / 2) ** 2)
+        )
+        assert_standard_normal(z)
+
+
+def test_criterion_8_side_1_share_across_seeds():
+    with criterion("8 side-1 +1 share across seeds"):
+        z = coincidence_z_scores(0.7, 8000, lambda f1, f2, b: (int(np.count_nonzero(f1 == 1)), 0.5))
+        assert_standard_normal(z)
+
+
 def test_criterion_4_chsh_violation_and_protocol_distinction():
     with criterion("4 CHSH 2*sqrt(2) vs classical standard estimator"):
         n = 1_000_000

@@ -418,6 +418,39 @@ class TestTrivial:
         assert doc["violations"] == 0
         assert doc["max_chsh"] <= 2.0 + 1e-9
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ("--n1", "30000", "--n2", "30000"),
+            ("--n1", "2049", "--n2", "2048"),
+            ("--n1", "1048576", "--n2", "1", "--m1", "5"),
+            ("--n1", "1", "--n2", "524288", "--m2", "9"),
+        ],
+        ids=["source-30000-squared", "source-just-above", "kernel-1", "kernel-2"],
+    )
+    def test_random_sizes_above_the_cap_exit_3_before_drawing(self, capsys, monkeypatch, sizes):
+        def refuse(*args):
+            raise AssertionError("a random matrix was drawn")
+
+        monkeypatch.setattr(lcmeasure, "random_source", refuse)
+        monkeypatch.setattr(lcmeasure, "stochastic_matrix", refuse)
+        code, out, err = run_cli(capsys, "trivial", "--random", "1", *sizes)
+        assert code == EXIT_VALIDATION
+        assert "too large to allocate" in err and str(lcmeasure.MAX_RANDOM_ENTRIES) in err
+        assert out == ""
+
+    def test_random_sizes_at_the_cap_are_drawn(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        monkeypatch.setattr(lcmeasure, "random_source", drawn)
+        for sizes in (("--n1", "2048", "--n2", "2048"), ("--n1", "524288", "--n2", "1", "--m1", "8")):
+            with pytest.raises(Drawn):
+                main(["trivial", "--random", "1", *sizes])
+
     def test_measure_file_verdict(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         m = lcmeasure.random_trivial_measure(rng, 8, 8, 3, 3)

@@ -168,6 +168,16 @@ class TestSource:
         with pytest.raises(ValueError):
             run_source(0, seed=1)
 
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 4096, 65_537, 196_609])
+    def test_draws_are_generator_uniform(self, start):
+        # The source scales the generator's doubles itself; they must be
+        # Generator.uniform's draws on [0, 2π) for the same pairs, byte for byte.
+        for seed in (0, 7, 101, 2**40 + 3):
+            rng = np.random.Generator(np.random.Philox(seed))
+            rng.random(start)  # pairs 0..start-1
+            want = rng.uniform(0.0, TWO_PI, 3001)
+            assert run_source(3001, seed, start).s.tobytes() == want.tobytes()
+
 
 class TestStation:
     def test_zero_acceptance_at_orthogonal_phase(self):
