@@ -6,13 +6,14 @@ families, I(a) = [a - π/2, a + π/2) and J(a) = [a + π/2, a + 3π/2), which
 partition the circle for every setting a and satisfy I(a + π) = J(a);
 :func:`spin_values` reads +1 on I and -1 on J, vectorized over configurations.
 
-Because float subtraction rounds monotonically, the computed phase s - c
-never decreases as s grows, so on a block of nearby configurations the spin
-rule is a step function of s itself. spin_values classifies such a block by
-comparing s with at most a few per-setting breakpoints, each the least float
-past one of the rule's six phase flips (PHASE_FLIPS). They are found once by
-an exact search over the float64 bit patterns and kept in a bounded cache
-per (flip, setting), so the output is the rule's, bit for bit.
+Because float subtraction rounds monotonically, the computed phase
+s - (setting - π/2) never decreases as s grows, so on a block of nearby
+configurations the spin rule is a step function of s itself. spin_values
+classifies such a block by comparing s with at most a few per-setting
+breakpoints, each the least float s whose phase reaches one of the rule's
+six phase flips (PHASE_FLIPS). They are found by an exact search over the
+float64 bit patterns and kept in a bounded cache per (flip, setting), so
+the output is the rule's, bit for bit.
 """
 
 from __future__ import annotations

@@ -179,7 +179,6 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     """
     offset = np.int64(cfg.offset)
     if cfg.mode == MODE_ALWAYS:
-        # Spins first: the ticks then reuse the memory of their float temporary.
         values = spin_values(cfg.side, cfg.setting, emissions.s)
         return Detections(ticks=emissions.ticks + offset, values=values)
     if not math.isfinite(cfg.setting):  # checked first, so inf - inf never warns
