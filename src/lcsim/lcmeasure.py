@@ -36,13 +36,15 @@ UNIT_TOL = 1e-9
 
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
 #: grid × grid matrix, so memory grows as grid²: `lcsim cosine-measure` peaks
-#: near 270 MB at grid 2048 and would need about 1 GB at 4096.
+#: near 270 MB at grid 2048 and would need about 1 GB at 4096. Its kernels,
+#: and every matrix of a measure file that :func:`measure_from_dict` reads,
+#: hold at most MAX_COSINE_GRID² entries too.
 MAX_COSINE_GRID = 4096
 
 #: Most entries of each random matrix: the n1 × n2 source and the n1 × m1 and
 #: n2 × m2 kernels. A random trivial family at the cap, `lcsim trivial
-#: --random 1 --n1 2048 --n2 2048`, peaks at 239 MB, about 50 bytes per
-#: source entry: the four members each hold their own copy of it.
+#: --random 1 --n1 2048 --n2 2048`, peaks at 137 MB (child ru_maxrss): its
+#: four members share one read-only source.
 MAX_RANDOM_ENTRIES = 2**22
 
 
@@ -56,6 +58,17 @@ def _matrix(name: str, arr) -> np.ndarray:
         raise ValueError(f"{name} must be finite and nonnegative")
     out.setflags(write=False)
     return out
+
+
+def _owned(cls, **arrays):
+    """An instance of the frozen dataclass `cls` over arrays that this module
+    just built, valid by construction: each is made read-only in place, and
+    neither copied nor checked."""
+    obj = object.__new__(cls)
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,14 @@ def rescale(m: DiscreteLCMeasure, q1, q2) -> DiscreteLCMeasure:
 @dataclass(frozen=True)
 class LocalMarkovOperator:
     """Positive linear maps acting separately on the one-side spaces
-    Ω1 = S1 × M1 and Ω2 = S2 × M2, as square matrices T[ω, ω']."""
+    Ω1 = S1 × M1 and Ω2 = S2 × M2, in one of two forms per side.
+
+    - Dense: a square matrix T[ω, ω']. The constructor takes only this form,
+      and copies and checks what it is given.
+    - Permutation: an index vector r, standing for T[ω, r[ω]] = 1 and 0
+      elsewhere. Only :meth:`random_permutation` makes it; `T.ndim == 1`
+      tells it apart.
+    """
 
     T1: np.ndarray
     T2: np.ndarray
@@ -177,32 +197,32 @@ class LocalMarkovOperator:
         object.__setattr__(self, "T2", T2)
 
     def is_stochastic(self) -> bool:
-        return bool(
-            np.all(np.abs(self.T1.sum(axis=1) - 1.0) <= UNIT_TOL)
-            and np.all(np.abs(self.T2.sum(axis=1) - 1.0) <= UNIT_TOL)
+        """Unit row sums on both sides; a permutation has them by form."""
+        return all(
+            t.ndim == 1 or bool(np.all(np.abs(t.sum(axis=1) - 1.0) <= UNIT_TOL))
+            for t in (self.T1, self.T2)
         )
-
-    def is_permutation(self) -> bool:
-        def perm(t: np.ndarray) -> bool:
-            binary = np.isin(t, (0.0, 1.0)).all()
-            return bool(
-                binary
-                and np.all(t.sum(axis=0) == 1.0)
-                and np.all(t.sum(axis=1) == 1.0)
-            )
-
-        return perm(self.T1) and perm(self.T2)
 
     @classmethod
     def random_stochastic(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
-        return cls(stochastic_matrix(rng, dim1, dim1), stochastic_matrix(rng, dim2, dim2))
+        return _owned(cls, T1=stochastic_matrix(rng, dim1, dim1), T2=stochastic_matrix(rng, dim2, dim2))
 
     @classmethod
     def random_permutation(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
-        return cls(
-            np.eye(dim1)[rng.permutation(dim1)],
-            np.eye(dim2)[rng.permutation(dim2)],
-        )
+        return _owned(cls, T1=rng.permutation(dim1), T2=rng.permutation(dim2))
+
+
+def _transport_kernel(K: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """K'[s, (s', λ')] = Σ_λ K[s, λ] * T[(s, λ), (s', λ')] for a dense T. An
+    index vector T puts each K[s, λ] at column T[s·m + λ] instead: every
+    entry of the dense sum has at most that one nonzero term, so the two
+    agree bit for bit."""
+    n, w = K.shape
+    if T.ndim == 1:
+        out = np.zeros((n, n * w))
+        out[np.repeat(np.arange(n), w), T] = K.ravel()
+        return out
+    return np.einsum("sl,slkm->skm", K, T.reshape(n, w, n, w)).reshape(n, n * w)
 
 
 def apply_local_markov(m: DiscreteLCMeasure, op: LocalMarkovOperator) -> DiscreteLCMeasure:
@@ -216,18 +236,13 @@ def apply_local_markov(m: DiscreteLCMeasure, op: LocalMarkovOperator) -> Discret
     """
     d1 = m.n1 * m.m1
     d2 = m.n2 * m.m2
-    if op.T1.shape != (d1, d1) or op.T2.shape != (d2, d2):
+    # Dense operators are square, so the first axis settles both forms.
+    if op.T1.shape[0] != d1 or op.T2.shape[0] != d2:
         raise ValueError(
             f"operator dimensions {op.T1.shape}, {op.T2.shape} do not match "
             f"the one-side spaces ({d1}, {d1}), ({d2}, {d2})"
         )
-    K1n = np.einsum(
-        "sl,slkm->skm", m.K1, op.T1.reshape(m.n1, m.m1, m.n1, m.m1)
-    ).reshape(m.n1, d1)
-    K2n = np.einsum(
-        "sl,slkm->skm", m.K2, op.T2.reshape(m.n2, m.m2, m.n2, m.m2)
-    ).reshape(m.n2, d2)
-    return DiscreteLCMeasure(PS=m.PS, K1=K1n, K2=K2n)
+    return DiscreteLCMeasure(PS=m.PS, K1=_transport_kernel(m.K1, op.T1), K2=_transport_kernel(m.K2, op.T2))
 
 
 def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
@@ -255,7 +270,7 @@ def chsh_discrete(measures, obs1, obs2) -> float:
     if len(measures) != 4:
         raise ValueError("a CHSH family has four members")
     for other in measures[1:]:
-        if not np.array_equal(measures[0].PS, other.PS):
+        if other.PS is not measures[0].PS and not np.array_equal(measures[0].PS, other.PS):
             raise ValueError("family members must share the source matrix")
     (o_a, o_a2), (o_b, o_b2) = obs1, obs2
     pairs = chsh_pairs((o_a, o_a2, o_b, o_b2))
@@ -286,7 +301,8 @@ def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> None:
 
 def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
     g = rng.gamma(1.0, size=(n1, n2))
-    return g / g.sum()
+    g /= g.sum()
+    return g
 
 
 def random_trivial_measure(
@@ -299,7 +315,8 @@ def random_trivial_measure(
     """Trivial by construction: row masses are a random c on one side, 1/c on the other."""
     _check_random_shape(n1, n2, m1, m2)
     c = float(np.exp(rng.uniform(-1.5, 1.5)))
-    return DiscreteLCMeasure(
+    return _owned(
+        DiscreteLCMeasure,
         PS=random_source(rng, n1, n2),
         K1=c * stochastic_matrix(rng, n1, m1),
         K2=stochastic_matrix(rng, n2, m2) / c,
@@ -320,7 +337,8 @@ def random_trivial_family(
     for _ in range(4):
         c = float(np.exp(rng.uniform(-1.5, 1.5)))
         members.append(
-            DiscreteLCMeasure(
+            _owned(
+                DiscreteLCMeasure,
                 PS=PS,
                 K1=c * stochastic_matrix(rng, n1, m1),
                 K2=stochastic_matrix(rng, n2, m2) / c,
@@ -342,7 +360,8 @@ def random_nontrivial_measure(
     for _ in range(64):
         g1 = np.exp(rng.uniform(-1.0, 1.0, size=n1))
         g2 = np.exp(rng.uniform(-1.0, 1.0, size=n2))
-        m = DiscreteLCMeasure(
+        m = _owned(
+            DiscreteLCMeasure,
             PS=random_source(rng, n1, n2),
             K1=g1[:, None] * stochastic_matrix(rng, n1, m1),
             K2=g2[:, None] * stochastic_matrix(rng, n2, m2),
@@ -385,6 +404,11 @@ def cosine_diagonal_measure(
     setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
     if n_grid > MAX_COSINE_GRID:
         raise ValueError(f"cosine-diagonal grid must be at most {MAX_COSINE_GRID}, got {n_grid!r}")
+    if n_grid * max(m1, m2) > MAX_COSINE_GRID**2:
+        raise ValueError(
+            f"cosine-diagonal kernels of grid {n_grid} and widths {m1}, {m2} exceed "
+            f"{MAX_COSINE_GRID**2} entries"
+        )
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
     w = np.abs(np.cos(grid - setting))
@@ -449,14 +473,21 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
     for key in ("n1", "n2", "m1", "m2", "PS", "K1", "K2"):
         if key not in doc:
             raise ValueError(f"measure document is missing the {key!r} field")
+    declared = n1, n2, m1, m2 = (doc["n1"], doc["n2"], doc["m1"], doc["m2"])
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in declared):
+        raise ValueError(f"declared dimensions {declared} must be integers, none negative")
+    # Every file that cosine-measure writes stays within this cap.
+    for name, rows, cols in (("PS", n1, n2), ("K1", n1, m1), ("K2", n2, m2)):
+        if rows * cols > MAX_COSINE_GRID**2:
+            raise ValueError(
+                f"declared dimensions {declared} give {name} {rows * cols} entries "
+                f"(at most {MAX_COSINE_GRID**2})"
+            )
     try:
         PS, K1, K2 = (np.asarray(doc[key], dtype=float) for key in ("PS", "K1", "K2"))
     except TypeError:
         raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
     m = DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
-    declared = (doc["n1"], doc["n2"], doc["m1"], doc["m2"])
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in declared):
-        raise ValueError(f"declared dimensions {declared} must be integers")
     if declared != (m.n1, m.n2, m.m1, m.m2):
         raise ValueError(
             f"declared dimensions {declared} do not match matrices "

@@ -463,6 +463,15 @@ class TestTrivial:
         assert doc["chsh"]["kind"] == "observable-sweep"
         assert doc["chsh"]["max"] <= 2.0 + 1e-9
 
+    def test_measure_file_declaring_a_huge_measure_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n1": 10**6, "n2": 10**6, "m1": 1, "m2": 1,
+                                    "PS": [[1.0]], "K1": [[1.0]], "K2": [[1.0]]}))
+        code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "validation error" in err and "at most 16777216" in err
+
     def test_cosine_family_file_reaches_tsirelson(self, capsys, tmp_path):
         n = 64
         m = lcmeasure.cosine_diagonal_measure(n, 0.0, math.pi / 4)

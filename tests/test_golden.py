@@ -1,6 +1,8 @@
-"""Golden outputs of the protocol commands: one sha256 per in-process
+"""Golden outputs of the lcsim commands: one sha256 per in-process
 `lcsim` invocation, over its exit code, stdout, stderr and every file it
-writes, frozen in golden.json.
+writes, frozen in golden.json. An invocation of commands joined by ` && `
+runs them in turn in one directory, so a later one can read what an earlier
+one wrote; it runs them all, whatever their exit codes.
 
 Each invocation runs in a fresh directory with relative output paths, so the
 digests do not depend on where the suite runs. To rewrite golden.json after
@@ -27,7 +29,9 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # weight sides with the full event log, settings outside [0, 2π) and on the
 # edges of the spin kernel's phase range, runs of
 # more than one block with and without their logs, a run without
-# coincidences, the scan on both sides, the CHSH command and a refused input.
+# coincidences, the scan on both sides, the CHSH command and a refused input;
+# then a random trivial sweep, a cosine measure file read back by `trivial
+# --measure`, and a missing measure file.
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -56,21 +60,30 @@ INVOCATIONS = [
     *(f"scan --grid 4 --pairs 2000 --weight-side {side} --out scan.csv" for side in (1, 2)),
     "scan --grid 4 --pairs 500 --seed 3",
     "chsh --pairs 20000",
+    "trivial --random 50 --seed 5",
+    "cosine-measure --grid 64 --out cosine.json && trivial --measure cosine.json",
+    "trivial --measure missing.json",
 ]
 
 
 def run(argv: str, directory: Path) -> dict[str, bytes]:
-    """Exit code, stdout, stderr and each written file of `lcsim argv` run
-    in `directory`, which must be empty, by name."""
-    out, err = io.StringIO(), io.StringIO()
+    """Exit code, stdout and stderr of each command of `lcsim argv` run in
+    `directory`, which must be empty, and each file written there, by name.
+    The parts of the second and later commands carry the command's number."""
+    parts = {}
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(shlex.split(argv))
+        for i, command in enumerate(argv.split(" && ")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(shlex.split(command))
+            prefix = f"command {i} " if i else ""
+            parts[f"{prefix}exit code"] = str(code).encode()
+            parts[f"{prefix}stdout"] = out.getvalue().encode()
+            parts[f"{prefix}stderr"] = err.getvalue().encode()
     finally:
         os.chdir(cwd)
-    parts = {"exit code": str(code).encode(), "stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
     for path in sorted(directory.iterdir()):
         parts[f"file {path.name}"] = path.read_bytes()
     return parts

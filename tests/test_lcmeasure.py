@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +35,10 @@ from lcsim.lcmeasure import (
 from lcsim.models import TSIRELSON_SETTINGS
 
 RNG = np.random.default_rng(20240811)
+
+#: transport_digest() as the dense einsum computes it, permutations
+#: included; the index form of permutations must reproduce it bit for bit.
+TRANSPORT_DIGEST = "7dc087ae8feefb336d23b43f94cb827ffd980f4561f1004ffe034c5c586aa772"
 
 
 def small_measure(rng=None, trivial=True):
@@ -255,8 +261,68 @@ class TestMarkovTransport:
         rng = np.random.default_rng(4)
         st_op = LocalMarkovOperator.random_stochastic(rng, 6, 6)
         pm_op = LocalMarkovOperator.random_permutation(rng, 6, 6)
-        assert st_op.is_stochastic() and not st_op.is_permutation()
-        assert pm_op.is_stochastic() and pm_op.is_permutation()
+        assert st_op.is_stochastic() and st_op.T1.ndim == st_op.T2.ndim == 2
+        assert pm_op.is_stochastic() and pm_op.T1.ndim == pm_op.T2.ndim == 1
+
+
+def transport_digest() -> str:
+    """sha256 over the transported kernels and their max_deviation of seeded
+    stochastic transports of trivial measures and permutation transports of
+    nontrivial ones, at dimension 512 and at an uneven shape."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(1616)
+    for n1, n2, m1, m2 in ((64, 64, 8, 8), (6, 5, 3, 4)):
+        for _ in range(3):
+            for draw, operator in (
+                (random_trivial_measure, LocalMarkovOperator.random_stochastic),
+                (random_nontrivial_measure, LocalMarkovOperator.random_permutation),
+            ):
+                m = draw(rng, n1, n2, m1, m2)
+                out = apply_local_markov(m, operator(rng, n1 * m1, n2 * m2))
+                for kernel in (out.K1, out.K2):
+                    h.update(repr(kernel.shape).encode())
+                    h.update(kernel.tobytes())
+                h.update(struct.pack("<d", is_trivial(out).max_deviation))
+    return h.hexdigest()
+
+
+class TestTransportOracle:
+    def test_seeded_transports_are_frozen(self):
+        assert transport_digest() == TRANSPORT_DIGEST
+
+    @pytest.mark.parametrize("shape", [(64, 64, 8, 8), (6, 5, 3, 4)])
+    def test_index_form_matches_dense_permutation(self, shape):
+        n1, n2, m1, m2 = shape
+        rng = np.random.default_rng(17)
+        m = random_nontrivial_measure(rng, *shape)
+        # Zero entries, whole zero rows included, must land as zeros too.
+        K1, K2 = m.K1.copy(), m.K2.copy()
+        K1[rng.random(K1.shape) < 0.3] = 0.0
+        K1[1] = 0.0
+        K2[rng.random(K2.shape) < 0.3] = 0.0
+        m = DiscreteLCMeasure(PS=m.PS, K1=K1, K2=K2)
+        op = LocalMarkovOperator.random_permutation(rng, n1 * m1, n2 * m2)
+        dense = LocalMarkovOperator(np.eye(n1 * m1)[op.T1], np.eye(n2 * m2)[op.T2])
+        out, ref = apply_local_markov(m, op), apply_local_markov(m, dense)
+        assert out.K1.tobytes() == ref.K1.tobytes() and out.K2.tobytes() == ref.K2.tobytes()
+        assert out.K1.shape == ref.K1.shape and out.K2.shape == ref.K2.shape
+        assert is_trivial(out).max_deviation == is_trivial(ref).max_deviation
+
+    def test_permutation_draws_the_bare_permutations(self):
+        rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+        op = LocalMarkovOperator.random_permutation(rng, 12, 20)
+        assert np.array_equal(op.T1, ref.permutation(12))
+        assert np.array_equal(op.T2, ref.permutation(20))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_constructed_arrays_are_readonly(self):
+        rng = np.random.default_rng(19)
+        for op in (LocalMarkovOperator.random_stochastic(rng, 6, 4), LocalMarkovOperator.random_permutation(rng, 6, 4)):
+            assert not op.T1.flags.writeable and not op.T2.flags.writeable
+        family = random_trivial_family(rng, 5, 4, 3, 2)
+        assert all(m.PS is family[0].PS for m in family)
+        for m in (*family, random_trivial_measure(rng, 5, 4, 3, 2), random_nontrivial_measure(rng, 5, 4, 3, 2)):
+            assert not any(a.flags.writeable for a in (m.PS, m.K1, m.K2))
 
 
 class TestPabMarkovian:
@@ -449,6 +515,33 @@ class TestSerialization:
         doc[key] = convert(doc[key])
         with pytest.raises(ValueError, match="must be integers"):
             measure_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "dims,message",
+        [((10**6, 10**6, 1, 1), "give PS 1000000000000 entries"), ((1, 1, 2**24 + 1, 1), "give K1"),
+         ((1, 1, 1, 2**24 + 1), "give K2"), ((1, 1, -1, 1), "none negative")],
+    )
+    def test_declared_dims_are_guarded_before_any_array(self, monkeypatch, dims, message):
+        # A few bytes that declare a huge measure are refused on the declared
+        # sizes alone, before the matrices are read; so are negative sizes.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        doc = dict(zip(("n1", "n2", "m1", "m2"), dims), PS=[[1.0]], K1=[[1.0]], K2=[[1.0]])
+        monkeypatch.setattr(np, "asarray", refuse)
+        with pytest.raises(ValueError, match=message):
+            measure_from_dict(doc)
+
+    def test_widest_cosine_files_pass_the_guard(self):
+        # cosine_diagonal_measure refuses any wider kernels, so no file that
+        # cosine-measure writes is refused on its declared sizes.
+        n = lcmeasure.MAX_COSINE_GRID
+        for m1, m2 in ((n, 1), (1, n)):
+            doc = {"n1": n, "n2": n, "m1": m1, "m2": m2, "PS": [[1.0]], "K1": [[1.0]], "K2": [[1.0]]}
+            with pytest.raises(ValueError, match="do not match"):
+                measure_from_dict(doc)
+            with pytest.raises(ValueError, match="exceed"):
+                cosine_diagonal_measure(n, 0.0, 0.0, m1=m1 + (m1 > 1), m2=m2 + (m2 > 1))
 
     def test_declared_dim_true_is_not_one(self):
         doc = measure_to_dict(DiscreteLCMeasure(PS=np.ones((1, 1)), K1=np.ones((1, 1)), K2=np.ones((1, 1))))

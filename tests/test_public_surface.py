@@ -25,7 +25,6 @@ ALLOWED = {
     "circle.arc_J": "detection arc of the per-cell quadrature reference in the tests",
     "lcmeasure.rescale": "README's kernel/source construction of a nontrivial measure",
     "lcmeasure.LocalMarkovOperator.is_stochastic": "oracle for the random stochastic operators",
-    "lcmeasure.LocalMarkovOperator.is_permutation": "oracle for the random permutation operators",
     "models.save_model": "the documented model-file writer",
     "protocol.run_trial": "whole-run records that the streamed run is compared against in tests",
 }
