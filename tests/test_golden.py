@@ -1,8 +1,9 @@
-"""Golden outputs of the lcsim commands: one sha256 per in-process
-`lcsim` invocation, over its exit code, stdout, stderr and every file it
-writes, frozen in golden.json. An invocation of commands joined by ` && `
-runs them in turn in one directory, so a later one can read what an earlier
-one wrote; it runs them all, whatever their exit codes.
+"""Golden outputs of the lcsim commands: one sha256 per part of each
+in-process `lcsim` invocation (its exit code, stdout, stderr and every file
+it writes), frozen in golden.json. A change of output then names the parts
+it moved, and every other part stays pinned. An invocation of commands
+joined by ` && ` runs them in turn in one directory, so a later one can read
+what an earlier one wrote; it runs them all, whatever their exit codes.
 
 Each invocation runs in a fresh directory with relative output paths, so the
 digests do not depend on where the suite runs. To rewrite golden.json after
@@ -89,17 +90,13 @@ def run(argv: str, directory: Path) -> dict[str, bytes]:
     return parts
 
 
-def digest(parts: dict[str, bytes]) -> str:
-    """sha256 over the parts, each framed by its name and length."""
-    h = hashlib.sha256()
-    for name, data in parts.items():
-        h.update(f"{name}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
+def digests(parts: dict[str, bytes]) -> dict[str, str]:
+    """The sha256 of each part, by part name."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in parts.items()}
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict[str, str]:
+def golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN.read_text())
 
 
@@ -109,24 +106,25 @@ def test_every_invocation_has_a_digest(golden):
 
 @pytest.mark.parametrize("argv", INVOCATIONS)
 def test_outputs_match_golden(argv, golden, tmp_path):
-    assert digest(run(argv, tmp_path)) == golden[argv], f"output of `lcsim {argv}` changed"
+    assert digests(run(argv, tmp_path)) == golden[argv], f"output of `lcsim {argv}` changed"
 
 
 def test_a_swapped_event_log_row_changes_the_digest(golden, tmp_path):
     argv = INVOCATIONS[0]
     parts = run(argv, tmp_path)
-    assert digest(parts) == golden[argv]
+    assert digests(parts) == golden[argv]
     header, first, second, *rest = parts["file events.csv"].split(b"\r\n")
     assert first != second
     parts["file events.csv"] = b"\r\n".join([header, second, first, *rest])
-    assert digest(parts) != golden[argv]
+    changed = {name for name, sha in digests(parts).items() if sha != golden[argv][name]}
+    assert changed == {"file events.csv"}
 
 
 if __name__ == "__main__":
     import tempfile
 
-    digests = {}
+    frozen = {}
     for argv in INVOCATIONS:
         with tempfile.TemporaryDirectory() as directory:
-            digests[argv] = digest(run(argv, Path(directory)))
-    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
+            frozen[argv] = digests(run(argv, Path(directory)))
+    GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
