@@ -141,28 +141,31 @@ def cmd_scan(args) -> int:
     step = 2.0 * math.pi / k
     settings = np.arange(k) * step
     c_analytic = models.correlation(models.quadrant_table_analytic(settings[:, None], settings))
+
+    def config(i: int, j: int) -> protocol.ExperimentConfig:
+        idx = i * k + j
+        return protocol.ExperimentConfig(
+            n=args.pairs,
+            a=i * step,
+            b=j * step,
+            mode=protocol.KIND_COINCIDENCE,
+            weight_side=args.weight_side,
+            source_seed=args.seed + 3 * idx,
+            station1_seed=args.seed + 3 * idx + 1,
+            station2_seed=args.seed + 3 * idx + 2,
+        )
+
+    config(0, 0)  # refuses a bad pair count before any output is written
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)
         writer.writerow(["a", "b", "c_analytic", "c_mc"])
         for i in range(k):
             for j in range(k):
-                a = i * step
-                b = j * step
-                idx = i * k + j
-                cfg = protocol.ExperimentConfig(
-                    n=args.pairs,
-                    a=a,
-                    b=b,
-                    mode=protocol.KIND_COINCIDENCE,
-                    weight_side=args.weight_side,
-                    source_seed=args.seed + 3 * idx,
-                    station1_seed=args.seed + 3 * idx + 1,
-                    station2_seed=args.seed + 3 * idx + 2,
-                )
+                cfg = config(i, j)
                 c_mc = protocol.run_experiment(cfg).estimate.value
                 # Full precision so the columns round-trip exactly.
-                writer.writerow([f"{a:.17g}", f"{b:.17g}", f"{c_analytic[i, j]:.17g}", f"{c_mc:.17g}"])
+                writer.writerow([f"{cfg.a:.17g}", f"{cfg.b:.17g}", f"{c_analytic[i, j]:.17g}", f"{c_mc:.17g}"])
     finally:
         if args.out:
             writer_target.close()

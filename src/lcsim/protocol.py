@@ -11,7 +11,13 @@ owns an independent counter-based generator (Philox), which makes whole runs
 replayable and lets locality be audited bit for bit.
 
 A run streams through every stage, the per-event log included, in blocks
-of EVENT_LOG_BLOCK pairs, so its memory stays bounded for any pair count.
+of EVENT_LOG_BLOCK pairs, so its memory stays bounded for any pair count:
+the ±1 estimates keep only the four coincidence cell counts, and only the
+weighted estimate keeps one float64 product per pair. The source's ticks
+and the always-detecting station's are runs of consecutive ticks, kept as
+their first tick; their tick arrays are built only when something reads
+them, and the matcher and the event log place the other side's records by
+their offsets from that first tick.
 
 Detection is encoded by presence of the timestamp: an emission whose local
 configuration leaves the detection window simply produces no record. With
@@ -23,6 +29,7 @@ never violates the CHSH bound of 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TWO_PI, on_side, spin_values
-from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
+from .models import TSIRELSON_SETTINGS, Quadrant, chsh, chsh_pairs
 
 # The three local station rules; see run_station.
 MODE_ACCEPTANCE = "acceptance"
@@ -51,14 +58,19 @@ WEIGHTED_STATION_MODE = {
 EXPERIMENT_MODES = tuple(WEIGHTED_STATION_MODE)
 
 MAX_TICK = np.iinfo(np.int64).max  # ticks are int64
+MIN_TICK = np.iinfo(np.int64).min
+
+#: The most pairs of one run: up to 2**53 the float64 sum of ±1 products is
+#: exact, so the estimate from the integer cell counts is bitwise their mean.
+MAX_PAIRS = 2**53
 
 #: Pairs per block of a run, whose event-log rows are formatted and written
 #: together: each block's arrays stay in cache, and memory stays bounded.
 EVENT_LOG_BLOCK = 65_536
 
-#: Rows of the hidden-column event log formatted and written together: the
-#: rows of a piece exist as Python strings at once, those of a block never.
-HIDDEN_LOG_PIECE = 4096
+#: Event-log rows formatted and written together: a piece's rows exist at
+#: once (as Python strings in the hidden-column log), a block's never.
+EVENT_LOG_PIECE = 4096
 
 #: The acceptance rule decides u < |cos x| in float32 wherever the float32
 #: difference g of u and |cos x| exceeds ACCEPT_MARGIN; see _accepted. For
@@ -119,6 +131,51 @@ class Detections:
         return int(self.ticks.size)
 
 
+def _run_ticks(first: int, size: int) -> np.ndarray:
+    return np.arange(first, first + size, dtype=np.int64)
+
+
+class _EmissionRun(Emissions):
+    """Emissions at the consecutive ticks first, first + 1, ...: the tick
+    array is built only when something reads it."""
+
+    def __init__(self, first: int, s: np.ndarray) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "s", s)
+
+    @functools.cached_property
+    def ticks(self) -> np.ndarray:
+        return _run_ticks(self.first, len(self))
+
+    def __len__(self) -> int:
+        return int(self.s.size)
+
+
+class _DetectionRun(Detections):
+    """Detections at the consecutive ticks first, first + 1, ...: what an
+    always-detecting station records of a source run. The tick array is
+    built only when something reads it."""
+
+    def __init__(self, first: int, values: np.ndarray, weights: np.ndarray | None = None) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", weights)
+
+    @functools.cached_property
+    def ticks(self) -> np.ndarray:
+        return _run_ticks(self.first, len(self))
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+
+def _first_tick(emissions: Emissions) -> int:
+    """The first emission tick, 0 for no emissions."""
+    if isinstance(emissions, _EmissionRun):
+        return emissions.first
+    return int(emissions.ticks[0]) if len(emissions) else 0
+
+
 @dataclass(frozen=True)
 class StationConfig:
     side: int
@@ -136,6 +193,8 @@ class StationConfig:
         object.__setattr__(self, "offset", _tick_offset(self.offset))
         if self.offset > MAX_TICK:
             raise ValueError(f"tick offset {self.offset!r} exceeds the int64 maximum {MAX_TICK}")
+        if self.offset < MIN_TICK:
+            raise ValueError(f"tick offset {self.offset!r} is below the int64 minimum {MIN_TICK}")
 
 
 def _generator(seed: int, position: int) -> np.random.Generator:
@@ -160,11 +219,13 @@ def run_source(n: int, seed: int, start: int = 0) -> Emissions:
         raise ValueError("seed must be nonnegative")
     if start < 0:
         raise ValueError("start must be nonnegative")
+    if start + n - 1 > MAX_TICK:
+        raise ValueError(f"last tick start + n - 1 exceeds the int64 maximum {MAX_TICK}")
     # Bitwise Generator.uniform(0.0, TWO_PI, n), which computes 0 + 2π·u
     # from the same doubles u, without its argument handling.
     s = _generator(seed, start).random(n)
     s *= TWO_PI
-    return Emissions(ticks=np.arange(start, start + n, dtype=np.int64), s=s)
+    return _EmissionRun(start, s)
 
 
 def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
@@ -175,29 +236,35 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     numbered by the first emission tick, so a block of a run draws what the
     whole run draws for it. The two always-detect rules keep all, the
     weighted one with weight (π/2)|cos(s - setting)|. A kept emission
-    records spin_values(side, setting, s) at tick + offset.
+    records spin_values(side, setting, s) at tick + offset; the
+    always-detect record of a source run is a run too.
     """
-    offset = np.int64(cfg.offset)
-    if cfg.mode == MODE_ALWAYS:
-        values = spin_values(cfg.side, cfg.setting, emissions.s)
-        return Detections(ticks=emissions.ticks + offset, values=values)
-    if not math.isfinite(cfg.setting):  # checked first, so inf - inf never warns
-        raise ValueError("angles must be finite")
-    phase = np.subtract(emissions.s, cfg.setting, dtype=float)
+    first = _first_tick(emissions)
+    run = isinstance(emissions, _EmissionRun)
+    if run and first + cfg.offset + len(emissions) - 1 > MAX_TICK:
+        raise ValueError(f"last tick + offset exceeds the int64 maximum {MAX_TICK}")
+    weights = None
+    if cfg.mode != MODE_ALWAYS:
+        if not math.isfinite(cfg.setting):  # checked first, so inf - inf never warns
+            raise ValueError("angles must be finite")
+        phase = np.subtract(emissions.s, cfg.setting, dtype=float)
+    if cfg.mode == MODE_ACCEPTANCE:
+        # Accept first, then evaluate spins and ticks for the kept emissions only.
+        kept = _accepted(_generator(cfg.seed, first).random(len(emissions)), phase)
+        values = spin_values(cfg.side, cfg.setting, emissions.s.take(kept))
+        if run:
+            kept += first + cfg.offset
+            return Detections(ticks=kept, values=values)
+        return Detections(ticks=emissions.ticks.take(kept) + np.int64(cfg.offset), values=values)
     if cfg.mode == MODE_WEIGHTED:
         # The weight (π/2)|cos(s - setting)|, computed in place in the phase buffer.
         _check_finite(phase)
-        window = np.abs(np.cos(phase, out=phase), out=phase)
-        window *= math.pi / 2.0
-        values = spin_values(cfg.side, cfg.setting, emissions.s)
-        return Detections(ticks=emissions.ticks + offset, values=values, weights=window)
-    position = int(emissions.ticks[0]) if len(emissions) else 0
-    # Accept first, then evaluate spins and ticks for the kept emissions only.
-    kept = _accepted(_generator(cfg.seed, position).random(len(emissions)), phase)
-    return Detections(
-        ticks=emissions.ticks.take(kept) + offset,
-        values=spin_values(cfg.side, cfg.setting, emissions.s.take(kept)),
-    )
+        weights = np.abs(np.cos(phase, out=phase), out=phase)
+        weights *= math.pi / 2.0
+    values = spin_values(cfg.side, cfg.setting, emissions.s)
+    if run:
+        return _DetectionRun(first + cfg.offset, values, weights)
+    return Detections(ticks=emissions.ticks + np.int64(cfg.offset), values=values, weights=weights)
 
 
 def _check_finite(phase: np.ndarray) -> None:
@@ -227,22 +294,22 @@ def _accepted(u: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _check_tick_stream(d: Detections, name: str) -> None:
-    # Adjacent ticks are compared, not differenced: a difference can wrap in int64.
-    if not np.all(d.ticks[1:] > d.ticks[:-1]):
-        raise ValueError(f"{name} ticks must be strictly increasing and unique")
+def _check_tick_streams(r1: Detections, r2: Detections) -> None:
+    """Both sides' ticks increase strictly; a run does by construction."""
+    for d, name in ((r1, "side 1"), (r2, "side 2")):
+        # Adjacent ticks are compared, not differenced: a difference can wrap in int64.
+        if not isinstance(d, _DetectionRun) and not np.all(d.ticks[1:] > d.ticks[:-1]):
+            raise ValueError(f"{name} ticks must be strictly increasing and unique")
 
 
-def _is_run(ticks: np.ndarray) -> bool:
-    """Whether a strictly increasing tick stream is one nonempty run of consecutive ticks."""
-    return ticks.size > 0 and int(ticks[-1]) - int(ticks[0]) == ticks.size - 1
-
-
-def _run_slice(ticks: np.ndarray, run: np.ndarray) -> tuple[slice, np.ndarray]:
-    """The slice of the strictly increasing `ticks` that lies inside the run
-    of consecutive ticks `run`, and the positions of those ticks in the run."""
-    inside = slice(np.searchsorted(ticks, run[0], side="left"), np.searchsorted(ticks, run[-1], side="right"))
-    return inside, ticks[inside] - run[0]
+def _within(ticks: np.ndarray, run: _DetectionRun) -> tuple[slice, np.ndarray]:
+    """The slice of the strictly increasing `ticks` that lies inside the
+    run, found by binary search, and those ticks' positions in the run."""
+    inside = slice(
+        np.searchsorted(ticks, run.first, side="left"),
+        np.searchsorted(ticks, run.first + len(run) - 1, side="right"),
+    )
+    return inside, ticks[inside] - run.first
 
 
 def match_coincidences(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,22 +317,27 @@ def match_coincidences(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.n
     values), in tick order, as new arrays.
 
     Both streams are strictly increasing, so the ticks each side shares with
-    the other come out in the same order on both sides. When one side is a
-    run of consecutive ticks (the always-detecting side of every experiment
-    is), the shared ticks are one slice of the other side, found by binary
-    search, and their positions in the run are their offsets from its first
-    tick. Two streams with gaps fall back on numpy's `isin`, which looks the
-    ticks up in a table when the tick range is small and sorts otherwise, so
+    the other come out in the same order on both sides. The always-detecting
+    side of every experiment is a run of consecutive ticks: against it, the
+    shared ticks are one slice of the other side, and their positions in the
+    run are their offsets from its first tick; two runs share their overlap.
+    Two streams with gaps fall back on numpy's `isin`, which looks the ticks
+    up in a table when the tick range is small and sorts otherwise, so
     sparse ticks up to MAX_TICK stay bounded in memory.
     """
-    _check_tick_stream(r1, "side 1")
-    _check_tick_stream(r2, "side 2")
-    if _is_run(r2.ticks):
-        inside, positions = _run_slice(r1.ticks, r2.ticks)
-        return r1.ticks[inside].copy(), r1.values[inside].copy(), r2.values.take(positions)
-    if _is_run(r1.ticks):
-        inside, positions = _run_slice(r2.ticks, r1.ticks)
-        return r2.ticks[inside].copy(), r1.values.take(positions), r2.values[inside].copy()
+    _check_tick_streams(r1, r2)
+    run1, run2 = isinstance(r1, _DetectionRun), isinstance(r2, _DetectionRun)
+    if run1 and run2:
+        lo = max(r1.first, r2.first)
+        size = max(min(r1.first + len(r1), r2.first + len(r2)) - lo, 0)
+        f1 = r1.values[lo - r1.first : lo - r1.first + size].copy()
+        return _run_ticks(lo, size), f1, r2.values[lo - r2.first : lo - r2.first + size].copy()
+    if run2:
+        inside, positions = _within(r1.ticks, r2)
+        return r1.ticks[inside].copy(), r1.values[inside].copy(), r2.values[positions]
+    if run1:
+        inside, positions = _within(r2.ticks, r1)
+        return r2.ticks[inside].copy(), r1.values[positions], r2.values[inside].copy()
     k1 = np.isin(r1.ticks, r2.ticks)
     k2 = np.isin(r2.ticks, r1.ticks)
     return r1.ticks[k1], r1.values[k1], r2.values[k2]
@@ -283,55 +355,88 @@ class CorrelationEstimate:
 
 
 def _estimate(products: np.ndarray, kind: str) -> CorrelationEstimate:
-    """Mean and stderr of the per-pair products. Only the coincidence
-    estimator can be left without products; the others refuse empty lists."""
+    """Mean and stderr of the weighted per-pair products."""
     n = int(products.size)
-    if n == 0:
-        raise EmptyCoincidenceError("no coincidences recorded; the estimator is undefined")
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return CorrelationEstimate(value=value, n=n, stderr=stderr, kind=kind)
 
 
-def _coincidence_products(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+def _cells(f1: np.ndarray, f2: np.ndarray) -> tuple[int, int, int, int]:
+    """How many pairs of the ±1 value sequences fall in each joint-outcome
+    cell, in Quadrant order: II = (+1, -1), IJ = (+1, +1), JI = (-1, -1),
+    JJ = (-1, +1)."""
     if f1.size != f2.size:
         raise ValueError("coincidence value sequences must have equal length")
-    return f1 * f2
+    up1, up2 = f1 > 0, f2 > 0
+    plus1, plus2 = int(np.count_nonzero(up1)), int(np.count_nonzero(up2))
+    ij = int(np.count_nonzero(np.logical_and(up1, up2, out=up1)))
+    return plus1 - ij, ij, f1.size - plus1 - plus2 + ij, plus2 - ij
 
 
-def _matched_products(r1: Detections, r2: Detections, kind: str) -> np.ndarray:
-    """Per-pair products of the standard or weighted estimator, after its
-    checks: every pair detected on both sides and, when weighted, exactly one
-    side carrying nonnegative weights."""
-    if not np.array_equal(r1.ticks, r2.ticks):
+def _spins(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.abs(values) == 1):
+        raise ValueError("estimator values must be ±1")
+    return values
+
+
+def _cell_estimate(cells: tuple[int, int, int, int], kind: str) -> CorrelationEstimate:
+    """Mean and stderr of the ±1 products from the cell counts alone, in
+    exact integers: the product sum S = IJ + JI - II - JJ over n pairs gives
+    the mean S/n, correctly rounded (bitwise the float64 mean for n up to
+    MAX_PAIRS), and the stderr sqrt((n² - S²) / (n²(n - 1))) within an ulp.
+    Only the coincidence estimator can be left without pairs."""
+    ii, ij, ji, jj = cells
+    n = ii + ij + ji + jj
+    if n == 0:
+        raise EmptyCoincidenceError("no coincidences recorded; the estimator is undefined")
+    s = ij + ji - ii - jj
+    stderr = math.sqrt((n * n - s * s) / (n * n * (n - 1))) if n > 1 else 0.0
+    return CorrelationEstimate(value=s / n, n=n, stderr=stderr, kind=kind)
+
+
+def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
+    """The standard and weighted estimators' checks: every pair detected on
+    both sides, and some pair at all. Two runs match when they start and end
+    together."""
+    if isinstance(r1, _DetectionRun) and isinstance(r2, _DetectionRun):
+        matched = r1.first == r2.first and len(r1) == len(r2)
+    else:
+        matched = np.array_equal(r1.ticks, r2.ticks)
+    if not matched:
         raise ValueError(f"tick mismatch: the {kind} estimator needs every pair detected on both sides")
     if len(r1) == 0:
         raise ValueError("empty detection lists")
-    products = r1.values * r2.values
-    if kind == KIND_STANDARD:
-        return products
+
+
+def _weighted_products(r1: Detections, r2: Detections) -> np.ndarray:
+    """Per-pair products of the weighted estimator, after its checks: every
+    pair detected on both sides and exactly one side carrying nonnegative
+    weights."""
+    _check_fully_matched(r1, r2, KIND_WEIGHTED)
     if (r1.weights is None) == (r2.weights is None):
         raise ValueError("exactly one side must carry importance weights")
     weights = r1.weights if r1.weights is not None else r2.weights
     if np.any(weights < 0.0):
         raise ValueError("importance weights must be nonnegative")
-    return weights * products
+    return weights * (r1.values * r2.values)
 
 
 def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
-    """Mean product over coincidences (the distant-pair estimator)."""
-    return _estimate(_coincidence_products(f1, f2), KIND_COINCIDENCE)
+    """Mean ±1 product over coincidences (the distant-pair estimator)."""
+    return _cell_estimate(_cells(_spins(f1), _spins(f2)), KIND_COINCIDENCE)
 
 
 def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
-    """Mean product over a fully detected, fully matched ensemble."""
-    return _estimate(_matched_products(r1, r2, KIND_STANDARD), KIND_STANDARD)
+    """Mean ±1 product over a fully detected, fully matched ensemble."""
+    _check_fully_matched(r1, r2, KIND_STANDARD)
+    return _cell_estimate(_cells(_spins(r1.values), _spins(r2.values)), KIND_STANDARD)
 
 
 def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
     """Importance-weighted mean product; exactly one side must carry locally
     computed weights (π/2)|cos(s - setting)|."""
-    return _estimate(_matched_products(r1, r2, KIND_WEIGHTED), KIND_WEIGHTED)
+    return _estimate(_weighted_products(r1, r2), KIND_WEIGHTED)
 
 
 @dataclass(frozen=True)
@@ -356,6 +461,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"pair count must be at least 1, got {self.n!r}")
+        if self.n > MAX_PAIRS:
+            raise ValueError(f"pair count {self.n!r} exceeds MAX_PAIRS = 2**53, past which the estimate is not exact")
         if self.mode not in EXPERIMENT_MODES:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         object.__setattr__(self, "offset", _tick_offset(self.offset))
@@ -381,6 +488,7 @@ class ExperimentSummary:
     detections2: int
     coincidences: int
     coincidence_rate: float
+    cells: tuple[int, int, int, int]  # coincidences per joint outcome, in Quadrant order
     estimate: CorrelationEstimate
 
     def to_dict(self) -> dict:
@@ -390,6 +498,7 @@ class ExperimentSummary:
             "detections": {"side1": self.detections1, "side2": self.detections2},
             "coincidences": self.coincidences,
             "coincidence_rate": self.coincidence_rate,
+            "cells": dict(zip((q.value for q in Quadrant), self.cells)),
             "estimate": self.estimate.to_dict(),
         }
 
@@ -414,24 +523,28 @@ def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]
 def run_experiment(cfg: ExperimentConfig, events_csv=None, debug_hidden: bool = False) -> ExperimentSummary:
     """Full protocol, block by block in blocks of EVENT_LOG_BLOCK pairs:
     source, stations, the event log when `events_csv` is a path (see
-    write_event_log), matcher and estimator products; then the estimate,
-    taken once over the products of all blocks, so it does not depend on
-    them. An estimate without coincidences is refused after the full log."""
-    products = np.empty(cfg.n, dtype=np.float64 if cfg.mode == KIND_WEIGHTED else np.int8)
-    filled = detections1 = detections2 = coincidences = 0
+    write_event_log), matcher and the coincidence cell counts, plus the
+    per-pair products when weighted; then the estimate, taken once over
+    all blocks, so it does not depend on them. An estimate without
+    coincidences is refused after the full log."""
+    weighted = cfg.mode == KIND_WEIGHTED
+    products = np.empty(cfg.n) if weighted else None
+    cells = [0, 0, 0, 0]
+    filled = detections1 = detections2 = 0
     for emissions, r1, r2 in _trial_blocks(cfg, EVENT_LOG_BLOCK):
         if events_csv is not None:
             write_event_log(events_csv, cfg, emissions, r1, r2, debug_hidden)
         _, f1, f2 = match_coincidences(r1, r2)
-        if cfg.mode == KIND_COINCIDENCE:
-            block = _coincidence_products(f1, f2)
-        else:
-            block = _matched_products(r1, r2, cfg.mode)
-        products[filled : filled + block.size] = block
-        filled += block.size
+        cells = [total + count for total, count in zip(cells, _cells(f1, f2))]
+        if weighted:
+            block = _weighted_products(r1, r2)
+            products[filled : filled + block.size] = block
+            filled += block.size
+        elif cfg.mode == KIND_STANDARD:
+            _check_fully_matched(r1, r2, KIND_STANDARD)
         detections1 += len(r1)
         detections2 += len(r2)
-        coincidences += int(f1.size)
+    coincidences = sum(cells)
     return ExperimentSummary(
         a=cfg.a,
         b=cfg.b,
@@ -440,7 +553,8 @@ def run_experiment(cfg: ExperimentConfig, events_csv=None, debug_hidden: bool = 
         detections2=detections2,
         coincidences=coincidences,
         coincidence_rate=coincidences / cfg.n,
-        estimate=_estimate(products[:filled], cfg.mode),
+        cells=tuple(cells),
+        estimate=_estimate(products, KIND_WEIGHTED) if weighted else _cell_estimate(cells, cfg.mode),
     )
 
 
@@ -495,6 +609,35 @@ def _plain_rows(ticks: np.ndarray, side2: np.ndarray, values: np.ndarray) -> byt
     return rows[keep].tobytes()
 
 
+def _preceding(d: Detections, ticks: np.ndarray, side: str) -> np.ndarray:
+    """How many of d's ticks lie below each of the strictly increasing
+    `ticks` ("left"), or below or at it ("right"): for a run, offsets from
+    its first tick, clipped to the run."""
+    if not isinstance(d, _DetectionRun):
+        return np.searchsorted(d.ticks, ticks, side=side)
+    inside, positions = _within(ticks, d)
+    count = np.full(ticks.size, len(d))
+    count[: inside.start] = 0
+    count[inside] = positions + (side == "right")
+    return count
+
+
+def _side2_rows(r1: Detections, r2: Detections) -> np.ndarray:
+    """Which rows of the two sides' records, sorted by (tick, side), are
+    side 2's. Each side's rows keep their order, so a row of one side lands
+    at its index plus the number of the other side's rows before it, and the
+    other side's rows fill the places left; the run side, if any, is the
+    one that fills."""
+    side2 = np.empty(len(r1) + len(r2), dtype=bool)
+    if isinstance(r1, _DetectionRun):
+        side2.fill(False)
+        side2[np.arange(len(r2)) + _preceding(r1, r2.ticks, "right")] = True
+    else:
+        side2.fill(True)
+        side2[np.arange(len(r1)) + _preceding(r2, r1.ticks, "left")] = False
+    return side2
+
+
 def write_event_log(
     path,
     cfg: ExperimentConfig,
@@ -508,25 +651,30 @@ def write_event_log(
     Records whose emissions start at pair 0 create the file and its header;
     a later block's records are appended. Every tick of a block precedes
     every tick of the next, so a run's blocks written in order give the
-    whole run's log. The hidden configuration column is written only under
+    whole run's log. The rows are formatted and written EVENT_LOG_PIECE at a
+    time. The hidden configuration column is written only under
     debug_hidden; honest stations never expose it after emission.
     """
-    ticks = np.concatenate((r1.ticks, r2.ticks))
-    values = np.concatenate((r1.values, r2.values))
-    if not np.all(np.abs(values) == 1):
-        raise ValueError("event log values must be ±1")
-    order = np.argsort(ticks, kind="stable")  # side 1 first on equal ticks
-    t, v, side2 = ticks[order], values[order], order >= len(r1)
-    first = int(emissions.ticks[0])
+    _check_tick_streams(r1, r2)
+    for d in (r1, r2):
+        if not np.all(np.abs(d.values) == 1):
+            raise ValueError("event log values must be ±1")
+    side2 = _side2_rows(r1, r2)
+    t = np.empty(side2.size, dtype=np.int64)
+    v = np.empty(side2.size, dtype=np.result_type(r1.values, r2.values))
+    side1 = ~side2
+    t[side1], v[side1] = r1.ticks, r1.values
+    t[side2], v[side2] = r2.ticks, r2.values
+    first = _first_tick(emissions)
     with open(path, "ab" if first else "wb") as fh:
         if not first:
             fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")
-        if debug_hidden:
-            s_hidden = emissions.s[t - cfg.offset - first]
-            row = "{},{},{:.17g},{}\r\n".format
-            for start in range(0, t.size, HIDDEN_LOG_PIECE):
-                piece = slice(start, start + HIDDEN_LOG_PIECE)
-                lines = map(row, t[piece].tolist(), (side2[piece] + 1).tolist(), s_hidden[piece].tolist(), v[piece].tolist())
+        row = "{},{},{:.17g},{}\r\n".format
+        for start in range(0, t.size, EVENT_LOG_PIECE):
+            piece = slice(start, start + EVENT_LOG_PIECE)
+            if debug_hidden:
+                s_hidden = emissions.s[t[piece] - cfg.offset - first]
+                lines = map(row, t[piece].tolist(), (side2[piece] + 1).tolist(), s_hidden.tolist(), v[piece].tolist())
                 fh.write("".join(lines).encode())
-        else:
-            fh.write(_plain_rows(t, side2, v))
+            else:
+                fh.write(_plain_rows(t[piece], side2[piece], v[piece]))

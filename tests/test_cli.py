@@ -91,7 +91,9 @@ class TestSimulate:
         )
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert set(doc) == {"settings", "n", "detections", "coincidences", "coincidence_rate", "estimate"}
+        assert set(doc) == {"settings", "n", "detections", "coincidences", "coincidence_rate", "cells", "estimate"}
+        assert list(doc["cells"]) == [q.value for q in models.Quadrant]
+        assert sum(doc["cells"].values()) == doc["coincidences"]
         assert doc["estimate"]["kind"] == "coincidence"
         assert doc["estimate"]["value"] == pytest.approx(-math.cos(0.785398), abs=0.01)
 
@@ -608,19 +610,45 @@ def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("simulate", "--pairs", str(10**17), "--a", "0", "--b", "0"),
-        ("trivial", "--random", "1", "--n1", "1000000000", "--n2", "1000000000"),
+        # A pair count past MAX_PAIRS is refused before any block runs; the
+        # estimator no longer allocates one product per pair.
+        (("simulate", "--pairs", str(10**17), "--a", "0", "--b", "0"), "exceeds MAX_PAIRS"),
+        (("trivial", "--random", "1", "--n1", "1000000000", "--n2", "1000000000"), "too large to allocate"),
     ],
     ids=["simulate-pairs", "trivial-dimensions"],
 )
-def test_input_too_large_to_allocate_is_validation_error(capsys, argv):
+def test_input_too_large_to_allocate_is_validation_error(capsys, argv, message):
     # Both requests exceed any address space, so they fail before touching memory.
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_VALIDATION
-    assert "too large to allocate" in err
+    assert message in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("simulate", "--a", "0", "--b", "0", "--mode", mode) for mode in protocol.EXPERIMENT_MODES),
+        ("scan", "--grid", "2"),
+        ("chsh",),
+    ],
+    ids=[*protocol.EXPERIMENT_MODES, "scan", "chsh"],
+)
+def test_pairs_past_max_pairs_are_refused_before_any_output(capsys, tmp_path, argv):
+    # One pair more than 2**53 streams for years if nothing refuses it, so
+    # this test hangs unless the config check comes before the first block.
+    pairs = str(protocol.MAX_PAIRS + 1)
+    out_file = tmp_path / "out"
+    extra = ("--out", str(out_file)) if argv[0] != "chsh" else ()
+    for args in ((*argv, "--pairs", pairs), (*argv, "--pairs", pairs, *extra)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "exceeds MAX_PAIRS" in err
+    assert not out_file.exists()
+    ExperimentConfig(n=protocol.MAX_PAIRS, a=0.0, b=0.0)  # the cap itself is a valid pair count
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -393,11 +394,24 @@ class TestMatcherReference:
         self.assert_matches_reference([MIN_TICK, -1, 1, MAX_TICK], [MIN_TICK, MIN_TICK + 1])
 
     def assert_run_matches_reference(self, run, other):
-        """The run on either side, against the other stream."""
+        """The run on either side, against the other stream: once as ticks
+        with gaps might have, once as an always-detecting station's record,
+        which keeps a run as its first tick."""
         run = np.asarray(run, dtype=np.int64)
         assert run.size and np.all(np.diff(run) == 1)
         self.assert_matches_reference(run, other, seed=1)
         self.assert_matches_reference(other, run, seed=2)
+        rng = np.random.default_rng(3)
+        r_other = Detections(ticks=np.asarray(other, dtype=np.int64), values=spins(rng, len(other)))
+        for side in (1, 2):
+            record = run_station(StationConfig(side=side, setting=0.3, offset=int(run[0])), run_source(run.size, 4))
+            pair = (record, r_other) if side == 1 else (r_other, record)
+            got = match_coincidences(*pair)
+            assert "ticks" not in vars(record)  # matched by offsets from the first tick
+            for g, w in zip(got, reference_match(*pair)):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+            assert np.array_equal(record.ticks, run)
 
     def test_run_against_every_overlap(self):
         run = np.arange(100, 200)
@@ -438,10 +452,40 @@ class TestMatcherReference:
         for run, other in cases:
             self.assert_run_matches_reference(run, other)
 
+    def test_two_runs_share_their_overlap(self):
+        def record(side, first, size):
+            return run_station(StationConfig(side=side, setting=0.3, offset=first), run_source(size, 5 + side))
+
+        for first1, size1, first2, size2 in (
+            (0, 100, 0, 100), (0, 100, 40, 100), (40, 100, 0, 30), (0, 10, 10, 10), (5, 1, 5, 1),
+            (MIN_TICK, 50, MIN_TICK + 49, 3), (MAX_TICK - 49, 50, MAX_TICK - 9, 10), (MIN_TICK, 5, MAX_TICK - 4, 5),
+        ):
+            r1, r2 = record(1, first1, size1), record(2, first2, size2)
+            got = match_coincidences(r1, r2)
+            assert "ticks" not in vars(r1) and "ticks" not in vars(r2)
+            for g, w in zip(got, reference_match(r1, r2)):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
+    def test_always_detecting_records_keep_runs_until_read(self):
+        for mode in ("coincidence", "weighted", "standard"):
+            cfg = ExperimentConfig(n=5000, a=0.3, b=2.0, mode=mode, offset=7)
+            emissions, r1, r2 = run_trial(cfg)
+            runs = [r for r in (r1, r2) if len(r) == cfg.n]
+            match_coincidences(r1, r2)
+            if mode == "standard":
+                correlation_standard(r1, r2)
+            if mode == "weighted":
+                correlation_weighted(r1, r2)
+            assert runs and all("ticks" not in vars(r) for r in (emissions, *runs))
+            for r in runs:
+                assert r.ticks.tobytes() == (np.arange(cfg.n, dtype=np.int64) + 7).tobytes()
+
     def test_results_are_new_arrays(self):
         r1 = Detections(ticks=np.arange(10, dtype=np.int64), values=np.ones(10, dtype=np.int8))
         r2 = Detections(ticks=np.arange(5, 15, dtype=np.int64), values=-np.ones(10, dtype=np.int8))
-        for a, b in ((r1, r2), (r2, r1)):
+        r3 = run_station(StationConfig(side=2, setting=0.3, offset=3), run_source(10, 1))
+        for a, b in ((r1, r2), (r2, r1), (r1, r3), (r3, r1), (r3, r3)):
             for out in match_coincidences(a, b):
                 for record in (a.ticks, a.values, b.ticks, b.values):
                     assert not np.shares_memory(out, record)
@@ -461,29 +505,75 @@ class TestMatcherReference:
                     assert g.tobytes() == w.tobytes()
 
 
+def exact_stderr_brackets(n, s, stderr):
+    """Whether the exact stderr sqrt((n² - s²) / (n²(n - 1))) of n ±1
+    products summing to s lies within one ulp of `stderr`: squares compared
+    as exact fractions."""
+    q = Fraction(n * n - s * s, n * n * (n - 1))
+    x, ulp = Fraction(stderr), Fraction(math.ulp(stderr))
+    return max(x - ulp, 0) ** 2 <= q <= (x + ulp) ** 2
+
+
 class TestEstimatorReference:
-    """Multiplying the int8 spins directly leaves mean and stderr bitwise
-    equal to the float products."""
+    """The ±1 estimates come from the four cell counts: the value is bitwise
+    numpy's mean of the float products, and the stderr is within an ulp of
+    the exact one (and so within a few ulps of numpy's std(ddof=1)/√n). The
+    weighted estimate keeps its products and stays bitwise numpy's."""
+
+    def assert_counts_estimate(self, est, products):
+        want = reference_estimate(products, est.kind)
+        assert (est.value, est.n, est.kind) == (want.value, want.n, want.kind)
+        n, s = products.size, int(products.sum())
+        if n > 1:
+            assert exact_stderr_brackets(n, s, est.stderr)
+            assert abs(est.stderr - want.stderr) <= 4 * math.ulp(want.stderr)
+        else:
+            assert est.stderr == 0.0
 
     @pytest.mark.parametrize("weight_side", [1, 2])
-    def test_bitwise_equal_to_float_products(self, weight_side):
+    def test_against_float_products(self, weight_side):
         for a, b in ((0.0, 0.7), (1.3, 1.3), (0.2, 2.9)):
             cfg = ExperimentConfig(n=30_001, a=a, b=b, weight_side=weight_side)
             _, r1, r2 = run_trial(cfg)
             _, f1, f2 = match_coincidences(r1, r2)
-            want = reference_estimate(f1.astype(float) * f2.astype(float), "coincidence")
-            assert correlation_dp(f1, f2) == want
+            self.assert_counts_estimate(correlation_dp(f1, f2), f1.astype(float) * f2.astype(float))
+            assert run_experiment(cfg).estimate == correlation_dp(f1, f2)
 
             cfg = ExperimentConfig(n=30_001, a=a, b=b, mode="standard", weight_side=weight_side)
             _, r1, r2 = run_trial(cfg)
-            want = reference_estimate(r1.values.astype(float) * r2.values.astype(float), "standard")
-            assert correlation_standard(r1, r2) == want
+            est = correlation_standard(r1, r2)
+            self.assert_counts_estimate(est, r1.values.astype(float) * r2.values.astype(float))
+            assert run_experiment(cfg).estimate == est
 
             cfg = ExperimentConfig(n=30_001, a=a, b=b, mode="weighted", weight_side=weight_side)
             _, r1, r2 = run_trial(cfg)
             weights = r1.weights if weight_side == 1 else r2.weights
             products = weights * r1.values.astype(float) * r2.values.astype(float)
             assert correlation_weighted(r1, r2) == reference_estimate(products, "weighted")
+            assert run_experiment(cfg).estimate == reference_estimate(products, "weighted")
+
+    def test_random_sums_and_sizes(self):
+        rng = np.random.default_rng(3)
+        sizes = [1, 2, 3, 4, 5, 7, 100, 1001, 65_536, 300_001]
+        for n in sizes + list(rng.integers(2, 200_000, size=30)):
+            for share in (0.0, 0.5, rng.random(), 1.0):
+                f1 = spins(rng, n)
+                f2 = np.where(rng.random(n) < share, f1, -f1).astype(np.int8)
+                self.assert_counts_estimate(correlation_dp(f1, f2), f1.astype(float) * f2.astype(float))
+
+    def test_the_bracket_rejects_a_stderr_two_ulps_off(self):
+        n, s = 1001, 37
+        exact = math.sqrt((n * n - s * s) / (n * n * (n - 1)))
+        assert exact_stderr_brackets(n, s, exact)
+        assert not exact_stderr_brackets(n, s, exact + 2 * math.ulp(exact))
+        assert not exact_stderr_brackets(n, s, exact - 2 * math.ulp(exact))
+
+    def test_values_other_than_plus_minus_one_are_refused(self):
+        with pytest.raises(ValueError, match="±1"):
+            correlation_dp(np.array([1, 0, -1]), np.array([1, 1, 1]))
+        d1 = Detections(np.array([1, 2]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="±1"):
+            correlation_standard(d1, Detections(np.array([1, 2]), np.array([1, 1])))
 
 
 class TestEstimators:
@@ -511,6 +601,16 @@ class TestEstimators:
         d2 = Detections(np.array([1, 3]), np.array([1, 1]))
         with pytest.raises(ValueError, match="tick mismatch"):
             correlation_standard(d1, d2)
+
+    @pytest.mark.parametrize("estimator", [correlation_standard, correlation_weighted])
+    def test_runs_must_start_and_end_together(self, estimator):
+        def record(size, offset=3, mode="always-detect"):
+            return run_station(StationConfig(side=1, setting=0.3, mode=mode, offset=offset), run_source(size, 2))
+
+        for other in (record(9), record(11), record(10, offset=4)):
+            with pytest.raises(ValueError, match="tick mismatch"):
+                estimator(record(10, mode=MODE_WEIGHTED), other)
+        assert estimator(record(10, mode=MODE_WEIGHTED), record(10)).n == 10
 
     def test_standard_equal_settings_exact(self):
         # Every pair is anti-correlated pointwise, so the mean is exactly -1.
@@ -666,30 +766,63 @@ class TestExperiment:
         assert np.abs(z).max() <= 5.0
 
 
+def recount(f1, f2):
+    """The four coincidence cells by index 2·[f1 = -1] + [f2 = +1], so II =
+    (+1, -1), IJ = (+1, +1), JI = (-1, -1) and JJ = (-1, +1)."""
+    return tuple(np.bincount(2 * (f1 == -1) + (f2 == 1), minlength=4).tolist())
+
+
 class TestCellCounts:
-    def test_coincidence_cells_fit_the_closed_forms(self):
-        # Pearson χ² of the four coincidence cells of every setting on the
-        # 16 × 16 grid against coincidences × the singlet quadrant table. Each
-        # cell index is 2·[f1 = -1] + [f2 = +1], so II = (+1, -1), IJ = (+1, +1),
-        # JI = (-1, -1) and JJ = (-1, +1). A cell the table gives no mass must
-        # stay empty and adds no degree of freedom; each setting's counts are
-        # tied to its coincidences, which takes one more.
-        settings = np.arange(16) * (TWO_PI / 16)
+    @pytest.mark.parametrize("weight_side", [1, 2])
+    @pytest.mark.parametrize("mode", ["coincidence", "weighted", "standard"])
+    def test_summary_cells_equal_a_recount(self, mode, weight_side):
+        # Two blocks and a bit, against the whole-run records and the
+        # reference matcher.
+        cfg = ExperimentConfig(n=2 * EVENT_LOG_BLOCK + 5, a=0.3, b=2.0, mode=mode, weight_side=weight_side)
+        _, r1, r2 = run_trial(cfg)
+        _, f1, f2 = reference_match(r1, r2)
+        summary = run_experiment(cfg)
+        assert summary.cells == recount(f1, f2)
+        assert sum(summary.cells) == summary.coincidences == f1.size
+        assert summary.to_dict()["cells"] == dict(zip(("IxI", "IxJ", "JxI", "JxJ"), summary.cells))
+
+    @staticmethod
+    def chi2_of_summaries(grid=8, n=20_000):
+        """Pearson χ² of the summary cells of every setting on the grid
+        against coincidences × the singlet quadrant table, with its degrees
+        of freedom. A cell the table gives no mass must stay empty and adds
+        no degree of freedom; each setting's counts are tied to its
+        coincidences, which takes one more."""
+        settings = np.arange(grid) * (TWO_PI / grid)
         chi2, dof = 0.0, 0
         for idx, (a, b) in enumerate(itertools.product(settings, settings)):
             cfg = ExperimentConfig(
-                n=20_000, a=float(a), b=float(b),
+                n=n, a=float(a), b=float(b),
                 source_seed=5 + 3 * idx, station1_seed=5 + 3 * idx + 1, station2_seed=5 + 3 * idx + 2,
             )
-            _, r1, r2 = run_trial(cfg)
-            _, f1, f2 = match_coincidences(r1, r2)
-            counts = np.bincount(2 * (f1 == -1) + (f2 == 1), minlength=4)
+            counts = np.array(run_experiment(cfg).cells)
             table = quadrant_table_analytic(a, b)
             expected, live = counts.sum() * table, table > 1e-12
-            assert not counts[~live].any()
+            if counts[~live].any():
+                return math.inf, dof
             chi2 += float((((counts - expected) ** 2)[live] / expected[live]).sum())
             dof += int(live.sum()) - 1
+        return chi2, dof
+
+    def test_coincidence_cells_fit_the_closed_forms(self):
+        chi2, dof = self.chi2_of_summaries()
         assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+
+    def test_swapped_cells_fail_the_fit(self, monkeypatch):
+        cells = protocol._cells
+
+        def swapped(f1, f2):
+            ii, ij, ji, jj = cells(f1, f2)
+            return ij, ii, ji, jj
+
+        monkeypatch.setattr(protocol, "_cells", swapped)
+        chi2, dof = self.chi2_of_summaries()
+        assert chi2 > dof + 5 * math.sqrt(2 * dof)
 
 
 class TestLocality:
@@ -758,6 +891,29 @@ class TestEventLog:
             write_event_log(got, cfg, emissions, *pair, debug_hidden)
             reference_event_log(want, cfg, emissions, *pair, debug_hidden)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_run_side_against_ticks_around_it(self, tmp_path):
+        # An always-detecting record keeps its run as the first tick; the
+        # other side's rows go before, among and after the run's.
+        cfg = ExperimentConfig(n=10, a=0.0, b=0.0, offset=3)
+        emissions = run_source(10, seed=4)
+        rng = np.random.default_rng(5)
+        for other in ([], [0], [2, 3], [3, 12], [12, 13], [0, 5, 6, 12, 40], np.arange(-5, 20), [MIN_TICK, 7, MAX_TICK]):
+            r_other = Detections(ticks=np.asarray(other, dtype=np.int64), values=spins(rng, len(other)))
+            for side in (1, 2):
+                record = run_station(StationConfig(side=side, setting=0.3, offset=3), emissions)
+                pair = (record, r_other) if side == 1 else (r_other, record)
+                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+                write_event_log(got, cfg, emissions, *pair)
+                reference_event_log(want, cfg, emissions, *pair)
+                assert got.read_bytes() == want.read_bytes()
+
+    def test_rejects_ticks_out_of_order(self, tmp_path):
+        cfg = ExperimentConfig(n=3, a=0.0, b=0.0)
+        emissions = run_source(3, seed=1)
+        r1 = Detections(ticks=np.array([2, 1], dtype=np.int64), values=np.array([1, -1], dtype=np.int8))
+        with pytest.raises(ValueError, match="side 2 ticks must be strictly increasing"):
+            write_event_log(tmp_path / "events.csv", cfg, emissions, run_trial(cfg)[1], r1)
 
     def test_rejects_values_other_than_plus_minus_one(self, tmp_path):
         cfg = ExperimentConfig(n=3, a=0.0, b=0.0)
@@ -878,19 +1034,29 @@ class TestStreaming:
         assert part.ticks.tobytes() == whole.ticks[inside].tobytes()
         assert part.values.tobytes() == whole.values[inside].tobytes()
 
-    @pytest.mark.parametrize("mode", ["coincidence", "weighted", "standard"])
-    def test_peak_memory_at_a_million_pairs(self, mode):
-        # The whole-run arrays took 52 to 68 MB here; the blocks leave one
-        # product per pair (int8, or float64 when weighted) and the estimator's
-        # float64 deviations.
-        cfg = ExperimentConfig(n=1_000_000, a=0.3, b=2.0, mode=mode)
+    @staticmethod
+    def traced_peak(cfg) -> int:
         tracemalloc.start()
         try:
             run_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20e6
+
+    @pytest.mark.parametrize("mode", ["coincidence", "weighted", "standard"])
+    def test_peak_memory_at_a_million_pairs(self, mode):
+        # The whole-run arrays took 52 to 68 MB here; the blocks leave only
+        # the weighted estimator's float64 product per pair and deviations.
+        assert self.traced_peak(ExperimentConfig(n=1_000_000, a=0.3, b=2.0, mode=mode)) <= 20e6
+
+    @pytest.mark.parametrize("mode", ["coincidence", "standard"])
+    def test_peak_memory_of_a_counted_run_does_not_grow_with_the_pairs(self, mode):
+        # The ±1 estimates keep four cell counts: a run of 4M pairs peaks where
+        # one of 1M does. The int8 products buffer grew 3 MB between them. A
+        # small run goes first: the first run of a process fills caches too.
+        run_experiment(ExperimentConfig(n=1000, a=0.3, b=2.0, mode=mode))
+        peaks = [self.traced_peak(ExperimentConfig(n=n, a=0.3, b=2.0, mode=mode)) for n in (1_000_000, 4_000_000)]
+        assert abs(peaks[1] - peaks[0]) <= 1e6
 
     def test_peak_memory_of_a_logged_million_pair_run(self, tmp_path):
         # The log is written block by block too: the whole-run log took 65 MB here.
