@@ -622,20 +622,28 @@ def _preceding(d: Detections, ticks: np.ndarray, side: str) -> np.ndarray:
     return count
 
 
-def _side2_rows(r1: Detections, r2: Detections) -> np.ndarray:
-    """Which rows of the two sides' records, sorted by (tick, side), are
-    side 2's. Each side's rows keep their order, so a row of one side lands
-    at its index plus the number of the other side's rows before it, and the
-    other side's rows fill the places left; the run side, if any, is the
-    one that fills."""
+def _merged_rows(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of both sides' records sorted by (tick, side): their ticks,
+    their values, and which of them are side 2's. Each side's rows keep
+    their order, so a row of one side lands at its index plus the number of
+    the other side's rows before it, and the other side's rows fill the
+    places left; the run side, if any, is the one that fills."""
     side2 = np.empty(len(r1) + len(r2), dtype=bool)
     if isinstance(r1, _DetectionRun):
         side2.fill(False)
-        side2[np.arange(len(r2)) + _preceding(r1, r2.ticks, "right")] = True
+        at2 = np.arange(len(r2)) + _preceding(r1, r2.ticks, "right")
+        side2[at2] = True
+        at1 = np.flatnonzero(~side2)
     else:
         side2.fill(True)
-        side2[np.arange(len(r1)) + _preceding(r2, r1.ticks, "left")] = False
-    return side2
+        at1 = np.arange(len(r1)) + _preceding(r2, r1.ticks, "left")
+        side2[at1] = False
+        at2 = np.flatnonzero(side2)
+    ticks = np.empty(side2.size, dtype=np.int64)
+    values = np.empty(side2.size, dtype=np.result_type(r1.values, r2.values))
+    ticks[at1], values[at1] = r1.ticks, r1.values
+    ticks[at2], values[at2] = r2.ticks, r2.values
+    return ticks, values, side2
 
 
 def write_event_log(
@@ -659,12 +667,7 @@ def write_event_log(
     for d in (r1, r2):
         if not np.all(np.abs(d.values) == 1):
             raise ValueError("event log values must be ±1")
-    side2 = _side2_rows(r1, r2)
-    t = np.empty(side2.size, dtype=np.int64)
-    v = np.empty(side2.size, dtype=np.result_type(r1.values, r2.values))
-    side1 = ~side2
-    t[side1], v[side1] = r1.ticks, r1.values
-    t[side2], v[side2] = r2.ticks, r2.values
+    t, v, side2 = _merged_rows(r1, r2)
     first = _first_tick(emissions)
     with open(path, "ab" if first else "wb") as fh:
         if not first:

@@ -394,9 +394,9 @@ class TestMatcherReference:
         self.assert_matches_reference([MIN_TICK, -1, 1, MAX_TICK], [MIN_TICK, MIN_TICK + 1])
 
     def assert_run_matches_reference(self, run, other):
-        """The run on either side, against the other stream: once as ticks
-        with gaps might have, once as an always-detecting station's record,
-        which keeps a run as its first tick."""
+        """The run on either side, against the other stream: once as a tick
+        array, once as an always-detecting station's record, which keeps
+        the run as its first tick."""
         run = np.asarray(run, dtype=np.int64)
         assert run.size and np.all(np.diff(run) == 1)
         self.assert_matches_reference(run, other, seed=1)
@@ -723,6 +723,19 @@ class TestExperiment:
         assert StationConfig(side=1, setting=0.0, offset=top).offset == top
         with pytest.raises(ValueError, match="int64"):
             StationConfig(side=2, setting=0.0, offset=top + 1)
+        assert StationConfig(side=1, setting=0.0, offset=-top - 1).offset == -top - 1
+        with pytest.raises(ValueError, match="int64"):
+            StationConfig(side=2, setting=0.0, offset=-top - 2)
+        # A source run and a station's record of it are kept as their first
+        # tick, so their last tick is checked before any tick array exists.
+        assert run_source(10, 1, start=top - 9).ticks[-1] == top
+        with pytest.raises(ValueError, match="int64"):
+            run_source(10, 1, start=top - 8)
+        for mode in STATION_MODES:
+            cfg = StationConfig(side=1, setting=0.0, mode=mode, offset=top - 10)
+            assert run_station(cfg, run_source(10, 1, start=1)).ticks[-1] <= top
+            with pytest.raises(ValueError, match="int64"):
+                run_station(cfg, run_source(10, 1, start=2))
 
     @pytest.mark.parametrize("offset", [1.5, 2.0, np.float64(3.0), True, False, "1", None])
     def test_offset_must_be_an_integer(self, offset):
