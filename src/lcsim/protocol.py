@@ -321,9 +321,10 @@ def match_coincidences(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.n
     side of every experiment is a run of consecutive ticks: against it, the
     shared ticks are one slice of the other side, and their positions in the
     run are their offsets from its first tick; two runs share their overlap.
-    Two streams with gaps fall back on numpy's `isin`, which looks the ticks
-    up in a table when the tick range is small and sorts otherwise, so
-    sparse ticks up to MAX_TICK stay bounded in memory.
+    Two streams with tick arrays, as hand-built Detections have, are matched
+    by numpy's `isin`, which looks the ticks up in a table when the tick
+    range is small and sorts otherwise, so sparse ticks up to MAX_TICK stay
+    bounded in memory.
     """
     _check_tick_streams(r1, r2)
     run1, run2 = isinstance(r1, _DetectionRun), isinstance(r2, _DetectionRun)
