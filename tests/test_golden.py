@@ -6,10 +6,15 @@ joined by ` && ` runs them in turn in one directory, so a later one can read
 what an earlier one wrote; it runs them all, whatever their exit codes.
 
 Each invocation runs in a fresh directory with relative output paths, so the
-digests do not depend on where the suite runs. To rewrite golden.json after
-an intended change of output, run
+digests do not depend on where the suite runs. To add the digests of new
+invocations to golden.json, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+It keeps every digest already there, adds the invocations that have none and
+drops the entries no longer listed, so adding an invocation never freezes a
+change of another's output. After an intended change of output, delete the
+entries it moves from golden.json by hand first.
 """
 
 import contextlib
@@ -32,7 +37,11 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # more than one block with and without their logs, a run without
 # coincidences, the scan on both sides, the CHSH command and a refused input;
 # then a random trivial sweep, a cosine measure file read back by `trivial
-# --measure`, and a missing measure file.
+# --measure`, and a missing measure file; the closed-form table as text and
+# JSON, in degrees, and a refused angle; builtin uniqueness reports on both
+# weight sides, with and without reconstruction, a grid too coarse to verify
+# and a missing model file; and a scan on a grid whose analytic column
+# differs between libm `pow` and `x*x`.
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -64,6 +73,16 @@ INVOCATIONS = [
     "trivial --random 50 --seed 5",
     "cosine-measure --grid 64 --out cosine.json && trivial --measure cosine.json",
     "trivial --measure missing.json",
+    "analytic --a 0.3 --b 2.2",
+    "analytic --a 0.3 --b 2.2 --json --out analytic.json",
+    "analytic --a 30 --b 135 --degrees --json",
+    "analytic --a nan --b 0",
+    "uniqueness --builtin abs-cos --grid 8 --out report.json",
+    "uniqueness --builtin cos-squared --grid 8 --weight-side 2",
+    "uniqueness --builtin uniform --grid 8 --no-reconstruction",
+    "uniqueness --builtin abs-cos --grid 4",
+    "uniqueness --model missing.json",
+    "scan --grid 39 --pairs 20 --out scan.csv",
 ]
 
 
@@ -123,8 +142,12 @@ def test_a_swapped_event_log_row_changes_the_digest(golden, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    kept = json.loads(GOLDEN.read_text())
     frozen = {}
     for argv in INVOCATIONS:
+        if argv in kept:
+            frozen[argv] = kept[argv]
+            continue
         with tempfile.TemporaryDirectory() as directory:
             frozen[argv] = digests(run(argv, Path(directory)))
     GOLDEN.write_text(json.dumps(frozen, indent=1) + "\n")
