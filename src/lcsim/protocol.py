@@ -13,11 +13,12 @@ replayable and lets locality be audited bit for bit.
 A run streams through every stage, the per-event log included, in blocks
 of EVENT_LOG_BLOCK pairs, so its memory stays bounded for any pair count:
 the ±1 estimates keep only the four coincidence cell counts, and only the
-weighted estimate keeps one float64 product per pair. The source's ticks
-and the always-detecting station's are runs of consecutive ticks, kept as
-their first tick; their tick arrays are built only when something reads
-them, and the matcher and the event log place the other side's records by
-their offsets from that first tick.
+weighted estimate keeps one float64 product per pair. The source emits one
+pair per tick, so its emissions are a run of consecutive ticks, kept as
+their first tick, and so is the always-detecting station's record of them;
+their tick arrays are built only when something reads them, and the matcher
+and the event log place the other side's records by their offsets from that
+first tick.
 
 Detection is encoded by presence of the timestamp: an emission whose local
 configuration leaves the detection window simply produces no record. With
@@ -105,16 +106,25 @@ def _tick_offset(offset) -> int:
     raise ValueError(f"tick offset must be an integer, got {offset!r}")
 
 
+def _run_ticks(first: int, size: int) -> np.ndarray:
+    return np.arange(first, first + size, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class Emissions:
-    """Columnar stream of source events: strictly increasing integer ticks
-    and the shared hidden configuration angle per pair."""
+    """Columnar stream of source events: the pairs at the consecutive ticks
+    first, first + 1, ... and the shared hidden configuration angle of each."""
 
-    ticks: np.ndarray
+    first: int
     s: np.ndarray
 
+    @property
+    def ticks(self) -> np.ndarray:
+        """The emission ticks, built when read."""
+        return _run_ticks(self.first, len(self))
+
     def __len__(self) -> int:
-        return int(self.ticks.size)
+        return int(self.s.size)
 
 
 @dataclass(frozen=True)
@@ -129,26 +139,6 @@ class Detections:
 
     def __len__(self) -> int:
         return int(self.ticks.size)
-
-
-def _run_ticks(first: int, size: int) -> np.ndarray:
-    return np.arange(first, first + size, dtype=np.int64)
-
-
-class _EmissionRun(Emissions):
-    """Emissions at the consecutive ticks first, first + 1, ...: the tick
-    array is built only when something reads it."""
-
-    def __init__(self, first: int, s: np.ndarray) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "s", s)
-
-    @functools.cached_property
-    def ticks(self) -> np.ndarray:
-        return _run_ticks(self.first, len(self))
-
-    def __len__(self) -> int:
-        return int(self.s.size)
 
 
 class _DetectionRun(Detections):
@@ -167,13 +157,6 @@ class _DetectionRun(Detections):
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def _first_tick(emissions: Emissions) -> int:
-    """The first emission tick, 0 for no emissions."""
-    if isinstance(emissions, _EmissionRun):
-        return emissions.first
-    return int(emissions.ticks[0]) if len(emissions) else 0
 
 
 @dataclass(frozen=True)
@@ -225,7 +208,7 @@ def run_source(n: int, seed: int, start: int = 0) -> Emissions:
     # from the same doubles u, without its argument handling.
     s = _generator(seed, start).random(n)
     s *= TWO_PI
-    return _EmissionRun(start, s)
+    return Emissions(start, s)
 
 
 def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
@@ -237,11 +220,10 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
     whole run draws for it. The two always-detect rules keep all, the
     weighted one with weight (π/2)|cos(s - setting)|. A kept emission
     records spin_values(side, setting, s) at tick + offset; the
-    always-detect record of a source run is a run too.
+    always-detect record is a run too.
     """
-    first = _first_tick(emissions)
-    run = isinstance(emissions, _EmissionRun)
-    if run and first + cfg.offset + len(emissions) - 1 > MAX_TICK:
+    first = emissions.first
+    if first + cfg.offset + len(emissions) - 1 > MAX_TICK:
         raise ValueError(f"last tick + offset exceeds the int64 maximum {MAX_TICK}")
     weights = None
     if cfg.mode != MODE_ALWAYS:
@@ -252,19 +234,15 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
         # Accept first, then evaluate spins and ticks for the kept emissions only.
         kept = _accepted(_generator(cfg.seed, first).random(len(emissions)), phase)
         values = spin_values(cfg.side, cfg.setting, emissions.s.take(kept))
-        if run:
-            kept += first + cfg.offset
-            return Detections(ticks=kept, values=values)
-        return Detections(ticks=emissions.ticks.take(kept) + np.int64(cfg.offset), values=values)
+        kept += first + cfg.offset
+        return Detections(ticks=kept, values=values)
     if cfg.mode == MODE_WEIGHTED:
         # The weight (π/2)|cos(s - setting)|, computed in place in the phase buffer.
         _check_finite(phase)
         weights = np.abs(np.cos(phase, out=phase), out=phase)
         weights *= math.pi / 2.0
     values = spin_values(cfg.side, cfg.setting, emissions.s)
-    if run:
-        return _DetectionRun(first + cfg.offset, values, weights)
-    return Detections(ticks=emissions.ticks + np.int64(cfg.offset), values=values, weights=weights)
+    return _DetectionRun(first + cfg.offset, values, weights)
 
 
 def _check_finite(phase: np.ndarray) -> None:
@@ -669,7 +647,7 @@ def write_event_log(
         if not np.all(np.abs(d.values) == 1):
             raise ValueError("event log values must be ±1")
     t, v, side2 = _merged_rows(r1, r2)
-    first = _first_tick(emissions)
+    first = emissions.first
     with open(path, "ab" if first else "wb") as fh:
         if not first:
             fh.write(b"tick,side,s_hidden,value\r\n" if debug_hidden else b"tick,side,value\r\n")

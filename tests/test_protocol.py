@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -160,6 +161,14 @@ class TestSource:
         assert np.array_equal(e.ticks, np.arange(1000))
         assert np.all((e.s >= 0.0) & (e.s < TWO_PI))
 
+    @pytest.mark.parametrize("start", [0, 1, 65_537, int(MAX_TICK) - 6])
+    def test_emissions_are_a_run_from_their_first_tick(self, start):
+        assert [field.name for field in dataclasses.fields(Emissions)] == ["first", "s"]
+        ticks = Emissions(first=start, s=np.linspace(0.0, 6.0, 7)).ticks
+        assert ticks.dtype == np.int64
+        assert np.array_equal(ticks, np.arange(start, start + 7, dtype=np.int64))
+        assert run_source(5, seed=3, start=start).first == start
+
     def test_uniform_law(self):
         for seed in (0, 99):
             e = run_source(N_MC, seed=seed)
@@ -183,13 +192,13 @@ class TestSource:
 class TestStation:
     def test_zero_acceptance_at_orthogonal_phase(self):
         e = run_source(5000, seed=3)
-        emissions = Emissions(ticks=e.ticks, s=np.full(len(e), 1.0 + math.pi / 2))
+        emissions = Emissions(first=e.first, s=np.full(len(e), 1.0 + math.pi / 2))
         cfg = StationConfig(side=1, setting=1.0, mode="acceptance", seed=8)
         assert len(run_station(cfg, emissions)) == 0
 
     def test_full_acceptance_at_aligned_phase(self):
         e = run_source(500, seed=3)
-        emissions = Emissions(ticks=e.ticks, s=np.full(len(e), 2.0))
+        emissions = Emissions(first=e.first, s=np.full(len(e), 2.0))
         cfg = StationConfig(side=1, setting=2.0, mode="acceptance", seed=8)
         out = run_station(cfg, emissions)
         assert len(out) == 500
@@ -215,7 +224,7 @@ class TestStation:
 
     def test_weights_vanish_at_orthogonal_phase(self):
         e = run_source(4, seed=2)
-        emissions = Emissions(ticks=e.ticks, s=np.full(4, math.pi / 2))
+        emissions = Emissions(first=e.first, s=np.full(4, math.pi / 2))
         cfg = StationConfig(side=1, setting=0.0, mode=MODE_WEIGHTED, seed=1)
         out = run_station(cfg, emissions)
         assert len(out) == 4
@@ -252,8 +261,7 @@ class TestStationReference:
     @pytest.mark.parametrize("mode", STATION_MODES)
     def test_bitwise_equal_when_nothing_is_kept(self, mode, side):
         # |cos| at a right angle is 6e-17, so no uniform draw falls below it.
-        ticks = np.arange(4097, 6097, dtype=np.int64)
-        emissions = Emissions(ticks=ticks, s=np.full(ticks.size, 1.0 + math.pi / 2))
+        emissions = Emissions(first=4097, s=np.full(2000, 1.0 + math.pi / 2))
         cfg = StationConfig(side=side, setting=1.0, mode=mode, seed=3, offset=7)
         got = self.assert_matches_reference(cfg, emissions)
         assert (len(got) == 0) == (mode == "acceptance")
@@ -263,8 +271,7 @@ class TestStationReference:
     def adversarial(self, setting, side, start=65_539, n=4200):
         cfg = StationConfig(side=side, setting=setting, mode="acceptance", seed=21, offset=7)
         u = philox_draws(cfg.seed, start, n)
-        ticks = np.arange(start, start + n, dtype=np.int64)
-        emissions = Emissions(ticks=ticks, s=on_the_draws(setting, u))
+        emissions = Emissions(first=start, s=on_the_draws(setting, u))
         window = np.abs(np.cos(emissions.s - setting))
         assert np.abs(window - u).max() < 1e-13  # far inside the float32 prefilter's error
         assert 0 < np.count_nonzero(u < window) < n and np.any(u == window)
@@ -296,7 +303,7 @@ class TestStationReference:
             s[s_bad] = bad
             cfg = StationConfig(side=side, setting=0.4, mode=mode, seed=1, offset=7)
             with pytest.raises(ValueError, match="finite"):
-                run_station(cfg, Emissions(ticks=e.ticks, s=s))
+                run_station(cfg, Emissions(first=e.first, s=s))
         # A non-finite setting gives a NaN window, which would keep nothing,
         # and with a non-finite s too, s - setting can warn (inf - inf).
         for s_bad in (None, math.nan, math.inf, -math.inf):
@@ -305,12 +312,12 @@ class TestStationReference:
                 s[150] = s_bad
             with pytest.raises(ValueError, match="finite"):
                 run_station(StationConfig(side=side, setting=bad, mode=mode, seed=1, offset=7),
-                            Emissions(ticks=e.ticks, s=s))
+                            Emissions(first=e.first, s=s))
         # Every emission at a right angle but one non-finite one: nothing is kept.
         s = np.full(300, 0.4 + math.pi / 2)
         s[7] = bad
         with pytest.raises(ValueError, match="finite"):
-            run_station(StationConfig(side=side, setting=0.4, mode=mode, seed=1), Emissions(ticks=e.ticks, s=s))
+            run_station(StationConfig(side=side, setting=0.4, mode=mode, seed=1), Emissions(first=e.first, s=s))
 
 
 class TestMatcher:
