@@ -34,7 +34,7 @@ HALF_PI = 0.5 * math.pi
 BOUNDARY_EPS = 1e-12
 
 # spin_values classifies blocks whose phases lie in (-2π, 4π) by breakpoints,
-# without np.fmod. Doubling is exact, so this is the float 2π times two, the
+# without reducing them. Doubling is exact, so this is the float 2π times two, the
 # end of Sterbenz's range for t - 2π. Settings and configurations in [0, 2π)
 # put every phase inside it.
 SPIN_PHASE_BOUND = 2.0 * TWO_PI
@@ -204,7 +204,7 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
     phase range; it decides the path and which flips lie inside the block,
     at most three for configurations in [0, 2π), each one comparison per
     element. Other blocks, NaN and infinities included, reduce every phase
-    with np.fmod.
+    with normalize, which refuses non-finite ones.
     """
     sign, _ = on_side(side, 1, -1, "side")
     if not math.isfinite(setting):  # checked first, so inf - inf never warns
@@ -226,14 +226,7 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
         if sum(flip <= lo for flip in PHASE_FLIPS) % 2 == 0:
             sign = -sign
     else:
-        t = np.asarray(np.subtract(s, c))
-        if not np.isfinite(t).all():  # checked first, so np.fmod never warns
-            raise ValueError("angles must be finite")
-        # np.mod's own arithmetic, without its division: fmod, then one
-        # period added to a negative remainder. Only the sign of a zero can
-        # differ (-0.0 stays), which no comparison below sees.
-        np.fmod(t, TWO_PI, out=t)
-        np.add(t, TWO_PI, out=t, where=t < 0.0)
+        t = np.asarray(normalize(np.subtract(s, c)))
         flag = np.less(t, _MINUS_FROM, out=np.empty(t.shape, dtype=bool))
         flag |= t >= _PLUS_FROM
     values = flag.view(np.int8)  # 1 where flag, else 0; becomes ±1 in place
