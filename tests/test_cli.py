@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,20 @@ class TestScan:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) - 1 == 1
         assert float(rows[1][2]) == pytest.approx(-1.0)
+
+    def test_memory_does_not_grow_with_the_square_of_the_grid(self, tmp_path, monkeypatch):
+        # The whole 256 x 256 analytic table alone took 3.7 MB; one row of it takes 12 kB.
+        class Summary:
+            estimate = protocol.CorrelationEstimate(value=0.0, n=1, stderr=0.0, kind="coincidence")
+
+        monkeypatch.setattr(protocol, "run_experiment", lambda cfg: Summary)
+        tracemalloc.start()
+        try:
+            assert main(["scan", "--grid", "256", "--out", str(tmp_path / "scan.csv")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_malformed_grid_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
