@@ -34,9 +34,9 @@ HALF_PI = 0.5 * math.pi
 BOUNDARY_EPS = 1e-12
 
 # spin_values classifies blocks whose phases lie in (-2π, 4π) by breakpoints,
-# without reducing them. Doubling is exact, so this is the float 2π times two, the
-# end of Sterbenz's range for t - 2π. Settings and configurations in [0, 2π)
-# put every phase inside it.
+# without reducing them. Doubling is exact, so this is the float 2π times
+# two, the end of Sterbenz's range for t - 2π. Settings and configurations
+# in [0, 2π) put every phase inside it.
 SPIN_PHASE_BOUND = 2.0 * TWO_PI
 
 
