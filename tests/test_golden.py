@@ -6,7 +6,10 @@ joined by ` && ` runs them in turn in one directory, so a later one can read
 what an earlier one wrote; it runs them all, whatever their exit codes.
 
 Each invocation runs in a fresh directory with relative output paths, so the
-digests do not depend on where the suite runs. To add the digests of new
+digests do not depend on where the suite runs. A token of an invocation that
+names a file under tests/fixtures/ has that file copied into the directory
+before the first command runs, so an invocation can read checked-in inputs,
+and their bytes are pinned parts like the files it writes. To add the digests of new
 invocations to golden.json, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ import pytest
 from lcsim.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+FIXTURES = Path(__file__).with_name("fixtures")
 
 # Small runs, together well under a second: every experiment mode on both
 # weight sides with the full event log, settings outside [0, 2π) and on the
@@ -41,7 +46,10 @@ GOLDEN = Path(__file__).with_name("golden.json")
 # JSON, in degrees, and a refused angle; builtin uniqueness reports on both
 # weight sides, with and without reconstruction, a grid too coarse to verify
 # and a missing model file; and a scan on a grid whose analytic column
-# differs between libm `pow` and `x*x`.
+# differs between libm `pow` and `x*x`. Two invocations read fixtures: a
+# cosine measure file in the dense form that `cosine-measure --grid 16` wrote
+# before sources were stored as their support, and the benchmark's
+# 256-sample |cos| model (`rho` and `p2` uniform, no `scale`).
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -83,13 +91,19 @@ INVOCATIONS = [
     "uniqueness --builtin abs-cos --grid 4",
     "uniqueness --model missing.json",
     "scan --grid 39 --pairs 20 --out scan.csv",
+    "trivial --measure cosine-grid16-dense.json",
+    "uniqueness --model abs-cos-256.json --grid 8",
 ]
 
 
 def run(argv: str, directory: Path) -> dict[str, bytes]:
     """Exit code, stdout and stderr of each command of `lcsim argv` run in
-    `directory`, which must be empty, and each file written there, by name.
-    The parts of the second and later commands carry the command's number."""
+    `directory`, which must be empty, and each file there afterwards, by
+    name: the fixtures that argv names and the files it writes. The parts of
+    the second and later commands carry the command's number."""
+    for token in shlex.split(argv):
+        if (FIXTURES / token).is_file():
+            shutil.copy(FIXTURES / token, directory / token)
     parts = {}
     cwd = os.getcwd()
     os.chdir(directory)
@@ -121,6 +135,12 @@ def golden() -> dict[str, dict[str, str]]:
 
 def test_every_invocation_has_a_digest(golden):
     assert sorted(golden) == sorted(INVOCATIONS)
+
+
+def test_every_fixture_is_read_and_pinned(golden):
+    tokens = {token: argv for argv in INVOCATIONS for token in shlex.split(argv)}
+    for path in FIXTURES.iterdir():
+        assert f"file {path.name}" in golden[tokens[path.name]]
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS)
