@@ -35,10 +35,12 @@ TRIVIAL_TOL = 1e-9
 UNIT_TOL = 1e-9
 
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
-#: grid × grid matrix, so memory grows as grid²: `lcsim cosine-measure` peaks
-#: near 270 MB at grid 2048 and would need about 1 GB at 4096. Its kernels,
-#: and every matrix of a measure file that :func:`measure_from_dict` reads,
-#: hold at most MAX_COSINE_GRID² entries too.
+#: grid × grid matrix in memory, so memory grows as grid²: at grid 2048 `lcsim
+#: cosine-measure` peaks near 97 MB and `lcsim trivial --measure` on its file
+#: near 166 MB (child VmHWM); their excess over a bare import's 30 MB grows
+#: about fourfold per doubling. The file holds only the source's support.
+#: Its kernels, and every matrix of a measure file that
+#: :func:`measure_from_dict` reads, hold at most MAX_COSINE_GRID² entries too.
 MAX_COSINE_GRID = 4096
 
 #: Most entries of each random matrix: the n1 × n2 source and the n1 × m1 and
@@ -242,7 +244,14 @@ def apply_local_markov(m: DiscreteLCMeasure, op: LocalMarkovOperator) -> Discret
             f"operator dimensions {op.T1.shape}, {op.T2.shape} do not match "
             f"the one-side spaces ({d1}, {d1}), ({d2}, {d2})"
         )
-    return DiscreteLCMeasure(PS=m.PS, K1=_transport_kernel(m.K1, op.T1), K2=_transport_kernel(m.K2, op.T2))
+    # The source is the input's own checked, read-only array. The new kernels
+    # are sums of products of finite nonnegative entries, so only overflow
+    # can make them invalid.
+    kernels = {"K1": _transport_kernel(m.K1, op.T1), "K2": _transport_kernel(m.K2, op.T2)}
+    for name, K in kernels.items():
+        if not np.isfinite(K).all():
+            raise ValueError(f"{name} must be finite and nonnegative")
+    return _owned(DiscreteLCMeasure, PS=m.PS, **kernels)
 
 
 def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
@@ -409,13 +418,17 @@ def cosine_diagonal_measure(
             f"cosine-diagonal kernels of grid {n_grid} and widths {m1}, {m2} exceed "
             f"{MAX_COSINE_GRID**2} entries"
         )
-    grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
+    return DiscreteLCMeasure(PS=PS, **_cosine_kernels(diagonal_grid(n_grid), setting, m1, m2, weight_side))
+
+
+def _cosine_kernels(grid: np.ndarray, setting: float, m1: int, m2: int, weight_side: int) -> dict:
+    """K1 and K2 of a cosine-diagonal measure: row masses |cos(s - setting)|
+    over their grid mean on the weighted side and 1 on the other, each spread
+    evenly over the side's m apparatus states."""
     w = np.abs(np.cos(grid - setting))
-    w1, w2 = on_side(weight_side, w / w.mean(), np.ones(n_grid))
-    K1 = np.repeat(w1[:, None] / m1, m1, axis=1)
-    K2 = np.repeat(w2[:, None] / m2, m2, axis=1)
-    return DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
+    w1, w2 = on_side(weight_side, w / w.mean(), np.ones(grid.size))
+    return {"K1": np.repeat(w1[:, None] / m1, m1, axis=1), "K2": np.repeat(w2[:, None] / m2, m2, axis=1)}
 
 
 def cosine_diagonal_family(
@@ -429,14 +442,19 @@ def cosine_diagonal_family(
     matching ±1 spin observables on the grid.
 
     Returns (measures, obs1, obs2) shaped for :func:`chsh_discrete`;
-    settings order is (a, a2, b, b2).
+    settings order is (a, a2, b, b2). The first member is built and checked
+    by :func:`cosine_diagonal_measure`; the other three share its read-only
+    source and differ only in their kernels.
     """
     a, a2, b, b2 = settings
+    if not np.all(np.isfinite(settings)):
+        raise ValueError(f"cosine-diagonal family settings must be finite, got {settings!r}")
+    (sa, sb), *rest = chsh_pairs(settings)
+    members = [cosine_diagonal_measure(n_grid, sa, sb, m1=m1, m2=m2, weight_side=weight_side)]
     grid = diagonal_grid(n_grid)
-    measures = tuple(
-        cosine_diagonal_measure(n_grid, sa, sb, m1=m1, m2=m2, weight_side=weight_side)
-        for sa, sb in chsh_pairs(settings)
-    )
+    for sa, sb in rest:
+        kernels = _cosine_kernels(grid, on_side(weight_side, sa, sb)[0], m1, m2, weight_side)
+        members.append(_owned(DiscreteLCMeasure, PS=members[0].PS, **kernels))
     obs1 = (
         spin_values(1, a, grid).astype(float),
         spin_values(1, a2, grid).astype(float),
@@ -445,7 +463,7 @@ def cosine_diagonal_family(
         spin_values(2, b, grid).astype(float),
         spin_values(2, b2, grid).astype(float),
     )
-    return measures, obs1, obs2
+    return tuple(members), obs1, obs2
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +471,17 @@ def cosine_diagonal_family(
 
 
 def measure_to_dict(m: DiscreteLCMeasure, meta: dict | None = None) -> dict:
+    """The measure as a JSON-ready document. `PS` is written as its support,
+    the nonzero entries in row-major order as {"rows", "cols", "weights"}, so
+    a diagonal source takes n entries instead of n²; a -0.0 entry is not in
+    the support and reloads as +0.0. `K1` and `K2` are lists of rows."""
+    rows, cols = np.nonzero(m.PS)
     doc = {
         "n1": m.n1,
         "n2": m.n2,
         "m1": m.m1,
         "m2": m.m2,
-        "PS": m.PS.tolist(),
+        "PS": {"rows": rows.tolist(), "cols": cols.tolist(), "weights": m.PS[rows, cols].tolist()},
         "K1": m.K1.tolist(),
         "K2": m.K2.tolist(),
     }
@@ -467,7 +490,39 @@ def measure_to_dict(m: DiscreteLCMeasure, meta: dict | None = None) -> dict:
     return doc
 
 
+def _support_source(support: dict, n1: int, n2: int) -> np.ndarray:
+    """The dense n1 × n2 source of a support object; ValueError unless it has
+    exactly the keys rows, cols and weights, holding equal-length lists of
+    in-range integer indices and of numbers, with no (row, col) pair twice.
+    The weights themselves are left to the :class:`DiscreteLCMeasure` checks."""
+    if sorted(support) != ["cols", "rows", "weights"]:
+        raise ValueError(f"a PS support has exactly the keys cols, rows and weights, got {sorted(support)}")
+    rows, cols, weights = support["rows"], support["cols"], support["weights"]
+    if not all(isinstance(v, list) for v in (rows, cols, weights)):
+        raise ValueError("PS support rows, cols and weights must be lists")
+    if not len(rows) == len(cols) == len(weights):
+        raise ValueError(
+            f"PS support rows, cols and weights must have equal lengths, "
+            f"got {len(rows)}, {len(cols)} and {len(weights)}"
+        )
+    for name, index, bound in (("rows", rows, n1), ("cols", cols, n2)):
+        # type() and not isinstance(): a bool is not an index.
+        if not all(type(i) is int and 0 <= i < bound for i in index):
+            raise ValueError(f"PS support {name} must be integers in [0, {bound})")
+    if not all(type(w) in (int, float) for w in weights):
+        raise ValueError("PS support weights must be numbers")
+    flat = np.array(rows, dtype=np.int64) * n2 + np.array(cols, dtype=np.int64)
+    if np.unique(flat).size != flat.size:
+        raise ValueError("PS support lists a (row, col) pair twice")
+    PS = np.zeros((n1, n2))
+    PS.flat[flat] = weights
+    return PS
+
+
 def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
+    """The measure and `meta` of a document that :func:`measure_to_dict`
+    wrote. `PS` may also be a list of rows, the form files had before sources
+    were written as their support."""
     if not isinstance(doc, dict):
         raise ValueError(f"measure document must be an object, got {type(doc).__name__}")
     for key in ("n1", "n2", "m1", "m2", "PS", "K1", "K2"):
@@ -484,8 +539,10 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
                 f"(at most {MAX_COSINE_GRID**2})"
             )
     try:
-        PS, K1, K2 = (np.asarray(doc[key], dtype=float) for key in ("PS", "K1", "K2"))
-    except TypeError:
+        PS = _support_source(doc["PS"], n1, n2) if isinstance(doc["PS"], dict) else doc["PS"]
+        PS, K1, K2 = (np.asarray(v, dtype=float) for v in (PS, doc["K1"], doc["K2"]))
+    except (TypeError, OverflowError):
+        # OverflowError: an integer entry too large for a float.
         raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
     m = DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
     if declared != (m.n1, m.n2, m.m1, m.m2):

@@ -219,12 +219,13 @@ def load_model(path) -> CandidateModel:
 def quadrant_table_analytic(a, b) -> np.ndarray:
     """Singlet closed forms in :class:`Quadrant` order, shape (..., 4) for
     broadcast settings (a, b): ½cos²((b-a)/2) on matched cells, ½sin²((b-a)/2)
-    on mixed ones. Squares go through libm ``pow``, as Python's float ``**``
-    does, so each cell is bitwise its scalar ``math`` formula."""
+    on mixed ones. Each square is ``x*x``, the correctly rounded product;
+    libm ``pow(x, 2)`` rounds some of them the other way."""
     half = 0.5 * np.subtract(b, a, dtype=float)
     table = np.empty(np.shape(half) + (4,))
-    table[..., 0] = table[..., 3] = 0.5 * np.float_power(np.cos(half), 2)
-    table[..., 1] = table[..., 2] = 0.5 * np.float_power(np.sin(half), 2)
+    c, s = np.cos(half), np.sin(half)
+    table[..., 0] = table[..., 3] = 0.5 * (c * c)
+    table[..., 1] = table[..., 2] = 0.5 * (s * s)
     return table
 
 

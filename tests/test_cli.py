@@ -15,6 +15,7 @@ from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, build_parser, 
 from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
 from lcsim.uniqueness import verify_reproduction
+from test_protocol import peak_rss_mb
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +263,15 @@ class TestCosineMeasure:
         assert out == ""
         assert "validation error" in err and message in err
         assert not path.exists()
+
+    def test_peak_memory_of_a_grid_512_file(self, tmp_path):
+        # Over a bare import of lcsim.cli, writing this file and reading it
+        # back took +17.6 and +17.2 MB (child VmHWM) while its source was
+        # written as a dense 512 × 512 list; as its support, +4.5 and +10.4 MB.
+        path = str(tmp_path / "cosine.json")
+        bare = peak_rss_mb([])
+        assert peak_rss_mb(["cosine-measure", "--grid", "512", "--out", path]) <= bare + 10
+        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 14
 
     def test_grid_above_4096_is_validation_error(self, capsys, tmp_path, monkeypatch):
         # The dense grid × grid source is refused before it exists: building

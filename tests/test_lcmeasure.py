@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim import lcmeasure
+from lcsim import cli, lcmeasure
 from lcsim.circle import spin_values
 from lcsim.lcmeasure import (
     DiscreteLCMeasure,
@@ -32,13 +32,46 @@ from lcsim.lcmeasure import (
     save_measure,
     stochastic_matrix,
 )
-from lcsim.models import TSIRELSON_SETTINGS
+from lcsim.models import TSIRELSON_SETTINGS, chsh_pairs
 
 RNG = np.random.default_rng(20240811)
 
 #: transport_digest() as the dense einsum computes it, permutations
 #: included; the index form of permutations must reproduce it bit for bit.
 TRANSPORT_DIGEST = "7dc087ae8feefb336d23b43f94cb827ffd980f4561f1004ffe034c5c586aa772"
+
+
+#: The support of the grid-4 cosine source, the diagonal at 1/4, and
+#: malformed variants of it with the ValueError each must raise.
+GOOD_SUPPORT = {"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3], "weights": [0.25] * 4}
+MALFORMED_SUPPORTS = {
+    "row-out-of-range": ({**GOOD_SUPPORT, "rows": [0, 1, 2, 4]}, "rows must be integers in"),
+    "col-out-of-range": ({**GOOD_SUPPORT, "cols": [4, 1, 2, 3]}, "cols must be integers in"),
+    "negative-row": ({**GOOD_SUPPORT, "rows": [-1, 1, 2, 3]}, "rows must be integers in"),
+    "negative-col": ({**GOOD_SUPPORT, "cols": [0, 1, -2, 3]}, "cols must be integers in"),
+    "repeated-pair": ({**GOOD_SUPPORT, "rows": [0, 0, 2, 3], "cols": [0, 0, 2, 3]}, "twice"),
+    "short-weights": ({**GOOD_SUPPORT, "weights": [0.25] * 3}, "equal lengths"),
+    "long-rows": ({**GOOD_SUPPORT, "rows": [0, 1, 2, 3, 0]}, "equal lengths"),
+    "missing-key": ({"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3]}, "exactly the keys"),
+    "extra-key": ({**GOOD_SUPPORT, "shape": [4, 4]}, "exactly the keys"),
+    "bool-index": ({**GOOD_SUPPORT, "rows": [0, True, 2, 3]}, "rows must be integers"),
+    "float-index": ({**GOOD_SUPPORT, "cols": [0, 1.0, 2, 3]}, "cols must be integers"),
+    "string-index": ({**GOOD_SUPPORT, "rows": [0, "1", 2, 3]}, "rows must be integers"),
+    "index-not-a-list": ({**GOOD_SUPPORT, "rows": 0}, "must be lists"),
+    "string-weight": ({**GOOD_SUPPORT, "weights": [0.25, "0.25", 0.25, 0.25]}, "weights must be numbers"),
+    "bool-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, True]}, "weights must be numbers"),
+    "huge-integer-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 10**400]}, "matrices of numbers"),
+    "negative-weight": ({**GOOD_SUPPORT, "weights": [0.5, 0.25, 0.5, -0.25]}, "finite and nonnegative"),
+    "nan-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.nan]}, "finite and nonnegative"),
+    "inf-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.inf]}, "finite and nonnegative"),
+    "mass-below-one": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 0.0]}, "must sum to 1"),
+    "mass-above-one": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 0.5]}, "must sum to 1"),
+}
+
+
+def malformed_support_document(support: dict) -> dict:
+    """The grid-4 cosine measure's document with `support` as its source."""
+    return {**measure_to_dict(cosine_diagonal_measure(4, 0.0, 0.0)), "PS": support}
 
 
 def small_measure(rng=None, trivial=True):
@@ -257,6 +290,25 @@ class TestMarkovTransport:
         with pytest.raises(ValueError, match="dimensions"):
             apply_local_markov(m, LocalMarkovOperator(np.eye(4), np.eye(4)))
 
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_overflowing_kernel_is_refused(self, side):
+        # Operator entries near 1e300 times kernel entries of 1e10 overflow
+        # to inf, which no measure may hold.
+        K = {1: np.ones((2, 3)), 2: np.ones((2, 1))}
+        K[side] = np.full_like(K[side], 1e10)
+        m = DiscreteLCMeasure(PS=np.full((2, 2), 0.25), K1=K[1], K2=K[2])
+        T = {1: np.eye(6), 2: np.eye(2)}
+        T[side] = np.full_like(T[side], 1e300)
+        with pytest.raises(ValueError, match=f"K{side} must be finite and nonnegative"):
+            apply_local_markov(m, LocalMarkovOperator(T[1], T[2]))
+
+    def test_transport_keeps_the_source_object(self):
+        rng = np.random.default_rng(5)
+        m = random_trivial_measure(rng, 6, 5, 3, 4)
+        out = apply_local_markov(m, LocalMarkovOperator.random_stochastic(rng, 18, 20))
+        assert out.PS is m.PS
+        assert not any(a.flags.writeable for a in (out.PS, out.K1, out.K2))
+
     def test_flags(self):
         rng = np.random.default_rng(4)
         st_op = LocalMarkovOperator.random_stochastic(rng, 6, 6)
@@ -465,6 +517,30 @@ class TestCosineDiagonal:
         assert value <= 2 * math.sqrt(2) + 1e-12
 
     @pytest.mark.parametrize("weight_side", [1, 2])
+    def test_family_shares_one_readonly_source(self, weight_side):
+        family, _, _ = cosine_diagonal_family(16, weight_side=weight_side)
+        assert all(m.PS is family[0].PS for m in family)
+        assert not family[0].PS.flags.writeable
+        for m, (a, b) in zip(family, chsh_pairs(TSIRELSON_SETTINGS)):
+            alone = cosine_diagonal_measure(16, a, b, weight_side=weight_side)
+            for name in ("PS", "K1", "K2"):
+                assert getattr(m, name).tobytes() == getattr(alone, name).tobytes()
+                assert not getattr(m, name).flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_family_settings_must_be_finite(self, monkeypatch, bad, position):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(lcmeasure, "cosine_diagonal_measure", refuse)
+        monkeypatch.setattr(lcmeasure, "diagonal_grid", refuse)
+        settings = list(TSIRELSON_SETTINGS)
+        settings[position] = bad
+        with pytest.raises(ValueError, match="settings must be finite"):
+            cosine_diagonal_family(16, tuple(settings))
+
+    @pytest.mark.parametrize("weight_side", [1, 2])
     @pytest.mark.parametrize("width", [0, -1, True, 2.0])
     @pytest.mark.parametrize("key", ["m1", "m2"])
     def test_kernel_widths_must_be_positive_integers(self, key, width, weight_side):
@@ -492,14 +568,72 @@ class TestSerialization:
         assert meta is None
         assert np.allclose(loaded.K2, m.K2)
 
-    def test_negative_mass_rejected(self, tmp_path):
+    @pytest.mark.parametrize("form", ["dense", "support"])
+    def test_negative_mass_rejected(self, tmp_path, form):
         m = small_measure()
         doc = measure_to_dict(m)
-        doc["PS"][0][0] = -0.25
+        if form == "dense":
+            doc["PS"] = m.PS.tolist()
+            doc["PS"][0][0] = -0.25
+        else:
+            doc["PS"]["weights"][0] = -0.25
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="nonnegative"):
             load_measure(path)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            *(cosine_diagonal_measure(n, 0.3, 2.0, weight_side=side) for n in (16, 512) for side in (1, 2)),
+            random_nontrivial_measure(np.random.default_rng(4), 9, 7, 3, 5),
+        ],
+        ids=["cosine-16-side-1", "cosine-16-side-2", "cosine-512-side-1", "cosine-512-side-2", "random-nontrivial"],
+    )
+    def test_roundtrip_is_bitwise(self, tmp_path, m):
+        path = tmp_path / "measure.json"
+        save_measure(path, m)
+        loaded, _ = load_measure(path)
+        for name in ("PS", "K1", "K2"):
+            saved, back = getattr(m, name), getattr(loaded, name)
+            assert back.shape == saved.shape and back.tobytes() == saved.tobytes()
+
+    def test_source_is_written_as_its_support(self):
+        m = cosine_diagonal_measure(4, 0.0, 0.0)
+        assert measure_to_dict(m)["PS"] == {"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3], "weights": [0.25] * 4}
+        doc = measure_to_dict(small_measure())
+        rows, cols = np.divmod(np.arange(30), 5)
+        assert doc["PS"]["rows"] == rows.tolist() and doc["PS"]["cols"] == cols.tolist()
+
+    def test_negative_zero_source_entry_reloads_as_zero(self):
+        PS = np.diag([0.5, 0.5])
+        PS[0, 1] = -0.0
+        m = DiscreteLCMeasure(PS=PS, K1=np.ones((2, 1)), K2=np.ones((2, 1)))
+        doc = measure_to_dict(m)
+        assert doc["PS"]["rows"] == [0, 1]
+        loaded, _ = measure_from_dict(json.loads(json.dumps(doc)))
+        assert loaded.PS.tobytes() == np.diag([0.5, 0.5]).tobytes()
+
+    def test_dense_source_files_still_load(self):
+        m = small_measure()
+        doc = measure_to_dict(m)
+        doc["PS"] = m.PS.tolist()
+        assert measure_from_dict(doc)[0].PS.tobytes() == m.PS.tobytes()
+
+    def test_grid_512_cosine_file_is_small(self, tmp_path):
+        # The dense form of this file was 1,432,324 bytes.
+        path = tmp_path / "cosine.json"
+        save_measure(path, cosine_diagonal_measure(512, 0.0, math.pi / 4))
+        assert path.stat().st_size < 200_000
+
+    @pytest.mark.parametrize("support, message", MALFORMED_SUPPORTS.values(), ids=MALFORMED_SUPPORTS.keys())
+    def test_malformed_support_rejected(self, tmp_path, support, message):
+        doc = malformed_support_document(support)
+        with pytest.raises(ValueError, match=message):
+            measure_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["trivial", "--measure", str(path)]) == cli.EXIT_VALIDATION
 
     def test_declared_dims_checked(self):
         m = small_measure()

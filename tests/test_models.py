@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,14 +213,20 @@ class TestClosedForms:
         assert table.shape == (4,)
         assert np.abs(table - closed_form_cells(a, b)).max() <= 1e-15
 
-    def test_matches_cell_formulas_on_grid(self):
-        # The 39-point scan grid holds settings where libm pow and x*x round
-        # differently; the table squares with pow, so the match is bitwise.
+    def test_cells_are_correctly_rounded_squares_on_grid(self):
+        # The 39-point scan grid holds settings where libm pow(x, 2) is not
+        # the nearest double to x²; every cell must be 0.5 times the
+        # correctly rounded square, found in exact rational arithmetic.
+        def half_square(x: float) -> float:
+            return 0.5 * float(Fraction(x) ** 2)
+
         grid = np.arange(39) * (TWO_PI / 39)
         tables = quadrant_table_analytic(grid[:, None], grid)
         for i, a in enumerate(grid.tolist()):
             for j, b in enumerate(grid.tolist()):
-                assert tables[i, j].tolist() == closed_form_cells(a, b)
+                half = 0.5 * (b - a)
+                matched, mixed = half_square(math.cos(half)), half_square(math.sin(half))
+                assert tables[i, j].tolist() == [matched, mixed, mixed, matched]
 
     def test_broadcast_equals_single_calls(self):
         a = np.linspace(-7.0, 7.0, 5)[:, None]

@@ -122,9 +122,10 @@ def reference_event_log(path, cfg, emissions, r1, r2, debug_hidden=False):
 
 
 def peak_rss_mb(argv) -> float:
-    """Peak resident memory of a child process that runs `lcsim argv`: its
-    VmHWM, since ru_maxrss keeps the resident memory of the forking parent."""
-    code = "import sys; from lcsim import cli; cli.main(sys.argv[1:]); " \
+    """Peak resident memory of a child process that runs `lcsim argv`, or
+    only imports `lcsim.cli` when argv is empty: its VmHWM, since ru_maxrss
+    keeps the resident memory of the forking parent."""
+    code = "import sys; from lcsim import cli; sys.argv[1:] and cli.main(sys.argv[1:]); " \
            "print(*[line for line in open('/proc/self/status') if line.startswith('VmHWM')])"
     env = {**os.environ, "PYTHONPATH": str(Path(protocol.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
