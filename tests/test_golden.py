@@ -9,8 +9,8 @@ Each invocation runs in a fresh directory with relative output paths, so the
 digests do not depend on where the suite runs. A token of an invocation that
 names a file under tests/fixtures/ has that file copied into the directory
 before the first command runs, so an invocation can read checked-in inputs,
-and their bytes are pinned parts like the files it writes. To add the digests of new
-invocations to golden.json, run
+and their bytes are pinned parts like the files it writes. To add the
+digests of new invocations to golden.json, run
 
     PYTHONPATH=src python tests/test_golden.py
 

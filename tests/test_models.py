@@ -213,7 +213,7 @@ class TestClosedForms:
         assert table.shape == (4,)
         assert np.abs(table - closed_form_cells(a, b)).max() <= 1e-15
 
-    def test_cells_are_correctly_rounded_squares_on_grid(self):
+    def test_matches_cell_formulas_on_grid(self):
         # The 39-point scan grid holds settings where libm pow(x, 2) is not
         # the nearest double to x²; every cell must be 0.5 times the
         # correctly rounded square, found in exact rational arithmetic.
