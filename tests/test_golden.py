@@ -49,7 +49,10 @@ FIXTURES = Path(__file__).with_name("fixtures")
 # differs between libm `pow` and `x*x`. Two invocations read fixtures: a
 # cosine measure file in the dense form that `cosine-measure --grid 16` wrote
 # before sources were stored as their support, and the benchmark's
-# 256-sample |cos| model (`rho` and `p2` uniform, no `scale`).
+# 256-sample |cos| model (`rho` and `p2` uniform, no `scale`). Two cosine
+# files off the defaults pin the measure builder for widths other than 8,
+# weight side 2, an odd grid and settings outside [0, 2π); the second reads
+# CHSH 2.8375, the known excess of a grid off the multiples of 8.
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -93,6 +96,9 @@ INVOCATIONS = [
     "scan --grid 39 --pairs 20 --out scan.csv",
     "trivial --measure cosine-grid16-dense.json",
     "uniqueness --model abs-cos-256.json --grid 8",
+    "cosine-measure --grid 16 --a 0.3 --b 2.1 --m1 3 --m2 5 --weight-side 2 --out cosine.json "
+    "&& trivial --measure cosine.json",
+    "cosine-measure --grid 9 --a -1 --b 7 --m1 1 --m2 1 --out cosine.json && trivial --measure cosine.json",
 ]
 
 
