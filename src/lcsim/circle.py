@@ -55,9 +55,10 @@ def normalize(x):
 
 def on_side(side: int, value, other, name: str = "weight side") -> tuple:
     """The (side 1, side 2) pair with `value` on `side`, `other` on the other
-    side; ValueError unless side is 1 or 2. The one place a side is decided.
-    Being its own inverse, it also maps a (side 1, side 2) pair to (side, other)."""
-    if side not in (1, 2):
+    side; ValueError unless side is the integer 1 or 2 (a numpy integer too,
+    never a bool or a float). The one place a side is decided. Being its own
+    inverse, it also maps a (side 1, side 2) pair to (side, other)."""
+    if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side not in (1, 2):
         raise ValueError(f"{name} must be 1 or 2, got {side!r}")
     return (value, other) if side == 1 else (other, value)
 
@@ -120,15 +121,11 @@ _PLUS_FROM = TWO_PI - BOUNDARY_EPS
 SPIN_BREAKPOINT_CACHE = 4096
 
 
-def _plus_at(t: float) -> bool:
-    """Whether side 1 reads +1 at one phase t in (-2π, 2·2π), reduced to
-    [0, 2π) as np.mod reduces it there: t - 2π is exact from 2π on
-    (Sterbenz), and a negative phase gains one period."""
-    if t >= TWO_PI:
-        t -= TWO_PI
-    if t < 0.0:
-        t += TWO_PI
-    return t < _MINUS_FROM or t >= _PLUS_FROM
+def _reads_plus(t: np.ndarray) -> np.ndarray:
+    """Whether side 1 reads +1 at each phase t in [0, 2π), as a new bool array."""
+    flag = np.less(t, _MINUS_FROM, out=np.empty(t.shape, dtype=bool))
+    flag |= t >= _PLUS_FROM
+    return flag
 
 
 def _key(x: float) -> int:
@@ -169,10 +166,10 @@ def _least(holds, guess: float) -> float:
 #: The phases in (-2π, 2·2π) where the spin rule flips, in increasing order,
 #: starting from +1 just above -2π: where t + 2π reaches π - BOUNDARY_EPS and
 #: 2π - BOUNDARY_EPS, where t does, and where t - 2π does. Each is the least
-#: float phase at which _plus_at takes its new value, searched from a float
-#: within a few ulps of it.
+#: float phase at which the rule, on the phase as normalize reduces it, takes
+#: its new value, searched from a float within a few ulps of it.
 PHASE_FLIPS = tuple(
-    _least(lambda t, plus=bool(k % 2): _plus_at(t) is plus, start + edge)
+    _least(lambda t, plus=bool(k % 2): _reads_plus(normalize(np.array([t])))[0] == plus, start + edge)
     for k, (start, edge) in enumerate(itertools.product((-TWO_PI, 0.0, TWO_PI), (_MINUS_FROM, _PLUS_FROM)))
 )
 
@@ -226,9 +223,7 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
         if sum(flip <= lo for flip in PHASE_FLIPS) % 2 == 0:
             sign = -sign
     else:
-        t = np.asarray(normalize(np.subtract(s, c)))
-        flag = np.less(t, _MINUS_FROM, out=np.empty(t.shape, dtype=bool))
-        flag |= t >= _PLUS_FROM
+        flag = _reads_plus(np.asarray(normalize(np.subtract(s, c))))
     values = flag.view(np.int8)  # 1 where flag, else 0; becomes ±1 in place
     values *= 2 * sign
     values -= sign

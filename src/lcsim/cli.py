@@ -51,51 +51,30 @@ def _angle(args, value: float) -> float:
     return normalize(math.radians(value) if args.degrees else value)
 
 
-def _meta_int(meta: dict, key: str, default: int | None = None) -> int:
-    """A positive integer field of a measure file's cosine-diagonal metadata."""
-    value = meta.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"cosine-diagonal meta needs a positive integer {key!r}, got {value!r}")
-    return value
-
-
-def _meta_angle(meta: dict, key: str, default: float) -> float:
-    """A finite setting angle of a measure file's cosine-diagonal metadata."""
-    value = meta.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"cosine-diagonal meta needs a finite number {key!r}, got {value!r}")
-    return float(value)
-
-
 # Largest entrywise deviation of a stored cosine-diagonal measure from the one
 # its metadata describes.
 COSINE_META_TOL = 1e-12
 
 
-def _cosine_fields(meta: dict) -> tuple[int, float, float, int, int, int]:
-    """The checked arguments (grid, a, b, m1, m2, weight_side) of cosine_diagonal_measure in `meta`."""
-    return (
-        _meta_int(meta, "grid"),
-        _meta_angle(meta, "a", TSIRELSON_SETTINGS[0]),
-        _meta_angle(meta, "b", TSIRELSON_SETTINGS[2]),
-        *(_meta_int(meta, key, default) for key, default in (("m1", 8), ("m2", 8), ("weight_side", 1))),
-    )
-
-
 def _cosine_meta(measure: lcmeasure.DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
     """(grid, m1, m2, weight_side) of a cosine-diagonal measure file, checked
-    against the file's matrices: the shapes must match, and the matrices must
-    equal cosine_diagonal_measure(grid, a, b, m1, m2, weight_side)."""
-    grid, a, b, m1, m2, weight_side = _cosine_fields(meta)
+    against the file's matrices: the shapes must match, before anything is
+    built, and the matrices must equal cosine_diagonal_measure(grid, a, b,
+    m1, m2, weight_side), which checks the values. Fields other than the grid
+    default to cosine-measure's."""
+    defaults = {"grid": None, "a": TSIRELSON_SETTINGS[0], "b": TSIRELSON_SETTINGS[2],
+                "m1": 8, "m2": 8, "weight_side": 1}
+    grid, a, b, m1, m2, weight_side = (meta.get(key, default) for key, default in defaults.items())
     stored = (measure.n1, measure.n2, measure.m1, measure.m2)
     if stored != (grid, grid, m1, m2):
         raise ValueError(
-            f"cosine-diagonal meta (grid {grid}, m1 {m1}, m2 {m2}) does not match "
+            f"cosine-diagonal meta (grid {grid!r}, m1 {m1!r}, m2 {m2!r}) does not match "
             f"the matrices (n1 {stored[0]}, n2 {stored[1]}, m1 {stored[2]}, m2 {stored[3]})"
         )
     expected = lcmeasure.cosine_diagonal_measure(grid, a, b, m1=m1, m2=m2, weight_side=weight_side)
     for name in ("PS", "K1", "K2"):
-        deviation = float(np.max(np.abs(getattr(measure, name) - getattr(expected, name))))
+        diff = np.subtract(getattr(measure, name), getattr(expected, name))
+        deviation = float(np.abs(diff, out=diff).max())
         if not deviation <= COSINE_META_TOL:
             raise ValueError(
                 f"stored {name} deviates by {deviation:.3g} from the cosine-diagonal measure "
@@ -295,7 +274,8 @@ def cmd_trivial(args) -> int:
 def cmd_cosine_measure(args) -> int:
     meta = {"family": "cosine-diagonal", "grid": args.grid, "a": args.a, "b": args.b,
             "m1": args.m1, "m2": args.m2, "weight_side": args.weight_side}
-    lcmeasure.save_measure(args.out, lcmeasure.cosine_diagonal_measure(*_cosine_fields(meta)), meta=meta)
+    measure = lcmeasure.cosine_diagonal_measure(args.grid, args.a, args.b, args.m1, args.m2, args.weight_side)
+    lcmeasure.save_measure(args.out, measure, meta=meta)
     _emit_json(meta, None)
     return EXIT_OK
 

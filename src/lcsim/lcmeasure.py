@@ -17,6 +17,8 @@ preserve nontriviality as well.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,10 +138,9 @@ def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
     source, the entries above SUPPORT_EPS."""
     p1, p2 = local_mass_functions(m)
     supp = m.PS > SUPPORT_EPS
-    if supp.any():
-        max_dev = float(np.abs(np.outer(p1, p2) - 1.0)[supp].max())
-    else:
-        max_dev = 0.0
+    dev = np.outer(p1, p2)  # the one n1 × n2 temporary: |p1 ⊗ p2 - 1| in place
+    dev -= 1.0
+    max_dev = float(np.abs(dev, out=dev)[supp].max(initial=0.0))
     trivial = max_dev <= TRIVIAL_TOL
     c = None
     if trivial:
@@ -391,9 +392,51 @@ def random_observables(rng: np.random.Generator, n: int) -> np.ndarray:
 def diagonal_grid(n_grid: int) -> np.ndarray:
     """Midpoint grid on the circle; arc boundaries of grid-aligned settings
     then fall between nodes."""
-    if n_grid < 2:
-        raise ValueError("grid needs at least two points")
     return (np.arange(n_grid) + 0.5) * (TWO_PI / n_grid)
+
+
+def _cosine_kernels(grid: np.ndarray, setting: float, m1: int, m2: int, weight_side: int) -> dict:
+    """K1 and K2 of a cosine-diagonal measure: row masses |cos(s - setting)|
+    over their grid mean on the weighted side and 1 on the other, each spread
+    evenly over the side's m apparatus states."""
+    w = np.abs(np.cos(grid - setting))
+    w1, w2 = on_side(weight_side, w / w.mean(), np.ones(grid.size))
+    return {"K1": np.repeat(w1[:, None] / m1, m1, axis=1), "K2": np.repeat(w2[:, None] / m2, m2, axis=1)}
+
+
+def _cosine_measures(n_grid: int, settings: dict, pairs, m1: int, m2: int, weight_side: int):
+    """The cosine-diagonal measures at `pairs`, (side 1, side 2) pairs of
+    names of `settings`, all on one read-only diagonal source, and the grid
+    they live on. Every argument is checked before any array exists; the
+    measures are then valid by construction, so they are built through
+    `_owned`: the uniform diagonal sums to 1 within 7e-16 for every grid up
+    to MAX_COSINE_GRID, and finite settings give finite positive kernels."""
+    if isinstance(n_grid, bool) or not isinstance(n_grid, int) or not 2 <= n_grid <= MAX_COSINE_GRID:
+        raise ValueError(
+            f"cosine-diagonal grid needs an integer of two points or more, at most {MAX_COSINE_GRID}, got {n_grid!r}"
+        )
+    if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in (m1, m2)):
+        raise ValueError(f"kernel widths m1 and m2 must be positive integers, got {m1!r} and {m2!r}")
+    if n_grid * max(m1, m2) > MAX_COSINE_GRID**2:
+        raise ValueError(
+            f"cosine-diagonal kernels of grid {n_grid} and widths {m1}, {m2} exceed "
+            f"{MAX_COSINE_GRID**2} entries"
+        )
+    for name, value in settings.items():
+        try:
+            finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"cosine-diagonal settings must be finite: need a finite number {name!r}, got {value!r}")
+    weighted = [on_side(weight_side, *pair)[0] for pair in pairs]
+    grid = diagonal_grid(n_grid)
+    PS = np.diag(np.full(n_grid, 1.0 / n_grid))
+    measures = tuple(
+        _owned(DiscreteLCMeasure, PS=PS, **_cosine_kernels(grid, settings[name], m1, m2, weight_side))
+        for name in weighted
+    )
+    return measures, grid
 
 
 def cosine_diagonal_measure(
@@ -408,27 +451,8 @@ def cosine_diagonal_measure(
     uniform diagonal source, row masses |cos| over their grid mean on the
     weighted side. The induced mass Σ PS·p1·p2 is then 1, where the midpoint
     samples of (π/2)|cos| leave it at 1 + O(1/n²)."""
-    if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in (m1, m2)):
-        raise ValueError(f"kernel widths m1 and m2 must be positive integers, got {m1!r} and {m2!r}")
-    setting, _ = on_side(weight_side, a, b)  # the weighted side's setting
-    if n_grid > MAX_COSINE_GRID:
-        raise ValueError(f"cosine-diagonal grid must be at most {MAX_COSINE_GRID}, got {n_grid!r}")
-    if n_grid * max(m1, m2) > MAX_COSINE_GRID**2:
-        raise ValueError(
-            f"cosine-diagonal kernels of grid {n_grid} and widths {m1}, {m2} exceed "
-            f"{MAX_COSINE_GRID**2} entries"
-        )
-    PS = np.diag(np.full(n_grid, 1.0 / n_grid))
-    return DiscreteLCMeasure(PS=PS, **_cosine_kernels(diagonal_grid(n_grid), setting, m1, m2, weight_side))
-
-
-def _cosine_kernels(grid: np.ndarray, setting: float, m1: int, m2: int, weight_side: int) -> dict:
-    """K1 and K2 of a cosine-diagonal measure: row masses |cos(s - setting)|
-    over their grid mean on the weighted side and 1 on the other, each spread
-    evenly over the side's m apparatus states."""
-    w = np.abs(np.cos(grid - setting))
-    w1, w2 = on_side(weight_side, w / w.mean(), np.ones(grid.size))
-    return {"K1": np.repeat(w1[:, None] / m1, m1, axis=1), "K2": np.repeat(w2[:, None] / m2, m2, axis=1)}
+    (measure,), _ = _cosine_measures(n_grid, {"a": a, "b": b}, [("a", "b")], m1, m2, weight_side)
+    return measure
 
 
 def cosine_diagonal_family(
@@ -442,28 +466,16 @@ def cosine_diagonal_family(
     matching ±1 spin observables on the grid.
 
     Returns (measures, obs1, obs2) shaped for :func:`chsh_discrete`;
-    settings order is (a, a2, b, b2). The first member is built and checked
-    by :func:`cosine_diagonal_measure`; the other three share its read-only
-    source and differ only in their kernels.
+    settings order is (a, a2, b, b2). Each member is the measure that
+    :func:`cosine_diagonal_measure` builds at its pair, and all four share
+    one read-only source.
     """
-    a, a2, b, b2 = settings
-    if not np.all(np.isfinite(settings)):
-        raise ValueError(f"cosine-diagonal family settings must be finite, got {settings!r}")
-    (sa, sb), *rest = chsh_pairs(settings)
-    members = [cosine_diagonal_measure(n_grid, sa, sb, m1=m1, m2=m2, weight_side=weight_side)]
-    grid = diagonal_grid(n_grid)
-    for sa, sb in rest:
-        kernels = _cosine_kernels(grid, on_side(weight_side, sa, sb)[0], m1, m2, weight_side)
-        members.append(_owned(DiscreteLCMeasure, PS=members[0].PS, **kernels))
-    obs1 = (
-        spin_values(1, a, grid).astype(float),
-        spin_values(1, a2, grid).astype(float),
-    )
-    obs2 = (
-        spin_values(2, b, grid).astype(float),
-        spin_values(2, b2, grid).astype(float),
-    )
-    return tuple(members), obs1, obs2
+    names = ("a", "a2", "b", "b2")
+    named = dict(zip(names, settings, strict=True))
+    measures, grid = _cosine_measures(n_grid, named, chsh_pairs(names), m1, m2, weight_side)
+    obs1 = tuple(spin_values(1, named[name], grid).astype(float) for name in ("a", "a2"))
+    obs2 = tuple(spin_values(2, named[name], grid).astype(float) for name in ("b", "b2"))
+    return measures, obs1, obs2
 
 
 # ---------------------------------------------------------------------------

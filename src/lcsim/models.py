@@ -95,7 +95,8 @@ class Profile:
         if self.kind == "samples":
             try:
                 values = np.asarray(self.samples, dtype=float)
-            except TypeError:
+            except (TypeError, OverflowError):
+                # OverflowError: an integer sample too large for a float.
                 raise ValueError("profile samples must be a list of numbers") from None
             if values.ndim != 1 or values.size < 2:
                 raise ValueError("sampled profile needs a list of at least two samples")
@@ -195,11 +196,15 @@ class CandidateModel:
         scale = doc.get("scale", 1.0)
         if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
             raise ValueError(f"model scale must be a number, got {scale!r}")
+        try:
+            scale = float(scale)
+        except OverflowError:
+            raise ValueError("model scale is an integer too large for a float") from None
         return cls(
             rho=Profile.from_dict(doc["rho"]),
             p1=Profile.from_dict(doc["p1"]),
             p2=Profile.from_dict(doc["p2"]),
-            scale=float(scale),
+            scale=scale,
         )
 
 

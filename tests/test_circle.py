@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from lcsim.circle import (
     BOUNDARY_EPS,
     HALF_PI,
+    PHASE_FLIPS,
     TWO_PI,
+    _reads_plus,
     Arc,
     arc_I,
     arc_J,
@@ -352,6 +354,39 @@ class TestSpinKernelReference:
             self.assert_matches(a, points)
             for x in points:
                 self.assert_matches(a, [x])
+
+
+def plus_at(t: float) -> bool:
+    """The spin rule at one phase t in (-2π, 2·2π), reduced by hand as np.mod
+    reduces it there: t - 2π is exact from 2π on (Sterbenz), and a negative
+    phase gains one rounded period. Side 1 reads +1 below π - BOUNDARY_EPS
+    and from 2π - BOUNDARY_EPS on."""
+    if t >= TWO_PI:
+        t -= TWO_PI
+    if t < 0.0:
+        t += TWO_PI
+    return t < math.pi - BOUNDARY_EPS or t >= TWO_PI - BOUNDARY_EPS
+
+
+class TestPhaseRule:
+    """The vectorized rule on normalized phases against the scalar reduction."""
+
+    def test_phase_flips_are_the_least_flipping_floats(self):
+        # Starting at +1 just above -2π, the k-th flip is the least float at
+        # which the rule takes its k-th new value: the float below it still
+        # reads the old one.
+        assert list(PHASE_FLIPS) == sorted(PHASE_FLIPS) and len(PHASE_FLIPS) == 6
+        assert plus_at(np.nextafter(-TWO_PI, math.inf))
+        for k, flip in enumerate(PHASE_FLIPS):
+            assert plus_at(flip) is bool(k % 2)
+            assert plus_at(float(np.nextafter(flip, -math.inf))) is not bool(k % 2)
+
+    def test_agrees_around_every_flip_and_on_random_phases(self):
+        around = float_of(key_of(np.array(PHASE_FLIPS))[:, None] + np.arange(-2000, 2001)).ravel()
+        phases = np.random.default_rng(14).uniform(-TWO_PI, 2.0 * TWO_PI, 200_000)
+        for t in (around, phases):
+            t = t[(-TWO_PI < t) & (t < 2.0 * TWO_PI)]
+            assert _reads_plus(normalize(t)).tolist() == [plus_at(x) for x in t.tolist()]
 
 
 def key_of(x) -> np.ndarray:

@@ -273,6 +273,16 @@ class TestCosineMeasure:
         assert peak_rss_mb(["cosine-measure", "--grid", "512", "--out", path]) <= bare + 10
         assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 14
 
+    def test_peak_memory_of_a_grid_2048_file(self, tmp_path):
+        # Over a bare import of lcsim.cli these took +67 and +136 MB (child
+        # VmHWM) while the measure went through the copying constructor and
+        # triviality built three grid × grid temporaries; now about +37 and
+        # +102 MB.
+        path = str(tmp_path / "cosine.json")
+        bare = peak_rss_mb([])
+        assert peak_rss_mb(["cosine-measure", "--grid", "2048", "--out", path]) <= bare + 50
+        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 120
+
     def test_grid_above_4096_is_validation_error(self, capsys, tmp_path, monkeypatch):
         # The dense grid × grid source is refused before it exists: building
         # it through the patched constructor fails the test instead.
@@ -527,9 +537,14 @@ class TestTrivial:
             {"grid": 16, "m1": 0},
             {"grid": 16, "m2": 2.0},
             {"grid": 16, "weight_side": "1"},
+            {"grid": 16.0},
+            {"grid": 16, "m1": 8.0},
+            {"grid": 16, "weight_side": True},
+            {"grid": 16, "weight_side": 1.0},
         ],
         ids=["grid-missing", "grid-null", "grid-string", "grid-float", "m1-bool",
-             "m1-null", "m1-zero", "m2-float", "weight-side-string"],
+             "m1-null", "m1-zero", "m2-float", "weight-side-string", "grid-integral-float",
+             "m1-integral-float", "weight-side-bool", "weight-side-float"],
     )
     def test_cosine_meta_needs_integer_fields(self, capsys, tmp_path, meta):
         path = tmp_path / "cosine.json"
@@ -621,9 +636,13 @@ GOOD_MODEL = {"rho": {"builtin": "uniform"}, "p1": {"builtin": "abs-cos"}, "p2":
         ("uniqueness", {**GOOD_MODEL, "p1": {"samples": 5}}),
         ("uniqueness", {**GOOD_MODEL, "rho": {"builtin": ["x"]}}),
         ("uniqueness", {**GOOD_MODEL, "scale": None}),
+        # Integers too large for a float once escaped as OverflowError.
+        ("uniqueness", {**GOOD_MODEL, "p1": {"samples": [10**400, 1]}}),
+        ("uniqueness", {**GOOD_MODEL, "scale": 10**400}),
         ("trivial", 3),
     ],
-    ids=["model-number", "samples-number", "builtin-list", "scale-null", "measure-number"],
+    ids=["model-number", "samples-number", "builtin-list", "scale-null", "samples-huge-integer",
+         "scale-huge-integer", "measure-number"],
 )
 def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc):
     path = tmp_path / "input.json"

@@ -540,6 +540,55 @@ class TestCosineDiagonal:
         with pytest.raises(ValueError, match="settings must be finite"):
             cosine_diagonal_family(16, tuple(settings))
 
+    @pytest.mark.parametrize(
+        "grid, settings",
+        [
+            *((grid, TSIRELSON_SETTINGS) for grid in (16.0, True, "16", 1, 4097)),
+            *((16, (bad, 0.0, 0.0, 0.0)) for bad in ("0", True, None, math.nan, math.inf, -math.inf, 10**400)),
+            (16, (0.0, 0.0, math.nan, 0.0)),
+        ],
+        ids=["grid-float", "grid-bool", "grid-string", "grid-1", "grid-4097", "a-string", "a-bool", "a-none",
+             "a-nan", "a-inf", "a-minus-inf", "a-huge-integer", "b-nan"],
+    )
+    def test_bad_arguments_raise_before_any_array(self, monkeypatch, grid, settings):
+        # ValueError, never TypeError, and before the grid or the source exists.
+        class ArrayBuilt(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise ArrayBuilt
+
+        monkeypatch.setattr(np, "diag", refuse)
+        monkeypatch.setattr(lcmeasure, "diagonal_grid", refuse)
+        a, _, b, _ = settings
+        with pytest.raises(ValueError):
+            cosine_diagonal_measure(grid, a, b)
+        with pytest.raises(ValueError):
+            cosine_diagonal_measure(grid, b, a, weight_side=2)
+        with pytest.raises(ValueError):
+            cosine_diagonal_family(grid, settings)
+
+    def test_built_without_the_constructor(self, monkeypatch):
+        # Every member is valid by construction: the copying, checking
+        # constructor never runs, and it accepts each member as built.
+        def refuse(self):
+            raise AssertionError("the constructor ran")
+
+        built = [cosine_diagonal_measure(n, a, b, m1=3, m2=2, weight_side=side)
+                 for n in (2, 3, 9, 64) for a, b in ((0.0, 0.0), (1e300, -7.0), (5e-324, 2.5)) for side in (1, 2)]
+        family, _, _ = cosine_diagonal_family(16)
+        monkeypatch.setattr(DiscreteLCMeasure, "__post_init__", refuse)
+        assert cosine_diagonal_measure(16, 0.0, 1.0).n1 == 16
+        assert len(cosine_diagonal_family(16)[0]) == 4
+        monkeypatch.undo()
+        for m in (*built, *family):
+            DiscreteLCMeasure(PS=m.PS, K1=m.K1, K2=m.K2)
+
+    def test_uniform_diagonal_has_unit_mass_at_every_grid(self):
+        assert max(abs(float(np.full(n, 1.0 / n).sum()) - 1.0) for n in range(2, 4097)) <= 7e-16
+        for n in (2, 3, 7, 100, 1000):
+            assert abs(float(cosine_diagonal_measure(n, 0.0, 0.0).PS.sum()) - 1.0) <= 7e-16
+
     @pytest.mark.parametrize("weight_side", [1, 2])
     @pytest.mark.parametrize("width", [0, -1, True, 2.0])
     @pytest.mark.parametrize("key", ["m1", "m2"])

@@ -542,6 +542,16 @@ class TestSerialization:
         assert quadrant_table_quadrature(loaded, 0.0, 0.0).sum() == pytest.approx(1.0, abs=1e-9)
         assert loaded.scale == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"p1": {"samples": [10**400, 1.0]}}, "list of numbers"), ({"scale": 10**400}, "too large for a float")],
+        ids=["samples", "scale"],
+    )
+    def test_integer_too_large_for_a_float_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            CandidateModel.from_dict({"rho": {"builtin": "uniform"}, "p1": {"builtin": "abs-cos"},
+                                      "p2": {"builtin": "uniform"}, **doc})
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"rho": {"builtin": "uniform"}}))

@@ -30,6 +30,21 @@ def test_on_side_is_its_own_inverse():
         assert circle.on_side(side, *circle.on_side(side, "x", "y")) == ("x", "y")
 
 
+@pytest.mark.parametrize(
+    "side", [True, False, 1.0, 2.0, "1", None, np.float64(1.0), np.True_],
+    ids=["true", "false", "1.0", "2.0", "string", "none", "numpy-float", "numpy-bool"],
+)
+def test_on_side_takes_only_the_integers_1_and_2(side):
+    # True == 1 and 1.0 == 1, but neither is a side.
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        circle.on_side(side, "x", "y")
+
+
+def test_on_side_takes_numpy_integers():
+    assert circle.on_side(np.int64(2), "x", "y") == ("y", "x")
+    assert circle.on_side(np.int8(1), "x", "y") == ("x", "y")
+
+
 class TestWeightSideTwoIsSideOneSwapped:
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_builtin_models(self, name):
