@@ -38,8 +38,8 @@ UNIT_TOL = 1e-9
 
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
 #: grid × grid matrix in memory, so memory grows as grid²: at grid 2048 `lcsim
-#: cosine-measure` peaks near 97 MB and `lcsim trivial --measure` on its file
-#: near 166 MB (child VmHWM); their excess over a bare import's 30 MB grows
+#: cosine-measure` peaks near 67 MB and `lcsim trivial --measure` on its file
+#: near 132 MB (child VmHWM); their excess over a bare import's 30 MB grows
 #: about fourfold per doubling. The file holds only the source's support.
 #: Its kernels, and every matrix of a measure file that
 #: :func:`measure_from_dict` reads, hold at most MAX_COSINE_GRID² entries too.
