@@ -208,11 +208,42 @@ class LocalMarkovOperator:
 
     @classmethod
     def random_stochastic(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
-        return _owned(cls, T1=stochastic_matrix(rng, dim1, dim1), T2=stochastic_matrix(rng, dim2, dim2))
+        """Dense T1 and T2 with Dirichlet(1) rows, drawn in that order into
+        two read-only views of one block of dim1² + dim2² entries.
+
+        One block rather than two matrices keeps repeated transports off the
+        page-fault path. glibc raises its heap trim threshold to twice the
+        largest mmapped chunk freed so far, so once one block has been freed
+        the heap keeps room for the next one. Two 2 MiB matrices at dimension
+        512 raise it only to 4 MiB, which the pair exceeds once both are
+        freed: the heap was trimmed after every transport, and the next one
+        faulted about 4 MiB back in, some 1,100 minor faults.
+        """
+        _check_operator_dims(dim1, dim2, dense=True)
+        n1 = dim1 * dim1
+        block = np.empty(n1 + dim2 * dim2)
+        T1 = stochastic_matrix(rng, dim1, dim1, into=block[:n1].reshape(dim1, dim1))
+        T2 = stochastic_matrix(rng, dim2, dim2, into=block[n1:].reshape(dim2, dim2))
+        block.setflags(write=False)
+        return _owned(cls, T1=T1, T2=T2)
 
     @classmethod
     def random_permutation(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
+        _check_operator_dims(dim1, dim2, dense=False)
         return _owned(cls, T1=rng.permutation(dim1), T2=rng.permutation(dim2))
+
+
+def _check_operator_dims(dim1: int, dim2: int, dense: bool) -> None:
+    """ValueError, before anything is allocated or drawn, unless both
+    dimensions are nonnegative integers and, for the dense form, each
+    dim × dim matrix holds at most MAX_RANDOM_ENTRIES entries."""
+    for d in (dim1, dim2):
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise ValueError(f"operator dimensions must be nonnegative integers, got {dim1!r} and {dim2!r}")
+        if dense and d * d > MAX_RANDOM_ENTRIES:
+            raise ValueError(
+                f"random dense operator of {d * d} entries is too large to allocate (at most {MAX_RANDOM_ENTRIES})"
+            )
 
 
 def _transport_kernel(K: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -291,9 +322,13 @@ def chsh_discrete(measures, obs1, obs2) -> float:
 # Random instances
 
 
-def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Row-stochastic matrix with Dirichlet(1) rows: standard exponential draws over their row sums."""
-    g = rng.standard_exponential(size=(rows, cols))
+def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int, into: np.ndarray | None = None) -> np.ndarray:
+    """Row-stochastic matrix with Dirichlet(1) rows: standard exponential draws over their row sums.
+
+    `into`, a writable C-contiguous float rows × cols array, receives the
+    draws in place and is returned; the draws and their bits are the same
+    either way."""
+    g = rng.standard_exponential(size=(rows, cols), out=into)
     g /= g.sum(axis=1, keepdims=True)
     return g
 

@@ -102,6 +102,12 @@ class Profile:
                 raise ValueError("sampled profile needs a list of at least two samples")
             if not np.all(np.isfinite(values)) or np.any(values < 0.0):
                 raise ValueError("profile samples must be finite and nonnegative")
+            # Interpolation slopes reach the largest sample times N / 2π; an
+            # overflowing slope gives -inf or nan without any warning.
+            if not math.isfinite(float(values.max()) * values.size):
+                raise ValueError(
+                    f"profile samples are too large: the largest times their count {values.size} overflows a float"
+                )
             object.__setattr__(self, "samples", tuple(float(v) for v in values))
         elif self.kind in BUILTINS:
             if self.samples is not None:
@@ -120,6 +126,11 @@ class Profile:
         if not np.isfinite(xs).all():
             raise ValueError("angles must be finite")
         return np.interp(xs, self.kink_angles(), self.samples, period=TWO_PI)
+
+    @property
+    def peak(self) -> float:
+        """The profile's largest value: its largest sample, or 1 for every builtin."""
+        return max(self.samples) if self.kind == "samples" else 1.0
 
     def kink_angles(self) -> np.ndarray:
         """Angles in [0, 2π) where the profile is not smooth; quadrature cuts
@@ -157,6 +168,14 @@ class CandidateModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        # The density's peak times the circle's length bounds every density
+        # value and every quadrature sum. Taken in the density's own product
+        # order, a finite bound keeps numpy from overflowing on this model.
+        bound = self.scale * self.rho.peak * self.p1.peak * self.p2.peak * TWO_PI
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"model is too large: scale {self.scale!r} times the profile peaks times 2π overflows a float"
+            )
 
     def density(self, s, a: float, b: float) -> np.ndarray:
         """Line density at diagonal configuration(s) s for settings (a, b);

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -651,6 +654,34 @@ def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc
     code, _, err = run_cli(capsys, command, flag, str(path))
     assert code == EXIT_VALIDATION
     assert "validation error" in err
+
+
+#: Finite models whose quadrature would overflow. Each once printed numpy
+#: RuntimeWarnings before its exit 3, or went on with nan tables; under
+#: `python -W error` each ended in a traceback.
+HUGE_MODELS = {
+    "samples-times-count": ({**GOOD_MODEL, "p1": {"samples": [1e308, 1e308, 1.0]}}, "profile samples are too large"),
+    "scale-times-peaks": ({**GOOD_MODEL, "scale": 1e308}, "model is too large"),
+    "peak-times-two-pi": ({**GOOD_MODEL, "p1": {"samples": [5e307, 5e307, 1.0]}}, "model is too large"),
+    "interpolation-slope": (
+        {**GOOD_MODEL, "p1": {"samples": [1e307] + [0.0] * 999}, "scale": 1e-307},
+        "profile samples are too large",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", HUGE_MODELS.values(), ids=HUGE_MODELS.keys())
+def test_huge_finite_model_is_one_validation_error(capsys, tmp_path, doc, message):
+    # Warnings are errors here, in-process and in a `python -W error` child.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "uniqueness", "--model", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
+    env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "lcsim", "uniqueness", "--model", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (EXIT_VALIDATION, "", err)
 
 
 @pytest.mark.parametrize(

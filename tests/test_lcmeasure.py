@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,10 +141,17 @@ class TestLocalMassFunctions:
     def test_stochastic_rows_are_normalized_gamma_one_draws(self, shape):
         # Reference: Dirichlet(1) rows as Gamma(1) draws over their row sums;
         # the random stream, and so every seeded result, must not move.
-        ref_rng, rng = np.random.default_rng(8), np.random.default_rng(8)
+        ref_rng, rng, into_rng = (np.random.default_rng(8) for _ in range(3))
         g = ref_rng.gamma(1.0, size=shape)
-        assert stochastic_matrix(rng, *shape).tobytes() == (g / g.sum(axis=1, keepdims=True)).tobytes()
-        assert rng.random() == ref_rng.random()
+        expected = (g / g.sum(axis=1, keepdims=True)).tobytes()
+        assert stochastic_matrix(rng, *shape).tobytes() == expected
+        # Drawn in place into a view of a larger block: the same bits, only
+        # the view written, and the view itself returned.
+        block = np.zeros(shape[0] * shape[1] + 3)
+        into = block[2:-1].reshape(shape)
+        assert stochastic_matrix(into_rng, *shape, into=into) is into
+        assert into.tobytes() == expected and not block[:2].any() and not block[-1:].any()
+        assert rng.random() == into_rng.random() == ref_rng.random()
 
     def test_scaling_is_linear(self):
         k = stochastic_matrix(RNG, 3, 4)
@@ -315,6 +326,70 @@ class TestMarkovTransport:
         pm_op = LocalMarkovOperator.random_permutation(rng, 6, 6)
         assert st_op.is_stochastic() and st_op.T1.ndim == st_op.T2.ndim == 2
         assert pm_op.is_stochastic() and pm_op.T1.ndim == pm_op.T2.ndim == 1
+        # The dense pair is two read-only views of one read-only block.
+        assert st_op.T1.base is st_op.T2.base is not None and not st_op.T1.base.flags.writeable
+        for T in (st_op.T1, st_op.T2):
+            assert T.flags.c_contiguous and not T.flags.writeable
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize(
+        "dims",
+        [(-1, 4), (4, -2), (True, 4), (4, 2.0), (4, np.int64(4)), (4, "4")],
+        ids=["negative-dim1", "negative-dim2", "bool", "float", "numpy-int", "string"],
+    )
+    def test_bad_dimensions_are_refused_before_any_draw(self, dense, dims):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        draw = LocalMarkovOperator.random_stochastic if dense else LocalMarkovOperator.random_permutation
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            draw(rng, *dims)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dims", [(2**16, 1), (1, 2049)])
+    def test_dense_dimensions_are_capped_before_any_draw(self, monkeypatch, dims):
+        # 2**16 squared asks for 32 GiB. Should the block be allocated, it is
+        # never written: the patched drawing function refuses first.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn before the dimension check")
+
+        monkeypatch.setattr(lcmeasure, "stochastic_matrix", refuse)
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="too large to allocate"):
+            LocalMarkovOperator.random_stochastic(rng, *dims)
+        assert rng.bit_generator.state == state
+
+    def test_dimension_caps(self):
+        # 2048² is the entry cap itself; the permutation form has no square.
+        cap = math.isqrt(lcmeasure.MAX_RANDOM_ENTRIES)
+        assert cap * cap == lcmeasure.MAX_RANDOM_ENTRIES
+        op = LocalMarkovOperator.random_stochastic(np.random.default_rng(11), 0, cap)
+        assert op.T1.shape == (0, 0) and op.T2.shape == (cap, cap)
+        assert LocalMarkovOperator.random_permutation(np.random.default_rng(11), 0, 2**16).T2.size == 2**16
+
+    def test_repeated_stochastic_transports_do_not_fault_their_memory_back_in(self):
+        # Two separately freed 2 MiB matrices per operator let glibc trim the
+        # heap after every transport, and the next one faulted about 4 MiB
+        # back in: some 22,400 minor faults over these 20 transports, against
+        # a handful from the one block. A fresh process keeps the count free
+        # of whatever this one allocated before.
+        code = (
+            "import resource, numpy as np\n"
+            "from lcsim.lcmeasure import LocalMarkovOperator, apply_local_markov, is_trivial, random_trivial_measure\n"
+            "rng = np.random.default_rng(0)\n"
+            "def transport():\n"
+            "    m = random_trivial_measure(rng, 64, 64, 8, 8)\n"
+            "    is_trivial(apply_local_markov(m, LocalMarkovOperator.random_stochastic(rng, 512, 512)))\n"
+            "for _ in range(3):\n"
+            "    transport()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    transport()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(lcmeasure.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(run.stdout) < 1000
 
 
 def transport_digest() -> str:

@@ -140,6 +140,12 @@ class TestProfiles:
         with pytest.raises(ValueError, match="finite"):
             prof(np.array([0.0, np.nan]))
 
+    def test_largest_sample_times_count_must_be_finite(self):
+        # Interpolation slopes reach about the largest sample times N / 2π.
+        assert Profile.from_samples([8e307, 0.0]).peak == 8e307
+        with pytest.raises(ValueError, match="profile samples are too large"):
+            Profile.from_samples([8e307, 0.0, 0.0])
+
 
 def closed_form_cells(a: float, b: float) -> list[float]:
     """Oracle: the four singlet cells in Quadrant order, one scalar at a time."""
@@ -166,6 +172,10 @@ class TestBuiltinTable:
     def test_scale_gives_unit_mass(self, name, side):
         mass = quadrant_table_quadrature(CandidateModel.one_sided(name, side), 0.0, 0.0).sum()
         assert abs(mass - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(models.BUILTINS))
+    def test_peak_is_the_largest_value(self, name):
+        assert Profile(name).peak == 1.0 == Profile(name)(np.linspace(0.0, TWO_PI, 4097)).max()
 
     @pytest.mark.parametrize("name", sorted(models.BUILTINS))
     def test_kinks_are_cut(self, name):
@@ -269,6 +279,15 @@ class TestDensity:
     def test_model_density_matches(self):
         s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         assert np.allclose(ABS_COS.density(s, 0.7, 1.9), 0.25 * np.abs(np.cos(s - 0.7)))
+
+    def test_density_bound_must_be_finite(self):
+        # scale · peaks · 2π is 1.26e308 at the first scale and overflows at
+        # the second; the first model's quadrature stays finite.
+        flat = Profile("uniform")
+        edge = CandidateModel(rho=flat, p1=flat, p2=flat, scale=2e307)
+        assert np.isfinite(quadrant_table_quadrature(edge, 0.0, 0.0).sum())
+        with pytest.raises(ValueError, match="model is too large"):
+            CandidateModel(rho=flat, p1=flat, p2=flat, scale=3e307)
 
 
 class TestQuadrature:
