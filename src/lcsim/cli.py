@@ -51,38 +51,6 @@ def _angle(args, value: float) -> float:
     return normalize(math.radians(value) if args.degrees else value)
 
 
-# Largest entrywise deviation of a stored cosine-diagonal measure from the one
-# its metadata describes.
-COSINE_META_TOL = 1e-12
-
-
-def _cosine_meta(measure: lcmeasure.DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
-    """(grid, m1, m2, weight_side) of a cosine-diagonal measure file, checked
-    against the file's matrices: the shapes must match, before anything is
-    built, and the matrices must equal cosine_diagonal_measure(grid, a, b,
-    m1, m2, weight_side), which checks the values. Fields other than the grid
-    default to cosine-measure's."""
-    defaults = {"grid": None, "a": TSIRELSON_SETTINGS[0], "b": TSIRELSON_SETTINGS[2],
-                "m1": 8, "m2": 8, "weight_side": 1}
-    grid, a, b, m1, m2, weight_side = (meta.get(key, default) for key, default in defaults.items())
-    stored = (measure.n1, measure.n2, measure.m1, measure.m2)
-    if stored != (grid, grid, m1, m2):
-        raise ValueError(
-            f"cosine-diagonal meta (grid {grid!r}, m1 {m1!r}, m2 {m2!r}) does not match "
-            f"the matrices (n1 {stored[0]}, n2 {stored[1]}, m1 {stored[2]}, m2 {stored[3]})"
-        )
-    expected = lcmeasure.cosine_diagonal_measure(grid, a, b, m1=m1, m2=m2, weight_side=weight_side)
-    for name in ("PS", "K1", "K2"):
-        diff = np.subtract(getattr(measure, name), getattr(expected, name))
-        deviation = float(np.abs(diff, out=diff).max())
-        if not deviation <= COSINE_META_TOL:
-            raise ValueError(
-                f"stored {name} deviates by {deviation:.3g} from the cosine-diagonal measure "
-                f"its meta describes (grid {grid}, a {a!r}, b {b!r}, weight_side {weight_side})"
-            )
-    return grid, m1, m2, weight_side
-
-
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -246,7 +214,7 @@ def cmd_trivial(args) -> int:
     if isinstance(meta, dict) and meta.get("family") == "cosine-diagonal":
         # A self-describing diagonal cosine discretization: rebuild the full
         # four-setting family on the same grid and evaluate CHSH there.
-        grid, m1, m2, weight_side = _cosine_meta(measure, meta)
+        grid, m1, m2, weight_side = lcmeasure.check_cosine_file(measure, meta)
         family, obs1, obs2 = lcmeasure.cosine_diagonal_family(
             grid, TSIRELSON_SETTINGS, m1=m1, m2=m2, weight_side=weight_side
         )

@@ -39,8 +39,8 @@ UNIT_TOL = 1e-9
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
 #: grid × grid matrix in memory, so memory grows as grid²: at grid 2048 `lcsim
 #: cosine-measure` peaks near 67 MB and `lcsim trivial --measure` on its file
-#: near 132 MB (child VmHWM); their excess over a bare import's 30 MB grows
-#: about fourfold per doubling. The file holds only the source's support.
+#: near 101 MB (child VmHWM); their excess over a bare import's 30 MB grows
+#: roughly fourfold per doubling. The file holds only the source's support.
 #: Its kernels, and every matrix of a measure file that
 #: :func:`measure_from_dict` reads, hold at most MAX_COSINE_GRID² entries too.
 MAX_COSINE_GRID = 4096
@@ -296,7 +296,7 @@ def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
     obs2 = np.asarray(obs2, dtype=float)
     if obs1.shape != (m.n1,) or obs2.shape != (m.n2,):
         raise ValueError("observables must match the source sides")
-    if np.any(np.abs(obs1) > 1.0 + 1e-12) or np.any(np.abs(obs2) > 1.0 + 1e-12):
+    if not (np.all(np.abs(obs1) <= 1.0 + 1e-12) and np.all(np.abs(obs2) <= 1.0 + 1e-12)):  # nan fails too
         raise ValueError("observable entries must lie in [-1, 1]")
     p1, p2 = local_mass_functions(m)
     return float((obs1 * p1) @ m.PS @ (obs2 * p2))
@@ -439,13 +439,9 @@ def _cosine_kernels(grid: np.ndarray, setting: float, m1: int, m2: int, weight_s
     return {"K1": np.repeat(w1[:, None] / m1, m1, axis=1), "K2": np.repeat(w2[:, None] / m2, m2, axis=1)}
 
 
-def _cosine_measures(n_grid: int, settings: dict, pairs, m1: int, m2: int, weight_side: int):
-    """The cosine-diagonal measures at `pairs`, (side 1, side 2) pairs of
-    names of `settings`, all on one read-only diagonal source, and the grid
-    they live on. Every argument is checked before any array exists; the
-    measures are then valid by construction, so they are built through
-    `_owned`: the uniform diagonal sums to 1 within 7e-16 for every grid up
-    to MAX_COSINE_GRID, and finite settings give finite positive kernels."""
+def _cosine_weighted(n_grid: int, settings: dict, pairs, m1: int, m2: int, weight_side: int) -> list:
+    """The weighted setting of each of `pairs`, (side 1, side 2) pairs of names
+    of `settings`; ValueError, before any array exists, on a bad argument."""
     if isinstance(n_grid, bool) or not isinstance(n_grid, int) or not 2 <= n_grid <= MAX_COSINE_GRID:
         raise ValueError(
             f"cosine-diagonal grid needs an integer of two points or more, at most {MAX_COSINE_GRID}, got {n_grid!r}"
@@ -464,12 +460,21 @@ def _cosine_measures(n_grid: int, settings: dict, pairs, m1: int, m2: int, weigh
             finite = False
         if not finite:
             raise ValueError(f"cosine-diagonal settings must be finite: need a finite number {name!r}, got {value!r}")
-    weighted = [on_side(weight_side, *pair)[0] for pair in pairs]
+    return [settings[on_side(weight_side, *pair)[0]] for pair in pairs]
+
+
+def _cosine_measures(n_grid: int, settings: dict, pairs, m1: int, m2: int, weight_side: int):
+    """The cosine-diagonal measures at `pairs`, all on one read-only diagonal
+    source, and the grid they live on. The arguments are checked first; the
+    measures are then valid by construction, so they are built through
+    `_owned`: the uniform diagonal sums to 1 within 7e-16 for every grid up
+    to MAX_COSINE_GRID, and finite settings give finite positive kernels."""
+    weighted = _cosine_weighted(n_grid, settings, pairs, m1, m2, weight_side)
     grid = diagonal_grid(n_grid)
     PS = np.diag(np.full(n_grid, 1.0 / n_grid))
     measures = tuple(
-        _owned(DiscreteLCMeasure, PS=PS, **_cosine_kernels(grid, settings[name], m1, m2, weight_side))
-        for name in weighted
+        _owned(DiscreteLCMeasure, PS=PS, **_cosine_kernels(grid, setting, m1, m2, weight_side))
+        for setting in weighted
     )
     return measures, grid
 
@@ -511,6 +516,36 @@ def cosine_diagonal_family(
     obs1 = tuple(spin_values(1, named[name], grid).astype(float) for name in ("a", "a2"))
     obs2 = tuple(spin_values(2, named[name], grid).astype(float) for name in ("b", "b2"))
     return measures, obs1, obs2
+
+
+def check_cosine_file(measure: DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
+    """(grid, m1, m2, weight_side) of a measure whose `meta` names the
+    cosine_diagonal_measure(grid, a, b, m1, m2, weight_side) it holds; fields
+    other than the grid default to `lcsim cosine-measure`'s. ValueError,
+    shapes and arguments first, unless every entry is within 1e-12 of that
+    measure's. The source is read through its support and diagonal, so
+    nothing of grid² entries is built."""
+    defaults = {"grid": None, "a": TSIRELSON_SETTINGS[0], "b": TSIRELSON_SETTINGS[2],
+                "m1": 8, "m2": 8, "weight_side": 1}
+    grid, a, b, m1, m2, weight_side = (meta.get(key, default) for key, default in defaults.items())
+    stored = (measure.n1, measure.n2, measure.m1, measure.m2)
+    if stored != (grid, grid, m1, m2):
+        raise ValueError(
+            f"cosine-diagonal meta (grid {grid!r}, m1 {m1!r}, m2 {m2!r}) does not match "
+            f"the matrices (n1 {stored[0]}, n2 {stored[1]}, m1 {stored[2]}, m2 {stored[3]})"
+        )
+    (setting,) = _cosine_weighted(grid, {"a": a, "b": b}, [("a", "b")], m1, m2, weight_side)
+    expected = _cosine_kernels(diagonal_grid(grid), setting, m1, m2, weight_side)
+    rows, cols = np.nonzero(measure.PS)  # the expected source is 1/grid on the diagonal, 0 off it
+    source = np.append(np.diagonal(measure.PS) - 1.0 / grid, measure.PS[rows, cols][rows != cols])
+    for name, diff in (("PS", source), ("K1", measure.K1 - expected["K1"]), ("K2", measure.K2 - expected["K2"])):
+        deviation = float(np.abs(diff).max())
+        if not deviation <= 1e-12:
+            raise ValueError(
+                f"stored {name} deviates by {deviation:.3g} from the cosine-diagonal measure "
+                f"its meta describes (grid {grid}, a {a!r}, b {b!r}, weight_side {weight_side})"
+            )
+    return grid, m1, m2, weight_side
 
 
 # ---------------------------------------------------------------------------

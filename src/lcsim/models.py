@@ -307,7 +307,7 @@ def unit_mass_table(m: CandidateModel, a: float, b: float) -> np.ndarray:
     to 1 within MASS_TOL."""
     table = quadrant_table_quadrature(m, a, b)
     mass = table.sum()
-    if abs(mass - 1.0) > MASS_TOL:
+    if not abs(mass - 1.0) <= MASS_TOL:  # a nan mass fails too
         raise NormalizationError(
             f"model is not normalized: total mass {mass:.9g} at settings ({a!r}, {b!r})"
         )

@@ -541,13 +541,13 @@ def chsh_estimate(
     n: int,
     settings: tuple[float, float, float, float] = TSIRELSON_SETTINGS,
     mode: str = KIND_COINCIDENCE,
-    weight_side: int = 1,
     base_seed: int = 7,
 ) -> dict:
     """CHSH from four independent runs at (a,b), (a,b2), (a2,b), (a2,b2).
 
     Settings order is (a, a2, b, b2); each run gets its own actor seeds
-    derived from base_seed.
+    derived from base_seed, and the weight sits on ExperimentConfig's default
+    side.
     """
     summaries = []
     for i, (sa, sb) in enumerate(chsh_pairs(settings)):
@@ -556,7 +556,6 @@ def chsh_estimate(
             a=sa,
             b=sb,
             mode=mode,
-            weight_side=weight_side,
             source_seed=base_seed + 100 * i,
             station1_seed=base_seed + 100 * i + 1,
             station2_seed=base_seed + 100 * i + 2,

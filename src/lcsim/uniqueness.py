@@ -46,6 +46,11 @@ CONDITION_GRID = 512
 #: 133 bytes per setting, so this grid takes about 560 MB.
 MAX_GRID = 2048
 
+#: Setting a of the profile reconstruction, and its sample count over
+#: x in [-π/2, π/2].
+RECONSTRUCTION_BASE = 0.0
+RECONSTRUCTION_SAMPLES = 201
+
 NECESSITY_NOTE = (
     "necessary conditions are evaluated independently of reproduction; "
     "passing them does not imply the quadrant statistics are reproduced"
@@ -70,12 +75,11 @@ class ReconstructionResult:
     profile: np.ndarray
     sup_error: float  # sup distance to cos(x)/4 on the interior
     h: float
-    base_setting: float
 
     def to_dict(self) -> dict:
         return {
             "h": self.h,
-            "base_setting": self.base_setting,
+            "base_setting": RECONSTRUCTION_BASE,
             "sup_error_interior": self.sup_error,
             "x": list(map(float, self.x)),
             "profile": list(map(float, self.profile)),
@@ -174,28 +178,21 @@ def quarter_cos(x) -> np.ndarray:
     return 0.25 * np.cos(np.asarray(x, dtype=float))
 
 
-def reconstruct_profile(
-    m: CandidateModel,
-    h: float = 1e-3,
-    samples: int = 201,
-    base_setting: float = 0.0,
-) -> ReconstructionResult:
+def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionResult:
     """Recover the apparatus profile from the matched-cell mass alone.
 
     At separations b - a = x + π/2 with x in [-π/2, π/2] the derivative
     -d/db R(I×I) equals the profile at x, so central differencing the cell
     mass in b reconstructs it without looking inside the model; one table
-    call covers all 2 × `samples` settings. The sup error against cos(x)/4 is
-    taken on the interior, excluding the h-neighborhoods of the separations 0
-    and π where the forced profile has kinks.
+    call covers all 2 × RECONSTRUCTION_SAMPLES settings. The sup error
+    against cos(x)/4 is taken on the interior, excluding the h-neighborhoods
+    of the separations 0 and π where the forced profile has kinks.
     """
     if not (0.0 < h <= MAX_DIFF_STEP):
         raise ValueError(
             f"differencing step must lie in (0, {MAX_DIFF_STEP:g}]: larger steps "
             f"cannot resolve the kink neighborhoods (got {h!r})"
         )
-    if samples < 3:
-        raise ValueError("need at least three sample points")
     sizes = [len(p.samples) for p in (m.rho, m.p1, m.p2) if p.kind == "samples"]
     too_coarse = [n for n in sizes if n < MIN_PROFILE_SAMPLES]
     if too_coarse:
@@ -204,15 +201,14 @@ def reconstruct_profile(
             f"{MIN_PROFILE_SAMPLES}-point resolution needed to probe smoothness"
         )
 
-    a0 = base_setting
-    x = np.linspace(-HALF_PI, HALF_PI, samples)
-    b = a0 + x + HALF_PI
-    up, down = quadrant_prob_quadrature(m, a0, np.stack((b + h, b - h)), Quadrant.II)
+    x = np.linspace(-HALF_PI, HALF_PI, RECONSTRUCTION_SAMPLES)
+    b = RECONSTRUCTION_BASE + x + HALF_PI
+    up, down = quadrant_prob_quadrature(m, RECONSTRUCTION_BASE, np.stack((b + h, b - h)), Quadrant.II)
     profile = -(up - down) / (2.0 * h)
     interior = (x > -HALF_PI + h) & (x < HALF_PI - h)
     errors = np.abs(profile - quarter_cos(x))
     sup_error = float(errors[interior].max()) if interior.any() else float("inf")
-    return ReconstructionResult(x=x, profile=profile, sup_error=sup_error, h=h, base_setting=a0)
+    return ReconstructionResult(x=x, profile=profile, sup_error=sup_error, h=h)
 
 
 def verify_reproduction(

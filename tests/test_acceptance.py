@@ -236,9 +236,9 @@ def test_criterion_7_uniqueness_verification():
         assert abs(abs(un_at_quarter) - 0.0517766953) < 5e-4
         assert abs(un_report.max_quadrant_error - 0.0517766953) < 5e-4
 
-        fine = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=1e-3, samples=101)
+        fine = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=1e-3)
         assert fine.sup_error < 1e-5
-        coarse = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=2e-3, samples=101)
+        coarse = uniqueness.reconstruct_profile(CandidateModel.one_sided("abs-cos"), h=2e-3)
         ratio = coarse.sup_error / fine.sup_error
         assert 3.2 <= ratio <= 4.8
 

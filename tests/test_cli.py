@@ -279,12 +279,13 @@ class TestCosineMeasure:
     def test_peak_memory_of_a_grid_2048_file(self, tmp_path):
         # Over a bare import of lcsim.cli these took +67 and +136 MB (child
         # VmHWM) while the measure went through the copying constructor and
-        # triviality built three grid × grid temporaries; now about +37 and
-        # +102 MB.
+        # triviality built three grid × grid temporaries, and trivial took
+        # +102 MB while the meta check rebuilt the measure to diff it; now
+        # about +37 and +71 MB.
         path = str(tmp_path / "cosine.json")
         bare = peak_rss_mb([])
         assert peak_rss_mb(["cosine-measure", "--grid", "2048", "--out", path]) <= bare + 50
-        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 120
+        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 90
 
     def test_grid_above_4096_is_validation_error(self, capsys, tmp_path, monkeypatch):
         # The dense grid × grid source is refused before it exists: building
@@ -567,27 +568,36 @@ class TestTrivial:
         assert json.loads(out)["chsh"]["value"] == lcmeasure.chsh_discrete(family, o1, o2)
 
     @pytest.mark.parametrize(
-        "meta, message",
+        "meta, moved, message",
         [
-            ({"grid": 32, "m1": 3, "m2": 5, "weight_side": 2}, "does not match the matrices"),
-            ({"grid": 32}, "does not match the matrices"),
-            ({"grid": 64, "m1": 4}, "does not match the matrices"),
-            ({"grid": 64, "m2": 16}, "does not match the matrices"),
-            ({"grid": 64, "weight_side": 2}, "deviates"),
-            ({"grid": 64, "a": 0.5}, "deviates"),
-            ({"grid": 64, "weight_side": 3}, "weight side"),
-            ({"grid": 64, "a": "0"}, "finite number"),
-            ({"grid": 64, "b": True}, "finite number"),
-            ({"grid": 64, "b": None}, "finite number"),
+            ({"grid": 32, "m1": 3, "m2": 5, "weight_side": 2}, None, "does not match the matrices"),
+            ({"grid": 32}, None, "does not match the matrices"),
+            ({"grid": 64, "m1": 4}, None, "does not match the matrices"),
+            ({"grid": 64, "m2": 16}, None, "does not match the matrices"),
+            ({"grid": 64, "weight_side": 2}, None, "deviates"),
+            ({"grid": 64, "a": 0.5}, None, "deviates"),
+            ({"grid": 64, "weight_side": 3}, None, "weight side"),
+            ({"grid": 64, "a": "0"}, None, "finite number"),
+            ({"grid": 64, "b": True}, None, "finite number"),
+            ({"grid": 64, "b": None}, None, "finite number"),
+            ({"grid": 64}, (0, 1), "stored PS deviates by 1e-09"),
+            ({"grid": 64}, (1, 1), "stored PS deviates by 1e-09"),
         ],
         ids=["every-field", "grid", "m1", "m2", "weight-side", "a", "weight-side-3",
-             "a-string", "b-bool", "b-null"],
+             "a-string", "b-bool", "b-null", "ps-off-diagonal", "ps-non-uniform-diagonal"],
     )
-    def test_cosine_meta_must_describe_the_file(self, capsys, tmp_path, meta, message):
+    def test_cosine_meta_must_describe_the_file(self, capsys, tmp_path, meta, moved, message):
         # The file holds the grid-64 measure at (0, π/4), m1 = m2 = 8, weight
         # side 1; with the weight on side 1 the measure does not depend on b.
+        # `moved` names the source entry that gets 1e-9 of PS[0, 0]'s mass
+        # before the file is written.
         path = tmp_path / "cosine.json"
         m = lcmeasure.cosine_diagonal_measure(64, 0.0, math.pi / 4)
+        if moved is not None:
+            PS = m.PS.copy()
+            PS[0, 0] -= 1e-9
+            PS[moved] += 1e-9
+            m = lcmeasure.DiscreteLCMeasure(PS=PS, K1=m.K1, K2=m.K2)
         lcmeasure.save_measure(path, m, meta={"family": "cosine-diagonal", **meta})
         code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
         assert code == EXIT_VALIDATION

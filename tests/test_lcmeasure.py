@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from lcsim.lcmeasure import (
     DiscreteLCMeasure,
     LocalMarkovOperator,
     apply_local_markov,
+    check_cosine_file,
     chsh_discrete,
     cosine_diagonal_family,
     cosine_diagonal_measure,
@@ -504,6 +506,16 @@ class TestDiscreteCorrelation:
         with pytest.raises(ValueError):
             discrete_correlation(m, np.full(m.n1, 1.5), np.ones(m.n2))
 
+    def test_nan_observable_rejected(self):
+        m = small_measure()
+        nan = np.ones(m.n1)
+        nan[1] = np.nan
+        for obs1, obs2 in ((nan, np.ones(m.n2)), (np.ones(m.n1), nan[: m.n2])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                discrete_correlation(m, obs1, obs2)
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                chsh_discrete((m,) * 4, (obs1, obs1), (obs2, obs2))
+
 
 class TestChshDiscrete:
     def test_unit_observables_on_trivial_family(self):
@@ -658,6 +670,22 @@ class TestCosineDiagonal:
         monkeypatch.undo()
         for m in (*built, *family):
             DiscreteLCMeasure(PS=m.PS, K1=m.K1, K2=m.K2)
+
+    def test_file_check_allocates_nothing_of_grid_squared_entries(self, tmp_path):
+        # A rebuilt grid-2048 measure and its difference with the file take
+        # 64.4 MB; the check reads only the source's support and diagonal,
+        # and builds only the kernels.
+        path = tmp_path / "cosine.json"
+        meta = {"family": "cosine-diagonal", "grid": 2048}
+        save_measure(path, cosine_diagonal_measure(2048, 0.0, math.pi / 4), meta=meta)
+        m, meta = load_measure(path)
+        tracemalloc.start()
+        try:
+            assert check_cosine_file(m, meta) == (2048, 8, 8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_uniform_diagonal_has_unit_mass_at_every_grid(self):
         assert max(abs(float(np.full(n, 1.0 / n).sum()) - 1.0) for n in range(2, 4097)) <= 7e-16

@@ -492,6 +492,11 @@ class TestCorrelation:
         with pytest.raises(NormalizationError, match="mass 4"):
             unit_mass_table(lopsided, 0.0, 1.0)
 
+    def test_nan_table_is_refused(self, monkeypatch):
+        monkeypatch.setattr(models, "quadrant_table_quadrature", lambda m, a, b: np.full(4, np.nan))
+        with pytest.raises(NormalizationError, match="mass nan"):
+            unit_mass_table(ABS_COS, 0.0, 1.0)
+
 
 def model_chsh(m, settings) -> float:
     return chsh(*(correlation(unit_mass_table(m, a, b)) for a, b in chsh_pairs(settings)))

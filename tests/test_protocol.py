@@ -1008,7 +1008,7 @@ class TestStreaming:
         outputs = []
         for block in (1, 7, 4096, self.N):
             monkeypatch.setattr(protocol, "EVENT_LOG_BLOCK", block)
-            chsh = chsh_estimate(250, mode=mode, weight_side=weight_side, base_seed=3)
+            chsh = chsh_estimate(250, mode=mode, base_seed=3)
             docs = [run_experiment(cfg).to_dict(), chsh["chsh"], [run.to_dict() for run in chsh["runs"]]]
             for debug_hidden in (False, True):
                 log = tmp_path / f"events-{block}-{debug_hidden}.csv"

@@ -8,9 +8,10 @@ Names are matched by their last component, so a method shares references
 with any attribute of the same name.
 
 A defaulted parameter counts as set when a call outside the function's own
-body, in src/lcsim, perfbench/ or tests/, passes it by position or by
-keyword; calls are matched by name the same way. One that no call sets is
-a knob nobody turns and belongs in a module constant.
+body, in src/lcsim or the non-test files of perfbench/, passes it by
+position or by keyword; calls are matched by name the same way. One that no
+such call sets is a knob that at most the tests turn, and belongs in a
+module constant.
 """
 
 import ast
@@ -28,6 +29,10 @@ ALLOWED = {
     "models.save_model": "the documented model-file writer",
     "protocol.run_trial": "whole-run records that the streamed run is compared against in tests",
 }
+
+#: Defaulted parameters that no call outside the tests sets, each kept on
+#: purpose, as `qualified name.parameter`.
+ALLOWED_KNOBS: dict[str, str] = {}
 
 
 def public_definitions(tree: ast.Module, module: str) -> dict[str, ast.FunctionDef]:
@@ -72,10 +77,15 @@ def unused(modules: dict[str, str], callers: list[str]) -> set[str]:
     return flagged
 
 
-def repo_unused() -> set[str]:
+def repo_sources() -> tuple[dict[str, str], list[str]]:
+    """The lcsim modules by name, and the non-test perfbench sources."""
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
-    return unused(modules, callers)
+    return modules, callers
+
+
+def repo_unused() -> set[str]:
+    return unused(*repo_sources())
 
 
 def passes(call: ast.Call, position: int | None, name: str) -> bool:
@@ -115,9 +125,7 @@ def unset_knobs(modules: dict[str, str], callers: list[str]) -> set[str]:
 
 
 def repo_unset_knobs() -> set[str]:
-    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    callers = [p.read_text() for d in ("perfbench", "tests") for p in sorted((ROOT / d).glob("*.py"))]
-    return unset_knobs(modules, callers)
+    return unset_knobs(*repo_sources())
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -146,7 +154,11 @@ Box().write()
 
 
 def test_every_default_is_set_by_some_call():
-    assert sorted(repo_unset_knobs()) == []
+    assert sorted(repo_unset_knobs() - ALLOWED_KNOBS.keys()) == []
+
+
+def test_knob_allowlist_names_only_unset_knobs():
+    assert sorted(ALLOWED_KNOBS.keys() - repo_unset_knobs()) == []
 
 
 def test_knob_scanner_counts_setting_calls_only():

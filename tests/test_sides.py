@@ -121,7 +121,6 @@ SIDE_ENTRY_POINTS = {
     "cosine_diagonal_family": lambda side: lcmeasure.cosine_diagonal_family(8, weight_side=side),
     "StationConfig": lambda side: protocol.StationConfig(side=side, setting=0.0),
     "ExperimentConfig": lambda side: protocol.ExperimentConfig(n=1, a=0.0, b=0.0, weight_side=side),
-    "chsh_estimate": lambda side: protocol.chsh_estimate(10, weight_side=side),
     "check_necessary_conditions": lambda side: uniqueness.check_necessary_conditions(ABS_COS, weight_side=side),
     "verify_reproduction": lambda side: uniqueness.verify_reproduction(
         CandidateModel.one_sided("uniform"), grid=8, weight_side=side, reconstruct=False

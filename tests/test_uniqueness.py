@@ -145,28 +145,23 @@ class TestNecessaryConditions:
 
 class TestReconstruction:
     def test_recovers_quarter_cos(self):
-        result = reconstruct_profile(ABS_COS, h=1e-3, samples=101)
+        result = reconstruct_profile(ABS_COS, h=1e-3)
         mid = np.argmin(np.abs(result.x))
         assert result.profile[mid] == pytest.approx(0.25, abs=1e-5)
         assert result.sup_error < 1e-5
 
     def test_vanishes_at_endpoints(self):
-        result = reconstruct_profile(ABS_COS, h=1e-3, samples=101)
+        result = reconstruct_profile(ABS_COS, h=1e-3)
         assert abs(result.profile[0]) < 1e-4
         assert abs(result.profile[-1]) < 1e-4
 
     def test_halving_h_quarters_error(self):
         # Oracle: the exact derivative is -sin(b-a)/4, so the central
         # difference error is h²·sin/24 and halving h divides it by 4.
-        coarse = reconstruct_profile(ABS_COS, h=2e-3, samples=51)
-        fine = reconstruct_profile(ABS_COS, h=1e-3, samples=51)
+        coarse = reconstruct_profile(ABS_COS, h=2e-3)
+        fine = reconstruct_profile(ABS_COS, h=1e-3)
         ratio = coarse.sup_error / fine.sup_error
         assert 3.2 <= ratio <= 4.8
-
-    def test_base_setting_independence(self):
-        r0 = reconstruct_profile(ABS_COS, h=1e-3, samples=41, base_setting=0.0)
-        r1 = reconstruct_profile(ABS_COS, h=1e-3, samples=41, base_setting=1.234)
-        assert np.allclose(r0.profile, r1.profile, atol=2e-7)
 
     def test_step_bounds(self):
         with pytest.raises(ValueError, match="kink"):
@@ -189,7 +184,7 @@ class TestReconstruction:
             p1=Profile.from_samples(np.abs(np.cos(np.linspace(0, TWO_PI, 512, endpoint=False)))),
             p2=Profile("uniform"),
         ).normalized()
-        result = reconstruct_profile(fine, h=1e-3, samples=41)
+        result = reconstruct_profile(fine, h=1e-3)
         assert result.sup_error < 1e-3  # limited by the linear interpolation
 
     def test_derivative_matches_quarter_sine(self):
