@@ -211,19 +211,11 @@ def cmd_trivial(args) -> int:
             "max_deviation": verdict.max_deviation,
         },
     }
-    if isinstance(meta, dict) and meta.get("family") == "cosine-diagonal":
-        # A self-describing diagonal cosine discretization: rebuild the full
-        # four-setting family on the same grid and evaluate CHSH there.
-        grid, m1, m2, weight_side = lcmeasure.check_cosine_file(measure, meta)
-        family, obs1, obs2 = lcmeasure.cosine_diagonal_family(
-            grid, TSIRELSON_SETTINGS, m1=m1, m2=m2, weight_side=weight_side
-        )
-        doc["chsh"] = {
-            "kind": "setting-family",
-            "settings": list(TSIRELSON_SETTINGS),
-            "grid": grid,
-            "value": lcmeasure.chsh_discrete(family, obs1, obs2),
-        }
+    cosine = lcmeasure.check_cosine_file(measure, meta)
+    if cosine is not None:
+        del measure  # a cosine-diagonal file: its four-setting family builds its own source
+        settings, value = lcmeasure.cosine_file_chsh(*cosine)
+        doc["chsh"] = {"kind": "setting-family", "settings": list(settings), "grid": cosine[0], "value": value}
     else:
         rng = np.random.default_rng(args.seed)
         best = -math.inf
@@ -240,11 +232,8 @@ def cmd_trivial(args) -> int:
 
 
 def cmd_cosine_measure(args) -> int:
-    meta = {"family": "cosine-diagonal", "grid": args.grid, "a": args.a, "b": args.b,
-            "m1": args.m1, "m2": args.m2, "weight_side": args.weight_side}
-    measure = lcmeasure.cosine_diagonal_measure(args.grid, args.a, args.b, args.m1, args.m2, args.weight_side)
-    lcmeasure.save_measure(args.out, measure, meta=meta)
-    _emit_json(meta, None)
+    fields = {key: getattr(args, key) for key in lcmeasure.COSINE_DEFAULTS}
+    _emit_json(lcmeasure.save_cosine_measure(args.out, **fields), None)
     return EXIT_OK
 
 
@@ -324,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cosine-measure", help="write a cosine-diagonal measure file for trivial --measure")
     p.add_argument("--out", required=True, help="measure JSON output path")
-    p.add_argument("--grid", type=_positive_int, default=64, help="diagonal grid points")
-    p.add_argument("--a", type=float, default=TSIRELSON_SETTINGS[0], help="setting a (radians)")
-    p.add_argument("--b", type=float, default=TSIRELSON_SETTINGS[2], help="setting b (radians)")
-    p.add_argument("--m1", type=_positive_int, default=8)
-    p.add_argument("--m2", type=_positive_int, default=8)
-    p.add_argument("--weight-side", type=int, choices=(1, 2), default=1)
-    p.set_defaults(func=cmd_cosine_measure)
+    p.add_argument("--grid", type=_positive_int, help="diagonal grid points")
+    p.add_argument("--a", type=float, help="setting a (radians)")
+    p.add_argument("--b", type=float, help="setting b (radians)")
+    p.add_argument("--m1", type=_positive_int)
+    p.add_argument("--m2", type=_positive_int)
+    p.add_argument("--weight-side", type=int, choices=(1, 2))
+    p.set_defaults(func=cmd_cosine_measure, **lcmeasure.COSINE_DEFAULTS)
 
     return parser
 

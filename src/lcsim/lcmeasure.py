@@ -36,11 +36,17 @@ TRIVIAL_TOL = 1e-9
 #: Tolerance on unit row sums and on a source's unit mass.
 UNIT_TOL = 1e-9
 
+#: Most entries of the p1 ⊗ p2 block that :func:`is_trivial` holds at once:
+#: 512 KB, so a 64 × 64 source is one block and a grid-2048 one needs no
+#: grid × grid temporary.
+TRIVIAL_BLOCK = 2**16
+
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
-#: grid × grid matrix in memory, so memory grows as grid²: at grid 2048 `lcsim
-#: cosine-measure` peaks near 67 MB and `lcsim trivial --measure` on its file
-#: near 101 MB (child VmHWM); their excess over a bare import's 30 MB grows
-#: roughly fourfold per doubling. The file holds only the source's support.
+#: grid × grid matrix in memory, and each command holds one at a time, so
+#: memory grows as grid²: at grid 2048 `lcsim cosine-measure` and `lcsim
+#: trivial --measure` on its file peak near 67 and 68 MB (child VmHWM); their
+#: excess over a bare import's 30 MB grows roughly fourfold per doubling. The
+#: file holds only the source's support.
 #: Its kernels, and every matrix of a measure file that
 #: :func:`measure_from_dict` reads, hold at most MAX_COSINE_GRID² entries too.
 MAX_COSINE_GRID = 4096
@@ -52,26 +58,44 @@ MAX_COSINE_GRID = 4096
 MAX_RANDOM_ENTRIES = 2**22
 
 
-def _matrix(name: str, arr) -> np.ndarray:
-    """A read-only float copy of `arr`; ValueError unless it is a matrix with
-    finite, nonnegative entries."""
-    out = np.array(arr, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)) or np.any(out < 0.0):
+def _check_matrix(name: str, arr: np.ndarray) -> None:
+    """ValueError unless the float array `arr` is a matrix with finite,
+    nonnegative entries."""
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError(f"{name} must be finite and nonnegative")
-    out.setflags(write=False)
-    return out
+
+
+def _check_measure(PS: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> None:
+    """ValueError unless the float arrays PS, K1 and K2 make a
+    :class:`DiscreteLCMeasure`: finite nonnegative matrices, kernel rows
+    matching the source sides, and a source of unit mass."""
+    for name, arr in (("PS", PS), ("K1", K1), ("K2", K2)):
+        _check_matrix(name, arr)
+    if K1.shape[0] != PS.shape[0] or K2.shape[0] != PS.shape[1]:
+        raise ValueError(
+            f"kernel rows must match the source sides: PS {PS.shape}, "
+            f"K1 {K1.shape}, K2 {K2.shape}"
+        )
+    total = float(PS.sum())
+    if abs(total - 1.0) > UNIT_TOL:
+        raise ValueError(f"source matrix must sum to 1, got {total!r}")
+
+
+def _freeze(obj, arrays: dict) -> None:
+    """Set each of `arrays` on the frozen dataclass `obj`, made read-only in place."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 def _owned(cls, **arrays):
     """An instance of the frozen dataclass `cls` over arrays that this module
-    just built, valid by construction: each is made read-only in place, and
-    neither copied nor checked."""
+    just built or checked: each is made read-only in place, and neither
+    copied nor checked again."""
     obj = object.__new__(cls)
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+    _freeze(obj, arrays)
     return obj
 
 
@@ -84,18 +108,9 @@ class DiscreteLCMeasure:
     K2: np.ndarray
 
     def __post_init__(self) -> None:
-        PS, K1, K2 = _matrix("PS", self.PS), _matrix("K1", self.K1), _matrix("K2", self.K2)
-        if K1.shape[0] != PS.shape[0] or K2.shape[0] != PS.shape[1]:
-            raise ValueError(
-                f"kernel rows must match the source sides: PS {PS.shape}, "
-                f"K1 {K1.shape}, K2 {K2.shape}"
-            )
-        total = float(PS.sum())
-        if abs(total - 1.0) > UNIT_TOL:
-            raise ValueError(f"source matrix must sum to 1, got {total!r}")
-        object.__setattr__(self, "PS", PS)
-        object.__setattr__(self, "K1", K1)
-        object.__setattr__(self, "K2", K2)
+        arrays = {name: np.array(getattr(self, name), dtype=float) for name in ("PS", "K1", "K2")}
+        _check_measure(**arrays)
+        _freeze(self, arrays)
 
     @property
     def n1(self) -> int:
@@ -135,16 +150,24 @@ def local_mass_functions(m: DiscreteLCMeasure) -> tuple[np.ndarray, np.ndarray]:
 
 def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
     """Check p1(s1) * p2(s2) = 1 within TRIVIAL_TOL on the support of the
-    source, the entries above SUPPORT_EPS."""
+    source, the entries above SUPPORT_EPS. Rows go in blocks of at most
+    TRIVIAL_BLOCK entries (at least one row each); the maximum is exact, so
+    the verdict does not depend on the block size."""
     p1, p2 = local_mass_functions(m)
-    supp = m.PS > SUPPORT_EPS
-    dev = np.outer(p1, p2)  # the one n1 × n2 temporary: |p1 ⊗ p2 - 1| in place
-    dev -= 1.0
-    max_dev = float(np.abs(dev, out=dev)[supp].max(initial=0.0))
+    step = max(1, TRIVIAL_BLOCK // max(1, m.n2))
+    max_dev = 0.0
+    rows = np.empty(m.n1, dtype=bool)  # the rows that meet the support
+    for start in range(0, m.n1, step):
+        blk = slice(start, start + step)
+        supp = m.PS[blk] > SUPPORT_EPS
+        dev = np.outer(p1[blk], p2)  # |p1 ⊗ p2 - 1| in place
+        dev -= 1.0
+        max_dev = np.abs(dev, out=dev)[supp].max(initial=max_dev)
+        rows[blk] = supp.any(axis=1)
+    max_dev = float(max_dev)
     trivial = max_dev <= TRIVIAL_TOL
     c = None
     if trivial:
-        rows = supp.any(axis=1)
         vals = p1[rows]
         weights = m.PS.sum(axis=1)[rows]
         if vals.size and float(vals.max() - vals.min()) <= TRIVIAL_TOL * max(1.0, float(vals.max())):
@@ -192,12 +215,13 @@ class LocalMarkovOperator:
     T2: np.ndarray
 
     def __post_init__(self) -> None:
-        T1, T2 = _matrix("T1", self.T1), _matrix("T2", self.T2)
-        for name, arr in (("T1", T1), ("T2", T2)):
+        arrays = {name: np.array(getattr(self, name), dtype=float) for name in ("T1", "T2")}
+        for name, arr in arrays.items():
+            _check_matrix(name, arr)
+        for name, arr in arrays.items():
             if arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {arr.shape}")
-        object.__setattr__(self, "T1", T1)
-        object.__setattr__(self, "T2", T2)
+        _freeze(self, arrays)
 
     def is_stochastic(self) -> bool:
         """Unit row sums on both sides; a permutation has them by form."""
@@ -350,6 +374,19 @@ def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
     return g
 
 
+def _trivial_member(rng: np.random.Generator, source, n1: int, n2: int, m1: int, m2: int) -> DiscreteLCMeasure:
+    """A measure with row masses c on side 1 and 1/c on side 2, drawn in this
+    order: c, the source `source()`, c times a stochastic K1, a stochastic
+    K2 over c."""
+    c = float(np.exp(rng.uniform(-1.5, 1.5)))
+    return _owned(
+        DiscreteLCMeasure,
+        PS=source(),
+        K1=c * stochastic_matrix(rng, n1, m1),
+        K2=stochastic_matrix(rng, n2, m2) / c,
+    )
+
+
 def random_trivial_measure(
     rng: np.random.Generator,
     n1: int = 64,
@@ -359,13 +396,7 @@ def random_trivial_measure(
 ) -> DiscreteLCMeasure:
     """Trivial by construction: row masses are a random c on one side, 1/c on the other."""
     _check_random_shape(n1, n2, m1, m2)
-    c = float(np.exp(rng.uniform(-1.5, 1.5)))
-    return _owned(
-        DiscreteLCMeasure,
-        PS=random_source(rng, n1, n2),
-        K1=c * stochastic_matrix(rng, n1, m1),
-        K2=stochastic_matrix(rng, n2, m2) / c,
-    )
+    return _trivial_member(rng, lambda: random_source(rng, n1, n2), n1, n2, m1, m2)
 
 
 def random_trivial_family(
@@ -378,18 +409,7 @@ def random_trivial_family(
     """Four trivial measures sharing one source, one per CHSH setting."""
     _check_random_shape(n1, n2, m1, m2)
     PS = random_source(rng, n1, n2)
-    members = []
-    for _ in range(4):
-        c = float(np.exp(rng.uniform(-1.5, 1.5)))
-        members.append(
-            _owned(
-                DiscreteLCMeasure,
-                PS=PS,
-                K1=c * stochastic_matrix(rng, n1, m1),
-                K2=stochastic_matrix(rng, n2, m2) / c,
-            )
-        )
-    return tuple(members)
+    return tuple(_trivial_member(rng, lambda: PS, n1, n2, m1, m2) for _ in range(4))
 
 
 def random_nontrivial_measure(
@@ -422,6 +442,11 @@ def random_observables(rng: np.random.Generator, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Diagonal cosine discretization
+
+#: A cosine-diagonal file's meta family, and its fields with `lcsim cosine-measure`'s defaults in
+#: cosine_diagonal_measure's argument order; the grid must be named, other missing fields read as here.
+COSINE_FAMILY = "cosine-diagonal"
+COSINE_DEFAULTS = {"grid": 64, "a": TSIRELSON_SETTINGS[0], "b": TSIRELSON_SETTINGS[2], "m1": 8, "m2": 8, "weight_side": 1}
 
 
 def diagonal_grid(n_grid: int) -> np.ndarray:
@@ -495,13 +520,7 @@ def cosine_diagonal_measure(
     return measure
 
 
-def cosine_diagonal_family(
-    n_grid: int,
-    settings: tuple[float, float, float, float] = TSIRELSON_SETTINGS,
-    m1: int = 8,
-    m2: int = 8,
-    weight_side: int = 1,
-):
+def cosine_diagonal_family(n_grid: int, settings: tuple[float, float, float, float], m1: int, m2: int, weight_side: int):
     """Four-setting cosine family sharing the diagonal source, plus the
     matching ±1 spin observables on the grid.
 
@@ -518,16 +537,16 @@ def cosine_diagonal_family(
     return measures, obs1, obs2
 
 
-def check_cosine_file(measure: DiscreteLCMeasure, meta: dict) -> tuple[int, int, int, int]:
-    """(grid, m1, m2, weight_side) of a measure whose `meta` names the
-    cosine_diagonal_measure(grid, a, b, m1, m2, weight_side) it holds; fields
-    other than the grid default to `lcsim cosine-measure`'s. ValueError,
-    shapes and arguments first, unless every entry is within 1e-12 of that
-    measure's. The source is read through its support and diagonal, so
-    nothing of grid² entries is built."""
-    defaults = {"grid": None, "a": TSIRELSON_SETTINGS[0], "b": TSIRELSON_SETTINGS[2],
-                "m1": 8, "m2": 8, "weight_side": 1}
-    grid, a, b, m1, m2, weight_side = (meta.get(key, default) for key, default in defaults.items())
+def check_cosine_file(measure: DiscreteLCMeasure, meta) -> tuple[int, int, int, int] | None:
+    """None unless `meta` is an object of family COSINE_FAMILY; then (grid,
+    m1, m2, weight_side) of the cosine_diagonal_measure that its fields name,
+    or ValueError, shapes and arguments first, unless every entry is within
+    1e-12 of that measure's. The source is read through its support and
+    diagonal, so nothing of grid² entries is built."""
+    if not (isinstance(meta, dict) and meta.get("family") == COSINE_FAMILY):
+        return None
+    fields = {**COSINE_DEFAULTS, "grid": None, **meta}  # the grid has no default
+    grid, a, b, m1, m2, weight_side = (fields[key] for key in COSINE_DEFAULTS)
     stored = (measure.n1, measure.n2, measure.m1, measure.m2)
     if stored != (grid, grid, m1, m2):
         raise ValueError(
@@ -546,6 +565,19 @@ def check_cosine_file(measure: DiscreteLCMeasure, meta: dict) -> tuple[int, int,
                 f"its meta describes (grid {grid}, a {a!r}, b {b!r}, weight_side {weight_side})"
             )
     return grid, m1, m2, weight_side
+
+
+def save_cosine_measure(path, grid: int, a: float, b: float, m1: int, m2: int, weight_side: int) -> dict:
+    """Write cosine_diagonal_measure(grid, a, b, m1, m2, weight_side) to `path` with the meta naming it; return it."""
+    meta = dict(zip(COSINE_DEFAULTS, (grid, a, b, m1, m2, weight_side)), family=COSINE_FAMILY)
+    save_measure(path, cosine_diagonal_measure(grid, a, b, m1, m2, weight_side), meta=meta)
+    return meta
+
+
+def cosine_file_chsh(grid: int, m1: int, m2: int, weight_side: int) -> tuple[tuple[float, ...], float]:
+    """TSIRELSON_SETTINGS and the CHSH value there of the cosine family on a checked file's grid, widths and side."""
+    family, obs1, obs2 = cosine_diagonal_family(grid, TSIRELSON_SETTINGS, m1, m2, weight_side)
+    return TSIRELSON_SETTINGS, chsh_discrete(family, obs1, obs2)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +608,7 @@ def _support_source(support: dict, n1: int, n2: int) -> np.ndarray:
     """The dense n1 × n2 source of a support object; ValueError unless it has
     exactly the keys rows, cols and weights, holding equal-length lists of
     in-range integer indices and of numbers, with no (row, col) pair twice.
-    The weights themselves are left to the :class:`DiscreteLCMeasure` checks."""
+    The weights themselves are left to the measure's checks."""
     if sorted(support) != ["cols", "rows", "weights"]:
         raise ValueError(f"a PS support has exactly the keys cols, rows and weights, got {sorted(support)}")
     rows, cols, weights = support["rows"], support["cols"], support["weights"]
@@ -603,8 +635,8 @@ def _support_source(support: dict, n1: int, n2: int) -> np.ndarray:
 
 def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
     """The measure and `meta` of a document that :func:`measure_to_dict`
-    wrote. `PS` may also be a list of rows, the form files had before sources
-    were written as their support."""
+    wrote, its matrices as lists. `PS` may also be a list of rows, the form
+    files had before sources were written as their support."""
     if not isinstance(doc, dict):
         raise ValueError(f"measure document must be an object, got {type(doc).__name__}")
     for key in ("n1", "n2", "m1", "m2", "PS", "K1", "K2"):
@@ -626,7 +658,10 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
     except (TypeError, OverflowError):
         # OverflowError: an integer entry too large for a float.
         raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
-    m = DiscreteLCMeasure(PS=PS, K1=K1, K2=K2)
+    # Each matrix was converted once, the support form straight into its dense
+    # source; the constructor would copy them again.
+    _check_measure(PS, K1, K2)
+    m = _owned(DiscreteLCMeasure, PS=PS, K1=K1, K2=K2)
     if declared != (m.n1, m.n2, m.m1, m.m2):
         raise ValueError(
             f"declared dimensions {declared} do not match matrices "

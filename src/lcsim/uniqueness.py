@@ -4,8 +4,9 @@ Three independent probes of whether a candidate reproduces the singlet
 quadrant statistics, and of what that forces:
 
 * :func:`verify_reproduction` subtracts the closed-form quadrant tables from
-  the quadrature ones over a setting grid, one table call per backend, and
-  reports the gap between 16-node and 8-node tables as its quadrature error.
+  the quadrature ones over a setting grid, one table call per backend and
+  chunk of rows, and reports the gap between 16-node and 8-node tables as
+  its quadrature error.
 * :func:`check_necessary_conditions` evaluates the pointwise constraints the
   closed forms impose on the profiles (zeros of the weighted side, constancy
   of the others). These are necessary, never sufficient.
@@ -42,8 +43,16 @@ CONDITION_TOL = 1e-9
 #: Angles on which the necessary conditions find each profile's peak.
 CONDITION_GRID = 512
 
-#: Largest setting grid of the reproduction scan. Its lattice holds about
-#: 133 bytes per setting, so this grid takes about 560 MB.
+#: Most settings of one chunk of whole rows of the reproduction scan (at
+#: least one row each). Its tables then hold about 133 bytes per setting,
+#: about 0.5 MB, at any grid; grids up to 64 are one chunk.
+LATTICE_CHUNK = 4096
+
+#: Largest setting grid of the reproduction scan. LATTICE_CHUNK bounds its
+#: memory, so this grid bounds its time, which grows as grid²: `lcsim
+#: uniqueness --builtin abs-cos --no-reconstruction` took 6.2 s at grid 1024
+#: and 24 s at grid 2048 on one Xeon core, both within 4 MB of a bare import
+#: (child VmHWM).
 MAX_GRID = 2048
 
 #: Setting a of the profile reconstruction, and its sample count over
@@ -222,7 +231,10 @@ def verify_reproduction(
     """Scan quadrature quadrant masses against the closed forms on a
     grid × grid lattice of settings and assemble the full report.
 
-    The lattice is one table call. Its error estimate, the largest gap
+    The lattice goes in chunks of whole rows, one table call per backend and
+    chunk. Every setting's table is its own, and each maximum is exact and
+    kept at its first place in row-major order (NaN first), so the report
+    does not depend on the chunk size. Its error estimate, the largest gap
     between the 16-node tables and 8-node ones, bounds the tolerance: a `tol`
     below it, or NaN, is refused, since the scan cannot resolve it.
     """
@@ -234,14 +246,20 @@ def verify_reproduction(
     mass = float(unit_mass_table(m, 0.0, 0.0).sum())
 
     settings = TWO_PI * np.arange(grid) / grid
-    a, b = np.meshgrid(settings, settings, indexing="ij")
-    tables = quadrant_table_quadrature(m, a, b)
-    quadrature_error = float(np.abs(tables - quadrant_table_quadrature(m, a, b, nodes=8)).max())
+    rows = max(1, LATTICE_CHUNK // grid)
+    gaps, worst = [], []  # per chunk: its quadrature error, and its largest error with its (i, j, q)
+    for start in range(0, grid, rows):
+        a, b = np.meshgrid(settings[start:start + rows], settings, indexing="ij")
+        tables = quadrant_table_quadrature(m, a, b)
+        gaps.append(np.abs(tables - quadrant_table_quadrature(m, a, b, nodes=8)).max())
+        errors = np.abs(tables - quadrant_table_analytic(a, b))
+        i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
+        worst.append((errors[i, j, q], (start + i, j, q)))
+    quadrature_error = float(np.max(gaps))
     if not tol >= quadrature_error:
         raise ValueError(f"tolerance {tol!r} is NaN or below the quadrature error {quadrature_error:.3e}")
-    errors = np.abs(tables - quadrant_table_analytic(a, b))
-    i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
-    max_err = float(errors[i, j, q])
+    max_err, (i, j, q) = worst[int(np.argmax([err for err, _ in worst]))]
+    max_err = float(max_err)
 
     conditions = check_necessary_conditions(m, weight_side=weight_side)
     recon = reconstruct_profile(m, h=h) if reconstruct else None

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcsim import lcmeasure, models, protocol, uniqueness
+from lcsim import cli, lcmeasure, models, protocol, uniqueness
 from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, build_parser, main
 from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
@@ -270,22 +271,26 @@ class TestCosineMeasure:
     def test_peak_memory_of_a_grid_512_file(self, tmp_path):
         # Over a bare import of lcsim.cli, writing this file and reading it
         # back took +17.6 and +17.2 MB (child VmHWM) while its source was
-        # written as a dense 512 × 512 list; as its support, +4.5 and +10.4 MB.
+        # written as a dense 512 × 512 list; as its support, +4.5 and +10.4 MB;
+        # +3.3 and +6.1 MB while trivial held up to three 512 × 512 arrays at
+        # once; now about +3.4 and +4.8 MB.
         path = str(tmp_path / "cosine.json")
         bare = peak_rss_mb([])
         assert peak_rss_mb(["cosine-measure", "--grid", "512", "--out", path]) <= bare + 10
-        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 14
+        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 8
 
     def test_peak_memory_of_a_grid_2048_file(self, tmp_path):
         # Over a bare import of lcsim.cli these took +67 and +136 MB (child
         # VmHWM) while the measure went through the copying constructor and
         # triviality built three grid × grid temporaries, and trivial took
-        # +102 MB while the meta check rebuilt the measure to diff it; now
-        # about +37 and +71 MB.
+        # +102 MB while the meta check rebuilt the measure to diff it; +71 MB
+        # while loading copied the source, triviality built the whole
+        # p1 ⊗ p2, and the loaded source outlived the check; now about +37
+        # and +38 MB, one 33.5 MB source at a time.
         path = str(tmp_path / "cosine.json")
         bare = peak_rss_mb([])
         assert peak_rss_mb(["cosine-measure", "--grid", "2048", "--out", path]) <= bare + 50
-        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 90
+        assert peak_rss_mb(["trivial", "--measure", path]) <= bare + 50
 
     def test_grid_above_4096_is_validation_error(self, capsys, tmp_path, monkeypatch):
         # The dense grid × grid source is refused before it exists: building
@@ -304,9 +309,21 @@ class TestCosineMeasure:
         assert "validation error" in err and "at most 4096, got 4097" in err
         assert not path.exists()
         with pytest.raises(ValueError, match="at most 4096"):
-            lcmeasure.cosine_diagonal_family(4097)
+            lcmeasure.cosine_diagonal_family(4097, TSIRELSON_SETTINGS, 8, 8, 1)
         with pytest.raises(DenseSourceBuilt):
             main(["cosine-measure", "--grid", "4096", "--out", str(path)])
+
+    def test_flag_defaults_are_the_file_defaults(self):
+        args = build_parser().parse_args(["cosine-measure", "--out", "cosine.json"])
+        assert {key: getattr(args, key) for key in lcmeasure.COSINE_DEFAULTS} == lcmeasure.COSINE_DEFAULTS
+
+    def test_cli_holds_no_rule_of_the_file(self):
+        # The family name, the meta fields and their defaults live in lcmeasure.
+        tree = ast.parse(Path(cli.__file__).read_text())
+        literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert lcmeasure.COSINE_FAMILY not in literals
+        calls = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+        assert not calls & {"cosine_diagonal_measure", "cosine_diagonal_family", "save_measure"}
 
     @pytest.mark.parametrize(
         "argv", [("--m1", "0"), ("--m2", "-1"), ("--grid", "0"), ("--weight-side", "3")],
@@ -739,15 +756,32 @@ def test_pairs_past_max_pairs_are_refused_before_any_output(capsys, tmp_path, ar
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_commands() -> list[str]:
-    """Every line of README's fenced code blocks that starts with `lcsim `."""
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("lcsim ")]
+def readme_commands(text: str) -> list[list[str]]:
+    """The arguments of every `lcsim` command in the fenced code blocks of
+    `text`, wherever it stands on its line and up to the next shell operator
+    or comment; lines with a `$`, such as shell loops over a variable, are
+    skipped."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    commands = []
+    for line in (line for block in blocks for line in block.splitlines() if "$" not in line):
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True  # runs of ();<>|& still come apart as operators
+        words = list(lexer)
+        for i in (i for i, word in enumerate(words) if word == "lcsim"):
+            rest = words[i + 1:]
+            commands.append(rest[:next((k for k, w in enumerate(rest) if set(w) <= set("();<>|&")), len(rest))])
+    return commands
+
+
+def test_readme_command_scan():
+    text = "```sh\nlcsim analytic --a 0 --b 1  # note\nfor s in 1 2; do lcsim trivial --seed $s; done\n" \
+           "cd src/lcsim/ && ls\nfor s in 1 2; do lcsim chsh --seed 3|head; done\n```\nlcsim outside --a block\n"
+    assert readme_commands(text) == [["analytic", "--a", "0", "--b", "1"], ["chsh", "--seed", "3"]]
 
 
 def test_readme_commands_parse():
     # Parsing only: a renamed or removed flag fails here before a reader finds it.
-    argvs = [shlex.split(line, comments=True)[1:] for line in readme_commands()]
+    argvs = readme_commands(README.read_text())
     parser = build_parser()
     for argv in argvs:
         parser.parse_args(argv)

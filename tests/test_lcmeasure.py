@@ -209,6 +209,47 @@ class TestTriviality:
         assert verdict.trivial
         assert verdict.c is None  # pointwise triviality without a constant split
 
+    @pytest.mark.parametrize("block", [1, 7, 5 * 64, 2**40])
+    def test_verdict_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(11)
+        measures = [
+            random_trivial_measure(rng, 64, 64, 8, 8),
+            random_nontrivial_measure(rng, 64, 64, 8, 8),
+            apply_local_markov(random_trivial_measure(rng, 9, 13, 2, 3), LocalMarkovOperator.random_stochastic(rng, 18, 39)),
+            cosine_diagonal_measure(512, 0.0, math.pi / 4),
+            DiscreteLCMeasure(PS=np.diag([0.5, 0.5 - 2e-13]) + 1e-13, K1=[[2.0], [0.5]], K2=[[0.5], [2.0]]),
+        ]
+        default = [is_trivial(m) for m in measures]
+        monkeypatch.setattr(lcmeasure, "TRIVIAL_BLOCK", block)
+        for m, verdict in zip(measures, default):
+            again = is_trivial(m)
+            assert again == verdict
+            assert struct.pack("<d", again.max_deviation) == struct.pack("<d", verdict.max_deviation)
+
+    def test_nan_deviation_propagates_from_any_block(self, monkeypatch):
+        # p2 overflows to inf on one column; where p1 is 0 the product is NaN.
+        K2 = np.ones((4, 2))
+        K2[2] = 1e308
+        m = DiscreteLCMeasure(PS=np.full((4, 4), 1 / 16), K1=[[1.0], [1.0], [1.0], [0.0]], K2=K2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(is_trivial(m).max_deviation)
+            monkeypatch.setattr(lcmeasure, "TRIVIAL_BLOCK", 1)
+            assert math.isnan(is_trivial(m).max_deviation)
+
+    def test_a_64_by_64_source_is_one_block(self):
+        assert lcmeasure.TRIVIAL_BLOCK >= 64 * 64
+
+    def test_grid_2048_cosine_measure_needs_no_grid_squared_temporary(self):
+        # The whole p1 ⊗ p2 product and its support mask took 37.9 MB traced.
+        m = cosine_diagonal_measure(2048, 0.0, math.pi / 4)
+        tracemalloc.start()
+        try:
+            assert not is_trivial(m).trivial
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_generator_contract(self, seed):
@@ -576,7 +617,7 @@ class TestCosineDiagonal:
         oracle = abs(oracle_corr(a, b) - oracle_corr(a, b2)) + abs(
             oracle_corr(a2, b) + oracle_corr(a2, b2)
         )
-        family, o1, o2 = cosine_diagonal_family(n)
+        family, o1, o2 = cosine_diagonal_family(n, TSIRELSON_SETTINGS, 8, 8, 1)
         value = chsh_discrete(family, o1, o2)
         assert value == pytest.approx(oracle, abs=1e-12)
         assert abs(value - 2 * math.sqrt(2)) < 0.05
@@ -588,14 +629,14 @@ class TestCosineDiagonal:
         assert verdict.max_deviation >= 1e-3
 
     def test_weight_side_two(self):
-        family, o1, o2 = cosine_diagonal_family(64, weight_side=2)
+        family, o1, o2 = cosine_diagonal_family(64, TSIRELSON_SETTINGS, 8, 8, 2)
         assert abs(chsh_discrete(family, o1, o2) - 2 * math.sqrt(2)) < 0.05
 
     @pytest.mark.parametrize("weight_side", [1, 2])
     def test_unit_mass_and_tsirelson(self, weight_side):
         # The midpoint rule alone leaves the mass at 1 + 4.0e-4 on this grid,
         # which pushed CHSH 1.1e-3 above 2√2.
-        family, o1, o2 = cosine_diagonal_family(64, weight_side=weight_side)
+        family, o1, o2 = cosine_diagonal_family(64, TSIRELSON_SETTINGS, 8, 8, weight_side)
         for m in family:
             p1, p2 = local_mass_functions(m)
             assert abs(float(p1 @ m.PS @ p2) - 1.0) <= 1e-12
@@ -605,7 +646,7 @@ class TestCosineDiagonal:
 
     @pytest.mark.parametrize("weight_side", [1, 2])
     def test_family_shares_one_readonly_source(self, weight_side):
-        family, _, _ = cosine_diagonal_family(16, weight_side=weight_side)
+        family, _, _ = cosine_diagonal_family(16, TSIRELSON_SETTINGS, 8, 8, weight_side)
         assert all(m.PS is family[0].PS for m in family)
         assert not family[0].PS.flags.writeable
         for m, (a, b) in zip(family, chsh_pairs(TSIRELSON_SETTINGS)):
@@ -625,7 +666,7 @@ class TestCosineDiagonal:
         settings = list(TSIRELSON_SETTINGS)
         settings[position] = bad
         with pytest.raises(ValueError, match="settings must be finite"):
-            cosine_diagonal_family(16, tuple(settings))
+            cosine_diagonal_family(16, tuple(settings), 8, 8, 1)
 
     @pytest.mark.parametrize(
         "grid, settings",
@@ -653,7 +694,7 @@ class TestCosineDiagonal:
         with pytest.raises(ValueError):
             cosine_diagonal_measure(grid, b, a, weight_side=2)
         with pytest.raises(ValueError):
-            cosine_diagonal_family(grid, settings)
+            cosine_diagonal_family(grid, settings, 8, 8, 1)
 
     def test_built_without_the_constructor(self, monkeypatch):
         # Every member is valid by construction: the copying, checking
@@ -663,10 +704,10 @@ class TestCosineDiagonal:
 
         built = [cosine_diagonal_measure(n, a, b, m1=3, m2=2, weight_side=side)
                  for n in (2, 3, 9, 64) for a, b in ((0.0, 0.0), (1e300, -7.0), (5e-324, 2.5)) for side in (1, 2)]
-        family, _, _ = cosine_diagonal_family(16)
+        family, _, _ = cosine_diagonal_family(16, TSIRELSON_SETTINGS, 8, 8, 1)
         monkeypatch.setattr(DiscreteLCMeasure, "__post_init__", refuse)
         assert cosine_diagonal_measure(16, 0.0, 1.0).n1 == 16
-        assert len(cosine_diagonal_family(16)[0]) == 4
+        assert len(cosine_diagonal_family(16, TSIRELSON_SETTINGS, 8, 8, 1)[0]) == 4
         monkeypatch.undo()
         for m in (*built, *family):
             DiscreteLCMeasure(PS=m.PS, K1=m.K1, K2=m.K2)
@@ -687,6 +728,35 @@ class TestCosineDiagonal:
             tracemalloc.stop()
         assert peak < 2e6
 
+    @pytest.mark.parametrize("meta", [None, {}, {"family": "other", "grid": 16}, ["cosine-diagonal"], "cosine-diagonal"])
+    def test_file_check_passes_over_other_files(self, meta):
+        assert check_cosine_file(cosine_diagonal_measure(8, 0.0, 0.0), meta) is None
+
+    @pytest.mark.parametrize("fields", [lcmeasure.COSINE_DEFAULTS, {"grid": 9, "a": -1.0, "b": 7.0, "m1": 1, "m2": 3, "weight_side": 2}])
+    def test_written_file_holds_the_measure_its_meta_names(self, tmp_path, fields):
+        path, expected = tmp_path / "written.json", tmp_path / "direct.json"
+        meta = lcmeasure.save_cosine_measure(path, **fields)
+        assert meta == {"family": lcmeasure.COSINE_FAMILY, **fields}
+        save_measure(expected, cosine_diagonal_measure(*fields.values()), meta=meta)
+        assert path.read_bytes() == expected.read_bytes()
+        m, loaded = load_measure(path)
+        assert loaded == meta
+        assert check_cosine_file(m, loaded) == (fields["grid"], fields["m1"], fields["m2"], fields["weight_side"])
+
+    def test_file_check_reads_missing_fields_from_the_defaults(self):
+        fields = {**lcmeasure.COSINE_DEFAULTS, "grid": 16}
+        m = cosine_diagonal_measure(*fields.values())
+        assert check_cosine_file(m, {"family": lcmeasure.COSINE_FAMILY, "grid": 16}) == (16, 8, 8, 1)
+        with pytest.raises(ValueError, match="does not match"):  # the grid has no default
+            check_cosine_file(m, {"family": lcmeasure.COSINE_FAMILY})
+
+    @pytest.mark.parametrize("grid, m1, m2, weight_side", [(64, 8, 8, 1), (16, 3, 5, 2)])
+    def test_file_chsh_is_its_family_at_the_tsirelson_settings(self, grid, m1, m2, weight_side):
+        settings, value = lcmeasure.cosine_file_chsh(grid, m1, m2, weight_side)
+        family, o1, o2 = cosine_diagonal_family(grid, TSIRELSON_SETTINGS, m1=m1, m2=m2, weight_side=weight_side)
+        assert settings == TSIRELSON_SETTINGS
+        assert value == chsh_discrete(family, o1, o2)
+
     def test_uniform_diagonal_has_unit_mass_at_every_grid(self):
         assert max(abs(float(np.full(n, 1.0 / n).sum()) - 1.0) for n in range(2, 4097)) <= 7e-16
         for n in (2, 3, 7, 100, 1000):
@@ -701,7 +771,7 @@ class TestCosineDiagonal:
         with pytest.raises(ValueError, match="kernel widths"):
             cosine_diagonal_measure(8, 0.0, 0.0, weight_side=weight_side, **{key: width})
         with pytest.raises(ValueError, match="kernel widths"):
-            cosine_diagonal_family(8, weight_side=weight_side, **{key: width})
+            cosine_diagonal_family(8, TSIRELSON_SETTINGS, **{"m1": 8, "m2": 8, key: width}, weight_side=weight_side)
 
 
 class TestSerialization:
@@ -759,6 +829,32 @@ class TestSerialization:
         assert doc["PS"]["rows"] == [0, 1]
         loaded, _ = measure_from_dict(json.loads(json.dumps(doc)))
         assert loaded.PS.tobytes() == np.diag([0.5, 0.5]).tobytes()
+
+    def test_files_are_read_without_the_copying_constructor(self, monkeypatch):
+        # measure_from_dict runs the constructor's checks on the arrays it
+        # converts, once each; the constructor would copy them again.
+        docs = [measure_to_dict(small_measure()), measure_to_dict(cosine_diagonal_measure(16, 0.3, 2.0))]
+        docs.append({**docs[0], "PS": small_measure().PS.tolist()})
+        expected = [measure_from_dict(doc)[0] for doc in docs]
+        monkeypatch.setattr(DiscreteLCMeasure, "__post_init__", lambda self: pytest.fail("the constructor ran"))
+        for doc, want in zip(docs, expected):
+            got, _ = measure_from_dict(doc)
+            assert all(getattr(got, k).tobytes() == getattr(want, k).tobytes() for k in ("PS", "K1", "K2"))
+            assert not any(getattr(got, k).flags.writeable for k in ("PS", "K1", "K2"))
+
+    def test_grid_2048_file_loads_into_one_grid_squared_array(self, tmp_path):
+        # The 33.5 MB dense source was filled, then copied by the
+        # constructor: 74.2 MB traced.
+        path = tmp_path / "cosine.json"
+        save_measure(path, cosine_diagonal_measure(2048, 0.0, math.pi / 4))
+        tracemalloc.start()
+        try:
+            m, _ = load_measure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.PS.nbytes == 2048**2 * 8
+        assert peak < 45e6
 
     def test_dense_source_files_still_load(self):
         m = small_measure()

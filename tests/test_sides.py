@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import circle, lcmeasure, protocol, uniqueness
-from lcsim.models import BUILTINS, CandidateModel, Profile
+from lcsim.models import BUILTINS, TSIRELSON_SETTINGS, CandidateModel, Profile
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -118,7 +118,7 @@ SIDE_ENTRY_POINTS = {
     "abs_cos": lambda side: CandidateModel.one_sided("abs-cos", side),
     "cos_squared": lambda side: CandidateModel.one_sided("cos-squared", side),
     "cosine_diagonal_measure": lambda side: lcmeasure.cosine_diagonal_measure(8, 0.0, 0.0, weight_side=side),
-    "cosine_diagonal_family": lambda side: lcmeasure.cosine_diagonal_family(8, weight_side=side),
+    "cosine_diagonal_family": lambda side: lcmeasure.cosine_diagonal_family(8, TSIRELSON_SETTINGS, 8, 8, side),
     "StationConfig": lambda side: protocol.StationConfig(side=side, setting=0.0),
     "ExperimentConfig": lambda side: protocol.ExperimentConfig(n=1, a=0.0, b=0.0, weight_side=side),
     "check_necessary_conditions": lambda side: uniqueness.check_necessary_conditions(ABS_COS, weight_side=side),

@@ -1,11 +1,15 @@
 import json
 import math
+import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lcsim import uniqueness
 from lcsim.circle import TWO_PI
-from lcsim.models import CandidateModel, NormalizationError, Profile, Quadrant, quadrant_prob_quadrature
+from lcsim.models import CandidateModel, NormalizationError, Profile, Quadrant, load_model, quadrant_prob_quadrature
 from lcsim.uniqueness import (
     NECESSITY_NOTE,
     check_necessary_conditions,
@@ -108,6 +112,75 @@ class TestVerifyReproduction:
         with pytest.raises(ValueError, match="below the quadrature error"):
             verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error / 2, reconstruct=False)
         verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error, reconstruct=False)
+
+
+FIXTURE_256 = Path(__file__).with_name("fixtures") / "abs-cos-256.json"
+
+
+def scan(model, grid, weight_side=1):
+    """The lattice part of the report: its two errors and worst setting."""
+    r = verify_reproduction(model, grid=grid, weight_side=weight_side, reconstruct=False)
+    return struct.pack("<2d", r.max_quadrant_error, r.quadrature_error), r.worst_setting
+
+
+class TestLatticeChunks:
+    @pytest.mark.parametrize("grid", [32, 39])
+    @pytest.mark.parametrize(
+        "model, side",
+        [(ABS_COS, 1), (CandidateModel.one_sided("cos-squared", 2), 2), (load_model(FIXTURE_256), 1)],
+        ids=["abs-cos", "cos-squared-side-2", "samples-256"],
+    )
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, model, side, grid):
+        whole = scan(model, grid, side)
+        for rows in (1, 5):
+            monkeypatch.setattr(uniqueness, "LATTICE_CHUNK", rows * grid)
+            assert scan(model, grid, side) == whole
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["ties", "nan"])
+    def test_first_maximum_in_row_major_order(self, monkeypatch, nan):
+        # Quadrature tables of zeros against closed forms of zeros, but for
+        # error 1 at two settings of column 2 (rows 3 and 5) and, with `nan`,
+        # a NaN at row 6: the first in row-major order wins, NaN first, as
+        # np.argmax has it over the whole lattice.
+        def planted(a, b):
+            out = np.zeros((*np.shape(a), 4))
+            out[np.isin(a, TWO_PI * np.array([3, 5]) / 8) & (b == TWO_PI * 2 / 8)] = 1.0
+            if nan:
+                out[(a == TWO_PI * 6 / 8) & (b == TWO_PI * 7 / 8), 3] = np.nan
+            return out
+
+        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", lambda m, a, b, nodes=16: np.zeros((*a.shape, 4)))
+        monkeypatch.setattr(uniqueness, "quadrant_table_analytic", planted)
+        for rows in (8, 3, 1):
+            monkeypatch.setattr(uniqueness, "LATTICE_CHUNK", rows * 8)
+            r = verify_reproduction(ABS_COS, grid=8, reconstruct=False)
+            assert not r.reproduces
+            if nan:
+                assert math.isnan(r.max_quadrant_error)
+                assert r.worst_setting == (TWO_PI * 6 / 8, TWO_PI * 7 / 8, "JxJ")
+            else:
+                assert r.max_quadrant_error == 1.0
+                assert r.worst_setting == (TWO_PI * 3 / 8, TWO_PI * 2 / 8, "IxI")
+
+    def test_benchmark_grids_are_one_chunk(self, monkeypatch):
+        calls = []
+        table = uniqueness.quadrant_table_quadrature
+        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", lambda *a, **k: calls.append(1) or table(*a, **k))
+        for grid in (8, 32):
+            verify_reproduction(ABS_COS, grid=grid, reconstruct=False)
+        assert len(calls) == 4
+
+    def test_grid_256_scan_holds_one_chunk(self):
+        # The whole lattice and its differences took 8.5 MB traced here, and
+        # 159 MB of child RSS at grid 1024.
+        tracemalloc.start()
+        try:
+            report = verify_reproduction(ABS_COS, grid=256, reconstruct=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.reproduces
+        assert peak < 3e6
 
 
 class TestNecessaryConditions:
