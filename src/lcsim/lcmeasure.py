@@ -358,8 +358,11 @@ def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int, into: np.n
 
 
 def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> None:
-    """ValueError, before anything is drawn, when a random measure's source
-    or kernels would exceed MAX_RANDOM_ENTRIES entries."""
+    """ValueError, before anything is drawn, when a random measure's size is
+    below 1 or its source or kernels would exceed MAX_RANDOM_ENTRIES entries."""
+    for name, size in (("n1", n1), ("n2", n2), ("m1", m1), ("m2", m2)):
+        if size < 1:
+            raise ValueError(f"random measure size {name} must be at least 1, got {size!r}")
     for name, rows, cols in (("source n1 × n2", n1, n2), ("kernel n1 × m1", n1, m1), ("kernel n2 × m2", n2, m2)):
         if rows * cols > MAX_RANDOM_ENTRIES:
             raise ValueError(

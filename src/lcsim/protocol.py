@@ -15,10 +15,10 @@ of EVENT_LOG_BLOCK pairs, so its memory stays bounded for any pair count:
 the ±1 estimates keep only the four coincidence cell counts, and only the
 weighted estimate keeps one float64 product per pair. The source emits one
 pair per tick, so its emissions are a run of consecutive ticks, kept as
-their first tick, and so is the always-detecting station's record of them;
-their tick arrays are built only when something reads them, and the matcher
-and the event log place the other side's records by their offsets from that
-first tick.
+their first tick, and so is the always-detecting station's record of them.
+Only the matcher knows a record can be a run: it places the other side's
+records by their offsets from the run's first tick, and everything else
+reads the tick array, built when read.
 
 Detection is encoded by presence of the timestamp: an emission whose local
 configuration leaves the detection window simply produces no record. With
@@ -30,7 +30,6 @@ never violates the CHSH bound of 2.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -151,7 +150,7 @@ class _DetectionRun(Detections):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
-    @functools.cached_property
+    @property
     def ticks(self) -> np.ndarray:
         return _run_ticks(self.first, len(self))
 
@@ -374,31 +373,26 @@ def _cell_estimate(cells: tuple[int, int, int, int], kind: str) -> CorrelationEs
     return CorrelationEstimate(value=s / n, n=n, stderr=stderr, kind=kind)
 
 
-def _check_fully_matched(r1: Detections, r2: Detections, kind: str) -> None:
-    """The standard and weighted estimators' checks: every pair detected on
-    both sides, and some pair at all. Two runs match when they start and end
-    together."""
-    if isinstance(r1, _DetectionRun) and isinstance(r2, _DetectionRun):
-        matched = r1.first == r2.first and len(r1) == len(r2)
-    else:
-        matched = np.array_equal(r1.ticks, r2.ticks)
-    if not matched:
+def _fully_matched(r1: Detections, r2: Detections, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The matched values of the standard and weighted estimators, after
+    their checks: every pair detected on both sides, and some pair at all."""
+    ticks, f1, f2 = match_coincidences(r1, r2)
+    if not len(r1) == len(r2) == ticks.size:
         raise ValueError(f"tick mismatch: the {kind} estimator needs every pair detected on both sides")
-    if len(r1) == 0:
+    if ticks.size == 0:
         raise ValueError("empty detection lists")
+    return f1, f2
 
 
-def _weighted_products(r1: Detections, r2: Detections) -> np.ndarray:
-    """Per-pair products of the weighted estimator, after its checks: every
-    pair detected on both sides and exactly one side carrying nonnegative
-    weights."""
-    _check_fully_matched(r1, r2, KIND_WEIGHTED)
+def _weighted_products(r1: Detections, r2: Detections, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Per-pair products of the weighted estimator from its fully matched
+    values, after its check: exactly one side carrying nonnegative weights."""
     if (r1.weights is None) == (r2.weights is None):
         raise ValueError("exactly one side must carry importance weights")
     weights = r1.weights if r1.weights is not None else r2.weights
     if np.any(weights < 0.0):
         raise ValueError("importance weights must be nonnegative")
-    return weights * (r1.values * r2.values)
+    return weights * (f1 * f2)
 
 
 def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
@@ -408,14 +402,14 @@ def correlation_dp(f1: np.ndarray, f2: np.ndarray) -> CorrelationEstimate:
 
 def correlation_standard(r1: Detections, r2: Detections) -> CorrelationEstimate:
     """Mean ±1 product over a fully detected, fully matched ensemble."""
-    _check_fully_matched(r1, r2, KIND_STANDARD)
-    return _cell_estimate(_cells(_spins(r1.values), _spins(r2.values)), KIND_STANDARD)
+    f1, f2 = _fully_matched(r1, r2, KIND_STANDARD)
+    return _cell_estimate(_cells(_spins(f1), _spins(f2)), KIND_STANDARD)
 
 
 def correlation_weighted(r1: Detections, r2: Detections) -> CorrelationEstimate:
     """Importance-weighted mean product; exactly one side must carry locally
     computed weights (π/2)|cos(s - setting)|."""
-    return _estimate(_weighted_products(r1, r2), KIND_WEIGHTED)
+    return _estimate(_weighted_products(r1, r2, *_fully_matched(r1, r2, KIND_WEIGHTED)), KIND_WEIGHTED)
 
 
 @dataclass(frozen=True)
@@ -513,14 +507,15 @@ def run_experiment(cfg: ExperimentConfig, events_csv=None, debug_hidden: bool = 
     for emissions, r1, r2 in _trial_blocks(cfg, EVENT_LOG_BLOCK):
         if events_csv is not None:
             write_event_log(events_csv, cfg, emissions, r1, r2, debug_hidden)
-        _, f1, f2 = match_coincidences(r1, r2)
+        if cfg.mode == KIND_COINCIDENCE:
+            _, f1, f2 = match_coincidences(r1, r2)
+        else:
+            f1, f2 = _fully_matched(r1, r2, cfg.mode)
         cells = [total + count for total, count in zip(cells, _cells(f1, f2))]
         if weighted:
-            block = _weighted_products(r1, r2)
+            block = _weighted_products(r1, r2, f1, f2)
             products[filled : filled + block.size] = block
             filled += block.size
-        elif cfg.mode == KIND_STANDARD:
-            _check_fully_matched(r1, r2, KIND_STANDARD)
         detections1 += len(r1)
         detections2 += len(r2)
     coincidences = sum(cells)
@@ -587,41 +582,14 @@ def _plain_rows(ticks: np.ndarray, side2: np.ndarray, values: np.ndarray) -> byt
     return rows[keep].tobytes()
 
 
-def _preceding(d: Detections, ticks: np.ndarray, side: str) -> np.ndarray:
-    """How many of d's ticks lie below each of the strictly increasing
-    `ticks` ("left"), or below or at it ("right"): for a run, offsets from
-    its first tick, clipped to the run."""
-    if not isinstance(d, _DetectionRun):
-        return np.searchsorted(d.ticks, ticks, side=side)
-    inside, positions = _within(ticks, d)
-    count = np.full(ticks.size, len(d))
-    count[: inside.start] = 0
-    count[inside] = positions + (side == "right")
-    return count
-
-
 def _merged_rows(r1: Detections, r2: Detections) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of both sides' records sorted by (tick, side): their ticks,
-    their values, and which of them are side 2's. Each side's rows keep
-    their order, so a row of one side lands at its index plus the number of
-    the other side's rows before it, and the other side's rows fill the
-    places left; the run side, if any, is the one that fills."""
-    side2 = np.empty(len(r1) + len(r2), dtype=bool)
-    if isinstance(r1, _DetectionRun):
-        side2.fill(False)
-        at2 = np.arange(len(r2)) + _preceding(r1, r2.ticks, "right")
-        side2[at2] = True
-        at1 = np.flatnonzero(~side2)
-    else:
-        side2.fill(True)
-        at1 = np.arange(len(r1)) + _preceding(r2, r1.ticks, "left")
-        side2[at1] = False
-        at2 = np.flatnonzero(side2)
-    ticks = np.empty(side2.size, dtype=np.int64)
-    values = np.empty(side2.size, dtype=np.result_type(r1.values, r2.values))
-    ticks[at1], values[at1] = r1.ticks, r1.values
-    ticks[at2], values[at2] = r2.ticks, r2.values
-    return ticks, values, side2
+    """The rows of both sides' records sorted by (tick, side): their int64
+    ticks, their values, and which of them are side 2's. One stable sort of
+    side 1's rows followed by side 2's keeps each side's order and puts side
+    1 first on a shared tick."""
+    ticks = np.concatenate((r1.ticks, r2.ticks), dtype=np.int64)
+    order = np.argsort(ticks, kind="stable")
+    return ticks[order], np.concatenate((r1.values, r2.values))[order], order >= len(r1)
 
 
 def write_event_log(

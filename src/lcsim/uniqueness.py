@@ -187,16 +187,9 @@ def quarter_cos(x) -> np.ndarray:
     return 0.25 * np.cos(np.asarray(x, dtype=float))
 
 
-def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionResult:
-    """Recover the apparatus profile from the matched-cell mass alone.
-
-    At separations b - a = x + π/2 with x in [-π/2, π/2] the derivative
-    -d/db R(I×I) equals the profile at x, so central differencing the cell
-    mass in b reconstructs it without looking inside the model; one table
-    call covers all 2 × RECONSTRUCTION_SAMPLES settings. The sup error
-    against cos(x)/4 is taken on the interior, excluding the h-neighborhoods
-    of the separations 0 and π where the forced profile has kinks.
-    """
+def _check_reconstruction(m: CandidateModel, h: float) -> None:
+    """ValueError unless the differencing step resolves the kinks and every
+    sampled profile is fine enough to probe smoothness."""
     if not (0.0 < h <= MAX_DIFF_STEP):
         raise ValueError(
             f"differencing step must lie in (0, {MAX_DIFF_STEP:g}]: larger steps "
@@ -210,6 +203,18 @@ def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionRes
             f"{MIN_PROFILE_SAMPLES}-point resolution needed to probe smoothness"
         )
 
+
+def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionResult:
+    """Recover the apparatus profile from the matched-cell mass alone.
+
+    At separations b - a = x + π/2 with x in [-π/2, π/2] the derivative
+    -d/db R(I×I) equals the profile at x, so central differencing the cell
+    mass in b reconstructs it without looking inside the model; one table
+    call covers all 2 × RECONSTRUCTION_SAMPLES settings. The sup error
+    against cos(x)/4 is taken on the interior, excluding the h-neighborhoods
+    of the separations 0 and π where the forced profile has kinks.
+    """
+    _check_reconstruction(m, h)
     x = np.linspace(-HALF_PI, HALF_PI, RECONSTRUCTION_SAMPLES)
     b = RECONSTRUCTION_BASE + x + HALF_PI
     up, down = quadrant_prob_quadrature(m, RECONSTRUCTION_BASE, np.stack((b + h, b - h)), Quadrant.II)
@@ -236,13 +241,19 @@ def verify_reproduction(
     kept at its first place in row-major order (NaN first), so the report
     does not depend on the chunk size. Its error estimate, the largest gap
     between the 16-node tables and 8-node ones, bounds the tolerance: a `tol`
-    below it, or NaN, is refused, since the scan cannot resolve it.
+    below it, or NaN, is refused, since the scan cannot resolve it. Every
+    argument is checked before the scan, the tolerance against its error
+    after it.
     """
     on_side(weight_side, None, None)  # a bad side fails before any quadrature
     if grid < 8:
         raise ValueError(f"setting grid needs at least 8 points per axis, got {grid!r}")
     if grid > MAX_GRID:
         raise ValueError(f"setting grid takes at most {MAX_GRID} points per axis, got {grid!r}")
+    if np.isnan(tol):
+        raise ValueError(f"tolerance {tol!r} is NaN or below the quadrature error: no scan resolves it")
+    if reconstruct:
+        _check_reconstruction(m, h)
     mass = float(unit_mass_table(m, 0.0, 0.0).sum())
 
     settings = TWO_PI * np.arange(grid) / grid

@@ -161,6 +161,24 @@ class TestSimulate:
         cfg = ExperimentConfig(n=300, a=0.0, b=1.0, source_seed=101, station1_seed=102, station2_seed=103)
         assert json.loads(out) == run_experiment(cfg).to_dict()
 
+    def test_station2_seed_moves_only_side_2_rows(self, capsys, tmp_path):
+        # Coincidence mode with the window on side 2: only station 2 draws.
+        def side_rows(station2_seed):
+            log = tmp_path / f"events-{station2_seed}.csv"
+            code, _, _ = run_cli(
+                capsys, "simulate", "--pairs", "3000", "--a", "0.3", "--b", "2.2", "--weight-side", "2",
+                "--source-seed", "11", "--station1-seed", "12", "--station2-seed", station2_seed,
+                "--events-csv", str(log),
+            )
+            assert code == EXIT_OK
+            rows = log.read_bytes().split(b"\r\n")[1:-1]
+            return [[row for row in rows if row.split(b",")[1] == side] for side in (b"1", b"2")]
+
+        (side1, side2), (side1_moved, side2_moved) = side_rows("13"), side_rows("14")
+        assert len(side1) == 3000
+        assert b"\r\n".join(side1) == b"\r\n".join(side1_moved)
+        assert side2 != side2_moved
+
     @pytest.mark.parametrize(
         "offset,events",
         [("100000000000000000000", False), ("9223372036854775800", True)],

@@ -52,7 +52,10 @@ FIXTURES = Path(__file__).with_name("fixtures")
 # 256-sample |cos| model (`rho` and `p2` uniform, no `scale`). Two cosine
 # files off the defaults pin the measure builder for widths other than 8,
 # weight side 2, an odd grid and settings outside [0, 2π); the second reads
-# CHSH 2.8375, the known excess of a grid off the multiples of 8.
+# CHSH 2.8375, the known excess of a grid off the multiples of 8. A random
+# nontrivial 4 × 3 measure, written by `save_measure` without meta, takes
+# `trivial --measure` through its observable sweep, and a logged `simulate`
+# sets every actor's seed by its own flag.
 INVOCATIONS = [
     *(
         f"simulate --pairs 3001 --a 0.3 --b 2.2 --mode {mode} --weight-side {side} --offset 5 "
@@ -99,6 +102,9 @@ INVOCATIONS = [
     "cosine-measure --grid 16 --a 0.3 --b 2.1 --m1 3 --m2 5 --weight-side 2 --out cosine.json "
     "&& trivial --measure cosine.json",
     "cosine-measure --grid 9 --a -1 --b 7 --m1 1 --m2 1 --out cosine.json && trivial --measure cosine.json",
+    "trivial --measure random-nontrivial-4x3.json --sweep 20 --seed 4",
+    "simulate --pairs 3001 --a 0.3 --b 2.2 --seed 9 --source-seed 11 --station1-seed 12 --station2-seed 13 "
+    "--events-csv events.csv",
 ]
 
 

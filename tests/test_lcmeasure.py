@@ -402,6 +402,15 @@ class TestMarkovTransport:
             LocalMarkovOperator.random_stochastic(rng, *dims)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("sizes", [(0, 5, 2, 2), (4, 0, 2, 2), (4, 5, 0, 2), (4, 5, 2, -1)])
+    def test_random_measures_refuse_sizes_below_one_before_any_draw(self, sizes):
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        for build in (random_trivial_measure, random_trivial_family, random_nontrivial_measure):
+            with pytest.raises(ValueError, match="must be at least 1"):
+                build(rng, *sizes)
+        assert rng.bit_generator.state == state
+
     def test_dimension_caps(self):
         # 2048² is the entry cap itself; the permutation form has no square.
         cap = math.isqrt(lcmeasure.MAX_RANDOM_ENTRIES)

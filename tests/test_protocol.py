@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import itertools
@@ -349,10 +350,26 @@ class TestMatcher:
     @pytest.mark.parametrize("ticks", [[2, 2], [MAX_TICK, MIN_TICK], [0, MAX_TICK, MIN_TICK], [-1, MIN_TICK]])
     def test_non_increasing_rejected_on_either_side(self, ticks):
         # [MAX_TICK, MIN_TICK] has a difference that wraps to +1 in int64.
+        # The estimators read the matcher, so equal streams out of order are refused too.
         bad, good = self.make(ticks, [1] * len(ticks)), self.make([0], [1])
-        for r1, r2, side in ((bad, good, "side 1"), (good, bad, "side 2")):
-            with pytest.raises(ValueError, match=f"{side} ticks must be strictly increasing"):
-                match_coincidences(r1, r2)
+        for reader in (match_coincidences, correlation_standard, correlation_weighted):
+            for r1, r2, side in ((bad, good, "side 1"), (good, bad, "side 2"), (bad, bad, "side 1")):
+                with pytest.raises(ValueError, match=f"{side} ticks must be strictly increasing"):
+                    reader(r1, r2)
+
+
+def test_only_the_matcher_knows_a_record_can_be_a_run():
+    # Every other reader of a record takes its tick array.
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    readers = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_DetectionRun"
+    }
+    assert readers - {"_DetectionRun"} == {"run_station", "_check_tick_streams", "_within", "match_coincidences"}
+    for module in Path(protocol.__file__).parent.glob("*.py"):
+        assert module.name == "protocol.py" or "_DetectionRun" not in module.read_text()
 
 
 class TestMatcherReference:
@@ -901,17 +918,22 @@ class TestEventLog:
 
     @pytest.mark.parametrize("debug_hidden", [False, True])
     def test_sparse_sides_match_reference_writer(self, tmp_path, debug_hidden):
-        # Ticks on one side only, on both sides, and an empty side.
+        # Ticks on one side only, on both sides (side 1's row first), and an
+        # empty side, as int64 and as hand-built int32 ticks, and against a run.
         cfg = ExperimentConfig(n=10, a=0.0, b=0.0, offset=3)
         emissions = run_source(10, seed=4)
         r1 = Detections(ticks=np.array([3, 5, 6, 12], dtype=np.int64), values=np.array([1, -1, -1, 1], dtype=np.int8))
         r2 = Detections(ticks=np.array([4, 5, 12], dtype=np.int64), values=np.array([-1, 1, -1], dtype=np.int8))
         empty = Detections(ticks=np.array([], dtype=np.int64), values=np.array([], dtype=np.int8))
-        for pair in ((r1, r2), (r2, r1), (r1, empty), (empty, empty)):
+        narrow = [dataclasses.replace(r, ticks=r.ticks.astype(np.int32)) for r in (r1, r2, empty)]
+        run = run_station(StationConfig(side=2, setting=0.3, offset=3), emissions)
+        for pair in ((r1, r2), (r2, r1), (r1, empty), (empty, empty), narrow[:2], (narrow[0], r2), (narrow[2], r2),
+                     (narrow[0], run), (r1, r1)):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             write_event_log(got, cfg, emissions, *pair, debug_hidden)
             reference_event_log(want, cfg, emissions, *pair, debug_hidden)
             assert got.read_bytes() == want.read_bytes()
+        assert [row[:4] for row in got.read_text().splitlines()[1:3]] == ["3,1,", "3,2,"]
 
     def test_run_side_against_ticks_around_it(self, tmp_path):
         # An always-detecting record keeps its run as the first tick; the

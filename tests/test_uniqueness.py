@@ -97,6 +97,26 @@ class TestVerifyReproduction:
             verify_reproduction(model, grid=4)
         assert calls == []
 
+    def test_arguments_are_checked_before_the_lattice(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("the lattice was scanned")
+
+        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", scan)
+        coarse = CandidateModel(
+            rho=Profile("uniform"),
+            p1=Profile.from_samples(np.abs(np.cos(np.linspace(0, TWO_PI, 64, endpoint=False)))),
+            p2=Profile("uniform"),
+        ).normalized()
+        with pytest.raises(ValueError, match="kink"):
+            verify_reproduction(ABS_COS, grid=256, h=0.5)
+        with pytest.raises(ValueError, match="128"):
+            verify_reproduction(coarse, grid=8)
+        with pytest.raises(ValueError, match="tolerance nan is NaN"):
+            verify_reproduction(ABS_COS, grid=8, tol=math.nan, reconstruct=False)
+        # Without reconstruction the step and the resolution are not read.
+        with pytest.raises(AssertionError, match="scanned"):
+            verify_reproduction(coarse, grid=8, h=0.5, reconstruct=False)
+
     @pytest.mark.parametrize("side", [1, 2])
     def test_quadrature_error_bounds_the_distance_to_the_closed_forms(self, side):
         report = verify_reproduction(CandidateModel.one_sided("abs-cos", side), grid=32, weight_side=side, reconstruct=False)
