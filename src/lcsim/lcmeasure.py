@@ -162,16 +162,16 @@ def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
         supp = m.PS[blk] > SUPPORT_EPS
         dev = np.outer(p1[blk], p2)  # |p1 ⊗ p2 - 1| in place
         dev -= 1.0
-        max_dev = np.abs(dev, out=dev)[supp].max(initial=max_dev)
+        max_dev = np.max(np.abs(dev, out=dev), where=supp, initial=max_dev)  # NaN propagates
         rows[blk] = supp.any(axis=1)
     max_dev = float(max_dev)
     trivial = max_dev <= TRIVIAL_TOL
     c = None
     if trivial:
         vals = p1[rows]
-        weights = m.PS.sum(axis=1)[rows]
         if vals.size and float(vals.max() - vals.min()) <= TRIVIAL_TOL * max(1.0, float(vals.max())):
-            c = float(np.average(vals, weights=weights))
+            weights = m.PS.sum(axis=1)[rows]
+            c = float(np.multiply(vals, weights).sum() / weights.sum())  # np.average's arithmetic
     return TrivialityVerdict(trivial=trivial, c=c, max_deviation=max_dev)
 
 
@@ -320,7 +320,7 @@ def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
     obs2 = np.asarray(obs2, dtype=float)
     if obs1.shape != (m.n1,) or obs2.shape != (m.n2,):
         raise ValueError("observables must match the source sides")
-    if not (np.all(np.abs(obs1) <= 1.0 + 1e-12) and np.all(np.abs(obs2) <= 1.0 + 1e-12)):  # nan fails too
+    if not (np.abs(obs1).max() <= 1.0 + 1e-12 and np.abs(obs2).max() <= 1.0 + 1e-12):  # nan fails too
         raise ValueError("observable entries must lie in [-1, 1]")
     p1, p2 = local_mass_functions(m)
     return float((obs1 * p1) @ m.PS @ (obs2 * p2))
@@ -372,7 +372,9 @@ def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> None:
 
 
 def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
-    g = rng.gamma(1.0, size=(n1, n2))
+    """Dirichlet(1) source: standard exponential draws over their sum, the
+    same bits and generator state as ``rng.gamma(1.0, size=(n1, n2))``."""
+    g = rng.standard_exponential(size=(n1, n2))
     g /= g.sum()
     return g
 

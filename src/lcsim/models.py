@@ -19,8 +19,9 @@ closed forms, ½cos²((b-a)/2) on matched cells and ½sin²((b-a)/2) on mixed on
 :func:`quadrant_table_quadrature` cuts an arbitrary candidate's circle at the
 four detection-arc endpoints and the shifted profile kinks, integrates every
 smooth piece with one Gauss-Legendre rule and sums it into the cell it lies
-in. :func:`correlation` is the one signed sum that turns a table of either
-backend into a pair correlation.
+in; :func:`quadrature_error_bound` bounds, a priori, how far such a table
+lies from the exact cell masses. :func:`correlation` is the one signed sum
+that turns a table of either backend into a pair correlation.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -45,6 +47,25 @@ MASS_TOL = 1e-6
 #: 96 KiB a float array, below glibc's initial 128 KiB mmap threshold, so the
 #: cost of a table does not depend on what was allocated before.
 QUADRATURE_BLOCK = 12288
+
+#: Gauss-Legendre nodes a piece gets where the density is not a polynomial.
+GAUSS_NODES = 16
+
+#: Gauss-Legendre nodes a piece gets where every factor is sampled or flat.
+#: Every sample angle is a cut, so the density is a polynomial of degree at
+#: most 3 on each piece, which 2 nodes integrate exactly.
+POLYNOMIAL_NODES = 2
+
+#: Unit roundoff u: a rounded float operation errs by at most u relatively.
+UNIT_ROUNDOFF = 2.0**-53
+
+#: Rounding allowances of :func:`quadrature_error_bound`, in units of u. Each
+#: cut, node and shifted argument of the rule lies within ANGLE_ROUNDING of
+#: its exact value (at most seven roundings of angles below 4.5π), and each
+#: profile value within FACTOR_ROUNDING times the profile's peak (numpy's cos
+#: within 4 ulps and a square, or the five operations of an interpolation).
+ANGLE_ROUNDING = 32.0 * math.pi
+FACTOR_ROUNDING = 24.0
 
 #: CHSH setting quadruple (a, a2, b, b2) attaining the 2√2 maximum.
 TSIRELSON_SETTINGS = (0.0, HALF_PI, 0.25 * math.pi, 0.75 * math.pi)
@@ -69,11 +90,13 @@ class Quadrant(Enum):
 
 
 #: Each builtin profile: name -> (function, the scale that gives the
-#: one-sided candidate unit mass, angles in [0, 2π) where it is not smooth).
-BUILTINS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, tuple[float, ...]]] = {
-    "abs-cos": (lambda x: np.abs(np.cos(x)), 0.25, (HALF_PI, 3.0 * HALF_PI)),
-    "cos-squared": (lambda x: np.cos(x) ** 2, 1.0 / math.pi, ()),
-    "uniform": (np.ones_like, 1.0 / TWO_PI, ()),
+#: one-sided candidate unit mass, angles in [0, 2π) where it is not smooth,
+#: its top frequency F). Between its kinks a builtin equals a trigonometric
+#: polynomial of degree F whose largest value is 1, the builtin's peak.
+BUILTINS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, tuple[float, ...], int]] = {
+    "abs-cos": (lambda x: np.abs(np.cos(x)), 0.25, (HALF_PI, 3.0 * HALF_PI), 1),
+    "cos-squared": (lambda x: np.cos(x) ** 2, 1.0 / math.pi, (), 2),
+    "uniform": (np.ones_like, 1.0 / TWO_PI, (), 0),
 }
 
 
@@ -125,12 +148,31 @@ class Profile:
             return BUILTINS[self.kind][0](xs)
         if not np.isfinite(xs).all():
             raise ValueError("angles must be finite")
-        return np.interp(xs, self.kink_angles(), self.samples, period=TWO_PI)
+        nodes, values = self._periodic_nodes
+        return np.interp(xs % TWO_PI, nodes, values)
+
+    @cached_property
+    def _periodic_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sample angles and values, each padded with its neighbours one
+        period away: what ``np.interp(..., period=2π)`` builds on every
+        call, built once, so the values are the same bit for bit."""
+        nodes, values = self.kink_angles(), np.array(self.samples)
+        return (
+            np.concatenate((nodes[-1:] - TWO_PI, nodes, nodes[:1] + TWO_PI)),
+            np.concatenate((values[-1:], values, values[:1])),
+        )
 
     @property
     def peak(self) -> float:
         """The profile's largest value: its largest sample, or 1 for every builtin."""
         return max(self.samples) if self.kind == "samples" else 1.0
+
+    @property
+    def slope(self) -> float:
+        """Bound on the interpolation slopes of a sampled profile: its largest
+        step between neighbouring samples over their spacing 2π/N."""
+        values = np.array(self.samples)
+        return float(np.abs(np.diff(values, append=values[0])).max()) * values.size / TWO_PI
 
     def kink_angles(self) -> np.ndarray:
         """Angles in [0, 2π) where the profile is not smooth; quadrature cuts
@@ -258,18 +300,38 @@ def quadrant_prob_quadrature(m: CandidateModel, a, b, quadrant: Quadrant):
     return quadrant_table_quadrature(m, a, b)[..., quadrant.index][()]
 
 
-def quadrant_table_quadrature(m: CandidateModel, a, b, nodes: int = 16) -> np.ndarray:
+def _polynomial(m: CandidateModel) -> bool:
+    """Whether every factor of `m` is sampled or flat, so its density is a
+    polynomial of degree at most 3 on every piece."""
+    return all(p.kind == "samples" or BUILTINS[p.kind][3] == 0 for p in (m.rho, m.p1, m.p2))
+
+
+def _gauss_nodes(m: CandidateModel) -> int:
+    """Nodes of the rule on every piece of `m`."""
+    return POLYNOMIAL_NODES if _polynomial(m) else GAUSS_NODES
+
+
+def _piece_count(m: CandidateModel) -> int:
+    """Pieces of each setting's circle: 5 between 0, 2π and the four arc
+    endpoints, and one more for every profile kink."""
+    return 5 + sum(p.kink_angles().size for p in (m.rho, m.p1, m.p2))
+
+
+def quadrant_table_quadrature(m: CandidateModel, a, b) -> np.ndarray:
     """The four cell masses, in :class:`Quadrant` order, at settings (a, b).
 
     `a` and `b` broadcast; the result has shape (..., 4). Each setting's
     circle, taken from a (s' = s - a), is cut at 0, 2π, the four arc
     endpoints and every profile kink, so each piece lies in the cell of its
-    left end and carries a smooth density that an n-node Gauss-Legendre rule
-    integrates. Zero-length pieces carry zero mass, so a cell that no piece
-    lies in gets exactly 0. Settings go in blocks of at most QUADRATURE_BLOCK
-    density nodes (at least one setting each); every piece sums its own
-    nodes, so the tables do not depend on the block size.
+    left end and carries a smooth density that one Gauss-Legendre rule
+    integrates: POLYNOMIAL_NODES nodes when every factor is sampled or flat,
+    which is exact, and GAUSS_NODES otherwise. Zero-length pieces carry zero
+    mass, so a cell that no piece lies in gets exactly 0. Settings go in
+    blocks of at most QUADRATURE_BLOCK density nodes (at least one setting
+    each); every piece sums its own nodes, so the tables do not depend on
+    the block size.
     """
+    nodes = _gauss_nodes(m)
     x, w = np.polynomial.legendre.leggauss(nodes)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
@@ -282,7 +344,7 @@ def quadrant_table_quadrature(m: CandidateModel, a, b, nodes: int = 16) -> np.nd
     d[np.abs(d - math.pi) <= BOUNDARY_EPS] = math.pi
     offsets = np.stack((np.zeros_like(d), d), axis=1)
     kinks = [p.kink_angles() for p in (m.rho, m.p1, m.p2)]
-    step = max(1, QUADRATURE_BLOCK // (nodes * (5 + sum(k.size for k in kinks))))
+    step = max(1, QUADRATURE_BLOCK // (nodes * _piece_count(m)))
     out = np.empty((a.size, 4))
     for start in range(0, a.size, step):
         blk = slice(start, start + step)
@@ -300,6 +362,62 @@ def quadrant_table_quadrature(m: CandidateModel, a, b, nodes: int = 16) -> np.nd
         cell = 4 * np.arange(g)[:, None] + 2 * in_j[:, 0] + in_j[:, 1]
         out[blk] = np.bincount(cell.ravel(), weights=mass.ravel(), minlength=4 * g).reshape(g, 4)
     return out.reshape(*shape, 4)
+
+
+def _derivative_bound(m: CandidateModel, k: int) -> float:
+    """Bound on the k-th derivative of `m`'s density on any piece.
+
+    On a piece each builtin factor equals a trigonometric polynomial, so
+    their product T is one of top frequency F, the sum of theirs, and
+    Bernstein's inequality gives |T^(j)| <= F^j max|T| <= F^j times their
+    peaks. Each sampled factor is linear there, at most its peak in size
+    and its slope in steepness, so Leibniz's rule leaves, for the i factors
+    it differentiates, k!/(k-i)! times the products of i slopes and the
+    other peaks.
+    """
+    trig = [p for p in (m.rho, m.p1, m.p2) if p.kind != "samples"]
+    frequency = sum(BUILTINS[p.kind][3] for p in trig)
+    # coefficients[i]: the sum, over the i sampled factors differentiated, of
+    # their slopes times the scale and every other peak.
+    coefficients = np.array([m.scale * math.prod(p.peak for p in trig)])
+    for p in (m.rho, m.p1, m.p2):
+        if p.kind == "samples":
+            coefficients = np.convolve(coefficients, [p.peak, p.slope])
+    return float(sum(math.perm(k, i) * c * frequency ** (k - i) for i, c in enumerate(coefficients) if i <= k))
+
+
+def quadrature_error_bound(m: CandidateModel, tables) -> np.ndarray:
+    """A-priori bound, one per quadrant table of `m`, on how far any cell of
+    :func:`quadrant_table_quadrature` lies from the exact mass, for the
+    settings as that function takes them (reduced to [0, 2π), a separation
+    within BOUNDARY_EPS of 0 or π a tie).
+
+    Truncation: the n-node Gauss-Legendre remainder of a piece of length L is
+    at most L^(2n+1) (n!)⁴ / ((2n+1) ((2n)!)³) max|f^(2n)|. The cuts 0, π/2,
+    3π/2 and 2π are always there, so no piece is longer than π and the
+    lengths sum to 2π: all pieces together leave at most 2π π^(2n) times the
+    rest. A polynomial piece of degree at most 3 leaves nothing at 2 nodes.
+    Rounding: a cell is a sum of nonnegative terms, each the product of
+    density values, weights and half-lengths, so the products and sums err
+    by at most γ_2k = 2ku / (1 - 2ku) times the cell itself, k counting
+    their operations (doubled to cover the step from the exact masses to the
+    table's own). To that come absolute errors, each doubled the same way:
+    profile values within FACTOR_ROUNDING u of their peaks and angles within
+    ANGLE_ROUNDING u, whose effect on the density the first-derivative bound
+    gives, over the circle's length 2π; and the four moved arc endpoints,
+    which shift at most the density's peak times their error between cells.
+    """
+    n = _gauss_nodes(m)
+    truncation = 0.0
+    if not _polynomial(m):
+        remainder = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+        truncation = TWO_PI * math.pi ** (2 * n) * remainder * _derivative_bound(m, 2 * n)
+    k = 2 * (3 + 2 + (n - 1) + 2 + (_piece_count(m) - 1))
+    gamma = k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+    peak = _derivative_bound(m, 0)  # the scale times the profile peaks
+    spread = 3.0 * FACTOR_ROUNDING * peak + ANGLE_ROUNDING * _derivative_bound(m, 1)
+    absolute = 2.0 * UNIT_ROUNDOFF * (TWO_PI * spread + 4.0 * ANGLE_ROUNDING * peak)
+    return truncation + absolute + gamma * np.asarray(tables, dtype=float).max(axis=-1)
 
 
 def unit_mass_table(m: CandidateModel, a: float, b: float) -> np.ndarray:

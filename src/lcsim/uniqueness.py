@@ -5,8 +5,8 @@ quadrant statistics, and of what that forces:
 
 * :func:`verify_reproduction` subtracts the closed-form quadrant tables from
   the quadrature ones over a setting grid, one table call per backend and
-  chunk of rows, and reports the gap between 16-node and 8-node tables as
-  its quadrature error.
+  chunk of rows, and reports the largest a-priori bound on the quadrature
+  tables' error as its quadrature error.
 * :func:`check_necessary_conditions` evaluates the pointwise constraints the
   closed forms impose on the profiles (zeros of the weighted side, constancy
   of the others). These are necessary, never sufficient.
@@ -28,6 +28,7 @@ from .models import (
     quadrant_prob_quadrature,
     quadrant_table_analytic,
     quadrant_table_quadrature,
+    quadrature_error_bound,
     unit_mass_table,
 )
 
@@ -50,9 +51,9 @@ LATTICE_CHUNK = 4096
 
 #: Largest setting grid of the reproduction scan. LATTICE_CHUNK bounds its
 #: memory, so this grid bounds its time, which grows as grid²: `lcsim
-#: uniqueness --builtin abs-cos --no-reconstruction` took 6.2 s at grid 1024
-#: and 24 s at grid 2048 on one Xeon core, both within 4 MB of a bare import
-#: (child VmHWM).
+#: uniqueness --builtin abs-cos --no-reconstruction` took 5.0 s at grid 1024
+#: and 22 s at grid 2048 on one Xeon core, both within 4 MB of a bare import
+#: (child peak RSS).
 MAX_GRID = 2048
 
 #: Setting a of the profile reconstruction, and its sample count over
@@ -126,7 +127,7 @@ class UniquenessReport:
         lines = [
             f"reproduces quadrant statistics : {'yes' if self.reproduces else 'NO'}",
             f"max quadrant error             : {self.max_quadrant_error:.6e}",
-            f"quadrature error (16 vs 8 node): {self.quadrature_error:.3e}",
+            f"quadrature error bound         : {self.quadrature_error:.3e}",
             f"worst setting                  : a={self.worst_setting[0]:.6f} "
             f"b={self.worst_setting[1]:.6f} cell={self.worst_setting[2]}",
             f"total mass (diagnostic)        : {self.mass:.12f}",
@@ -239,11 +240,10 @@ def verify_reproduction(
     The lattice goes in chunks of whole rows, one table call per backend and
     chunk. Every setting's table is its own, and each maximum is exact and
     kept at its first place in row-major order (NaN first), so the report
-    does not depend on the chunk size. Its error estimate, the largest gap
-    between the 16-node tables and 8-node ones, bounds the tolerance: a `tol`
-    below it, or NaN, is refused, since the scan cannot resolve it. Every
-    argument is checked before the scan, the tolerance against its error
-    after it.
+    does not depend on the chunk size. Its quadrature error, the largest of
+    the tables' a-priori error bounds, bounds the tolerance: a `tol` below
+    it, or NaN, is refused, since the scan cannot resolve it. Every argument
+    is checked before the scan, the tolerance against its error after it.
     """
     on_side(weight_side, None, None)  # a bad side fails before any quadrature
     if grid < 8:
@@ -258,15 +258,15 @@ def verify_reproduction(
 
     settings = TWO_PI * np.arange(grid) / grid
     rows = max(1, LATTICE_CHUNK // grid)
-    gaps, worst = [], []  # per chunk: its quadrature error, and its largest error with its (i, j, q)
+    bounds, worst = [], []  # per chunk: its quadrature error, and its largest error with its (i, j, q)
     for start in range(0, grid, rows):
         a, b = np.meshgrid(settings[start:start + rows], settings, indexing="ij")
         tables = quadrant_table_quadrature(m, a, b)
-        gaps.append(np.abs(tables - quadrant_table_quadrature(m, a, b, nodes=8)).max())
+        bounds.append(quadrature_error_bound(m, tables).max())
         errors = np.abs(tables - quadrant_table_analytic(a, b))
         i, j, q = np.unravel_index(np.argmax(errors), errors.shape)
         worst.append((errors[i, j, q], (start + i, j, q)))
-    quadrature_error = float(np.max(gaps))
+    quadrature_error = float(np.max(bounds))
     if not tol >= quadrature_error:
         raise ValueError(f"tolerance {tol!r} is NaN or below the quadrature error {quadrature_error:.3e}")
     max_err, (i, j, q) = worst[int(np.argmax([err for err, _ in worst]))]

@@ -446,12 +446,14 @@ class TestUniqueness:
         assert "--panels" in capsys.readouterr().err
 
     def test_tolerance_below_quadrature_error_is_validation_error(self, capsys):
-        code, out, _ = run_cli(capsys, "uniqueness", "--builtin", "cos-squared", "--grid", "8", "--no-reconstruction")
+        code, out, _ = run_cli(capsys, "uniqueness", "--builtin", "abs-cos", "--grid", "8", "--no-reconstruction")
         assert code == EXIT_OK
-        error = json.loads(out)["quadrature_error"]
-        assert error > 0.0
+        report = json.loads(out)
+        error = report["quadrature_error"]
+        assert 0.0 < error < 1e-13
+        assert error >= report["max_quadrant_error"] - 1e-15
         code, _, err = run_cli(
-            capsys, "uniqueness", "--builtin", "cos-squared", "--grid", "8", "--no-reconstruction",
+            capsys, "uniqueness", "--builtin", "abs-cos", "--grid", "8", "--no-reconstruction",
             "--tol", repr(error / 2),
         )
         assert code == EXIT_VALIDATION

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import cli, lcmeasure
-from lcsim.circle import spin_values
+from lcsim.circle import TWO_PI, spin_values
 from lcsim.lcmeasure import (
     DiscreteLCMeasure,
     LocalMarkovOperator,
@@ -155,6 +155,17 @@ class TestLocalMassFunctions:
         assert into.tobytes() == expected and not block[:2].any() and not block[-1:].any()
         assert rng.random() == into_rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (7, 129)])
+    def test_random_source_is_the_gamma_one_stream(self, shape):
+        # Standard exponential draws are numpy's Gamma(1) draws: the same
+        # bits and the same generator state afterwards.
+        for seed in range(20):
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = ref_rng.gamma(1.0, size=shape)
+            g /= g.sum()
+            assert lcmeasure.random_source(rng, *shape).tobytes() == g.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_scaling_is_linear(self):
         k = stochastic_matrix(RNG, 3, 4)
         m = DiscreteLCMeasure(PS=np.full((3, 3), 1 / 9), K1=2.0 * k, K2=np.ones((3, 2)))
@@ -256,6 +267,94 @@ class TestTriviality:
         rng = np.random.default_rng(seed)
         assert is_trivial(random_trivial_measure(rng, 8, 8, 3, 3)).trivial
         assert not is_trivial(random_nontrivial_measure(rng, 8, 8, 3, 3)).trivial
+
+
+def old_is_trivial(m: DiscreteLCMeasure) -> lcmeasure.TrivialityVerdict:
+    """`is_trivial` as it was before its masked maximum, kept verbatim as an oracle."""
+    p1, p2 = local_mass_functions(m)
+    step = max(1, lcmeasure.TRIVIAL_BLOCK // max(1, m.n2))
+    max_dev = 0.0
+    rows = np.empty(m.n1, dtype=bool)  # the rows that meet the support
+    for start in range(0, m.n1, step):
+        blk = slice(start, start + step)
+        supp = m.PS[blk] > lcmeasure.SUPPORT_EPS
+        dev = np.outer(p1[blk], p2)  # |p1 ⊗ p2 - 1| in place
+        dev -= 1.0
+        max_dev = np.abs(dev, out=dev)[supp].max(initial=max_dev)
+        rows[blk] = supp.any(axis=1)
+    max_dev = float(max_dev)
+    trivial = max_dev <= lcmeasure.TRIVIAL_TOL
+    c = None
+    if trivial:
+        vals = p1[rows]
+        weights = m.PS.sum(axis=1)[rows]
+        if vals.size and float(vals.max() - vals.min()) <= lcmeasure.TRIVIAL_TOL * max(1.0, float(vals.max())):
+            c = float(np.average(vals, weights=weights))
+    return lcmeasure.TrivialityVerdict(trivial=trivial, c=c, max_deviation=max_dev)
+
+
+def old_discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
+    """`discrete_correlation` as it was before its one maximum a side, kept verbatim as an oracle."""
+    obs1 = np.asarray(obs1, dtype=float)
+    obs2 = np.asarray(obs2, dtype=float)
+    if obs1.shape != (m.n1,) or obs2.shape != (m.n2,):
+        raise ValueError("observables must match the source sides")
+    if not (np.all(np.abs(obs1) <= 1.0 + 1e-12) and np.all(np.abs(obs2) <= 1.0 + 1e-12)):  # nan fails too
+        raise ValueError("observable entries must lie in [-1, 1]")
+    p1, p2 = local_mass_functions(m)
+    return float((obs1 * p1) @ m.PS @ (obs2 * p2))
+
+
+def bits(x) -> bytes | None:
+    return None if x is None else struct.pack("<d", x)
+
+
+def outcome(f, *args):
+    """f(*args) as bits, or the message of the ValueError it raises."""
+    try:
+        result = f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    if isinstance(result, lcmeasure.TrivialityVerdict):
+        return result.trivial, bits(result.c), bits(result.max_deviation)
+    return bits(result)
+
+
+def measures_for_the_oracles(rng) -> list[DiscreteLCMeasure]:
+    """Random trivial and nontrivial measures, a transported one, a cosine
+    one, one whose source has no support and one with a NaN row mass."""
+    n1, n2 = (int(n) for n in rng.integers(1, 40, size=2))
+    k1, k2 = np.ones((3, 2)), np.ones((4, 2))
+    k1[1, 0] = np.nan
+    return [
+        random_trivial_measure(rng, n1, n2, 3, 2),
+        random_nontrivial_measure(rng, n1 + 1, n2 + 1, 2, 3),
+        apply_local_markov(random_trivial_measure(rng, n1, n2, 2, 3), LocalMarkovOperator.random_stochastic(rng, 2 * n1, 3 * n2)),
+        cosine_diagonal_measure(int(rng.integers(1, 9)) * 8, float(rng.uniform(0, TWO_PI)), float(rng.uniform(0, TWO_PI))),
+        lcmeasure._owned(DiscreteLCMeasure, PS=np.full((3, 4), 1e-13), K1=np.ones((3, 2)), K2=np.ones((4, 2))),
+        lcmeasure._owned(DiscreteLCMeasure, PS=np.full((3, 4), 1 / 12), K1=k1, K2=k2),
+    ]
+
+
+def spoiled(rng, obs: np.ndarray) -> np.ndarray:
+    """obs with one entry NaN or just outside [-1, 1], or just inside its tolerance."""
+    out = obs.copy()
+    out[int(rng.integers(out.size))] = rng.choice([np.nan, 1.5, -1.0 - 1e-11, 1.0 + 1e-12])
+    return out
+
+
+class TestLeanTriviality:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), block=st.sampled_from([1, 7, 64, 2**16]))
+    def test_verdicts_and_correlations_match_the_old_functions_bit_for_bit(self, seed, block):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lcmeasure, "TRIVIAL_BLOCK", block)  # 1 and 7 split every measure into row blocks
+            for m in measures_for_the_oracles(rng):
+                assert outcome(is_trivial, m) == outcome(old_is_trivial, m)
+                obs1, obs2 = random_observables(rng, m.n1), rng.uniform(-1.0, 1.0, m.n2)
+                for o1, o2 in ((obs1, obs2), (spoiled(rng, obs1), obs2), (obs1, spoiled(rng, obs2))):
+                    assert outcome(discrete_correlation, m, o1, o2) == outcome(old_discrete_correlation, m, o1, o2)
 
 
 class TestRescale:

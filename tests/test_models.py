@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lcsim.models import (
     quadrant_prob_quadrature,
     quadrant_table_analytic,
     quadrant_table_quadrature,
+    quadrature_error_bound,
     save_model,
     unit_mass_table,
 )
@@ -140,6 +142,23 @@ class TestProfiles:
         with pytest.raises(ValueError, match="finite"):
             prof(np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("n", [2, 3, 200, 256])
+    def test_sampled_values_are_periodic_interp_bit_for_bit(self, n):
+        # The padded nodes are built once per profile; np.interp with
+        # period=2π builds them on every call.
+        rng = np.random.default_rng(n)
+        prof = Profile.from_samples(rng.uniform(0.0, 2.0, n))
+        x = np.concatenate((
+            -rng.uniform(0.0, 50.0, 200),
+            TWO_PI * np.arange(-5, 6),
+            [-0.0, np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0)],
+            rng.uniform(-20.0, 20.0, 2000),
+            prof.kink_angles(),
+        ))
+        expected = np.interp(x, prof.kink_angles(), prof.samples, period=TWO_PI)
+        assert np.array_equal(prof(x).view(np.uint64), expected.view(np.uint64))
+        assert prof(x[0]) == expected[0] and np.ndim(prof(x[0])) == 0
+
     def test_largest_sample_times_count_must_be_finite(self):
         # Interpolation slopes reach about the largest sample times N / 2π.
         assert Profile.from_samples([8e307, 0.0]).peak == 8e307
@@ -180,13 +199,14 @@ class TestBuiltinTable:
     @pytest.mark.parametrize("name", sorted(models.BUILTINS))
     def test_kinks_are_cut(self, name):
         # On p1 or p2 the abs-cos kinks fall on arc endpoints, which are cut
-        # anyway; on rho they fall inside the pieces unless the row lists them.
+        # anyway; on rho they fall inside the pieces unless the row lists
+        # them, and no rule would then come within the bound of another.
         flat = Profile("uniform")
         m = CandidateModel(rho=Profile(name), p1=flat, p2=flat, scale=models.BUILTINS[name][1])
         settings = TWO_PI * np.arange(16) / 16 + 0.1
         a, b = settings[:, None], settings
-        gap = np.abs(quadrant_table_quadrature(m, a, b) - quadrant_table_quadrature(m, a, b, nodes=8)).max()
-        assert gap <= 1e-10
+        table = quadrant_table_quadrature(m, a, b)
+        assert np.all(np.abs(table - reference_tables(m, a, b)).max(axis=-1) <= quadrature_error_bound(m, table))
 
 
 class TestClosedForms:
@@ -305,10 +325,6 @@ class TestQuadrature:
         assert quadrant_prob_quadrature(ABS_COS, 0.0, math.pi, Quadrant.II) == 0.0
         assert quadrant_prob_quadrature(UNIFORM, 1.0, 1.0 + math.pi, Quadrant.II) == 0.0
 
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            quadrant_table_quadrature(ABS_COS, 0.0, 1.0, nodes=0)
-
     def test_matches_analytic_on_grid(self):
         grid = TWO_PI * np.arange(8) / 8
         worst = 0.0
@@ -322,12 +338,13 @@ class TestQuadrature:
                     worst = max(worst, err)
         assert worst < 1e-8
 
-    def test_error_decreases_as_nodes_grow(self):
+    def test_error_decreases_as_nodes_grow(self, monkeypatch):
         def max_err(nodes):
+            monkeypatch.setattr(models, "GAUSS_NODES", nodes)
             grid = TWO_PI * np.arange(6) / 6 + 0.05
             return max(
                 abs(
-                    quadrant_table_quadrature(ABS_COS, float(a), float(b), nodes)[q.index]
+                    quadrant_table_quadrature(ABS_COS, float(a), float(b))[q.index]
                     - quadrant_table_analytic(float(a), float(b))[q.index]
                 )
                 for a in grid
@@ -388,17 +405,88 @@ def setting_lattice(grid: int):
     return np.meshgrid(settings, settings, indexing="ij")
 
 
+def reference_tables(m, a, b):
+    """Tables of `m` with 64 Gauss-Legendre nodes on every piece."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "GAUSS_NODES", 64)
+        patch.setattr(models, "POLYNOMIAL_NODES", 64)
+        return quadrant_table_quadrature(m, a, b)
+
+
+def largest_cell_error(tables, reference):
+    return np.abs(tables - reference).max(axis=-1)
+
+
+FIXTURE_256 = Path(__file__).with_name("fixtures") / "abs-cos-256.json"
+
+
+class TestErrorBound:
+    # The settings of a 32 × 32 lattice, with its ties, and the same moved
+    # off the lattice.
+    A, B = (np.concatenate((x.ravel(), x.ravel() + 0.1)) for x in setting_lattice(32))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            *(CandidateModel.one_sided(name, side) for name in sorted(models.BUILTINS) for side in (1, 2)),
+            load_model(FIXTURE_256),
+        ],
+        ids=[*(f"{name}-side-{side}" for name in sorted(models.BUILTINS) for side in (1, 2)), "samples-256"],
+    )
+    def test_bound_covers_the_64_node_reference(self, model):
+        tables = quadrant_table_quadrature(model, self.A, self.B)
+        bound = quadrature_error_bound(model, tables)
+        assert bound.shape == self.A.shape
+        assert np.all(largest_cell_error(tables, reference_tables(model, self.A, self.B)) <= bound)
+        assert bound.max() < 2e-13
+
+    def test_high_frequency_profile_stays_covered(self, monkeypatch):
+        # cos²(4x) has top frequency 8: 8 nodes miss it by percents, and
+        # truncation, not rounding, sets the 16-node error, which the bound
+        # must still cover.
+        monkeypatch.setitem(models.BUILTINS, "cos-squared-4x", (lambda x: np.cos(4.0 * x) ** 2, 1.0 / math.pi, (), 8))
+        for side in (1, 2):
+            m = CandidateModel.one_sided("cos-squared-4x", side)
+            reference = reference_tables(m, self.A, self.B)
+            tables = quadrant_table_quadrature(m, self.A, self.B)
+            error = largest_cell_error(tables, reference)
+            assert error.max() > 1e-12
+            assert np.all(error <= quadrature_error_bound(m, tables))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(models, "GAUSS_NODES", 8)
+                tables = quadrant_table_quadrature(m, self.A, self.B)
+                error = largest_cell_error(tables, reference)
+                assert error.max() > 1e-2
+                assert np.all(error <= quadrature_error_bound(m, tables))
+
+    @pytest.mark.parametrize(
+        "model", [SAMPLED_ABS_COS, UNIFORM, load_model(FIXTURE_256)], ids=["sampled-256", "uniform", "samples-256-file"]
+    )
+    def test_two_node_tables_sit_within_rounding_of_sixteen_node_ones(self, monkeypatch, model):
+        tables = quadrant_table_quadrature(model, self.A, self.B)
+        bound = quadrature_error_bound(model, tables)
+        monkeypatch.setattr(models, "POLYNOMIAL_NODES", 16)
+        assert np.all(largest_cell_error(tables, quadrant_table_quadrature(model, self.A, self.B)) <= bound)
+
+    def test_a_nan_cell_makes_its_bound_nan(self):
+        # A NaN bound refuses every tolerance of the reproduction scan.
+        tables = quadrant_table_quadrature(ABS_COS, np.array([0.0, 1.0]), 2.0)
+        tables[1, 2] = np.nan
+        bound = quadrature_error_bound(ABS_COS, tables)
+        assert np.isfinite(bound[0]) and np.isnan(bound[1])
+
+
 class TestBatchedTables:
     @pytest.mark.parametrize(
-        "model,grid",
-        [(ABS_COS, 32), (COS_SQUARED, 32), (SAMPLED_ABS_COS, 8)],
+        "model,grid,nodes",
+        [(ABS_COS, 32, 16), (COS_SQUARED, 32, 16), (SAMPLED_ABS_COS, 8, 2)],
         ids=["abs-cos", "cos-squared", "sampled-256"],
     )
-    def test_block_size_does_not_change_tables(self, monkeypatch, model, grid):
+    def test_block_size_does_not_change_tables(self, monkeypatch, model, grid, nodes):
         a, b = setting_lattice(grid)
         default = quadrant_table_quadrature(model, a, b)
         assert default.shape == (grid, grid, 4)
-        monkeypatch.setattr(models, "QUADRATURE_BLOCK", 16 * (5 + kink_count(model)))  # one setting a block
+        monkeypatch.setattr(models, "QUADRATURE_BLOCK", nodes * (5 + kink_count(model)))  # one setting a block
         assert np.array_equal(quadrant_table_quadrature(model, a, b), default)
         monkeypatch.setattr(models, "QUADRATURE_BLOCK", 1)  # less than a setting still takes one
         assert np.array_equal(quadrant_table_quadrature(model, a, b), default)
@@ -442,15 +530,15 @@ class TestOnePassTable:
         assert worst < 1e-13
 
     @pytest.mark.parametrize(
-        "model", [ABS_COS, COS_SQUARED, SAMPLED_ABS_COS], ids=["abs-cos", "cos-squared", "sampled-256"]
+        "model,nodes", [(ABS_COS, 16), (COS_SQUARED, 16), (SAMPLED_ABS_COS, 2)], ids=["abs-cos", "cos-squared", "sampled-256"]
     )
-    def test_one_pass_work_count(self, monkeypatch, model):
+    def test_one_pass_work_count(self, monkeypatch, model, nodes):
         evaluated = count_density_nodes(monkeypatch)
         for a, b in ((0.0, 0.0), (0.3, 2.2), (5.9, 1.0), (1.0, 1.0 + math.pi)):
             evaluated.clear()
             table = quadrant_table_quadrature(model, a, b)
             assert table.shape == (4,)
-            assert evaluated == [16 * (5 + kink_count(model))]  # one rule on every piece, one call
+            assert evaluated == [nodes * (5 + kink_count(model))]  # one rule on every piece, one call
 
     def test_half_turn_swaps_cells(self):
         # I(a + π) = J(a) and the abs-cos density is π-periodic, so turning

@@ -9,7 +9,16 @@ import pytest
 
 from lcsim import uniqueness
 from lcsim.circle import TWO_PI
-from lcsim.models import CandidateModel, NormalizationError, Profile, Quadrant, load_model, quadrant_prob_quadrature
+from lcsim.models import (
+    CandidateModel,
+    NormalizationError,
+    Profile,
+    Quadrant,
+    load_model,
+    quadrant_prob_quadrature,
+    quadrant_table_quadrature,
+    quadrature_error_bound,
+)
 from lcsim.uniqueness import (
     NECESSITY_NOTE,
     check_necessary_conditions,
@@ -119,16 +128,20 @@ class TestVerifyReproduction:
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_quadrature_error_bounds_the_distance_to_the_closed_forms(self, side):
-        report = verify_reproduction(CandidateModel.one_sided("abs-cos", side), grid=32, weight_side=side, reconstruct=False)
+        m = CandidateModel.one_sided("abs-cos", side)
+        report = verify_reproduction(m, grid=32, weight_side=side, reconstruct=False)
         assert 0.0 < report.quadrature_error < 1e-13
         assert report.quadrature_error >= report.max_quadrant_error - 1e-15
+        a, b = np.meshgrid(*2 * (TWO_PI * np.arange(32) / 32,), indexing="ij")
+        assert report.quadrature_error == quadrature_error_bound(m, quadrant_table_quadrature(m, a, b)).max()
         assert report.to_dict()["quadrature_error"] == report.quadrature_error
         assert "quadrature error" in report.format_table()
 
     def test_tolerance_below_the_quadrature_error_refused(self):
-        # 8 nodes resolve cos² on a half circle only to about 4e-11.
+        # The bound on the cos² tables is rounding, about 1.5e-13; its
+        # truncation part is below 1e-28.
         error = verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, reconstruct=False).quadrature_error
-        assert 1e-12 < error < 1e-9
+        assert 1e-14 < error < 1e-12
         with pytest.raises(ValueError, match="below the quadrature error"):
             verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error / 2, reconstruct=False)
         verify_reproduction(CandidateModel.one_sided("cos-squared"), grid=8, tol=error, reconstruct=False)
@@ -169,7 +182,7 @@ class TestLatticeChunks:
                 out[(a == TWO_PI * 6 / 8) & (b == TWO_PI * 7 / 8), 3] = np.nan
             return out
 
-        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", lambda m, a, b, nodes=16: np.zeros((*a.shape, 4)))
+        monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", lambda m, a, b: np.zeros((*a.shape, 4)))
         monkeypatch.setattr(uniqueness, "quadrant_table_analytic", planted)
         for rows in (8, 3, 1):
             monkeypatch.setattr(uniqueness, "LATTICE_CHUNK", rows * 8)
@@ -188,7 +201,7 @@ class TestLatticeChunks:
         monkeypatch.setattr(uniqueness, "quadrant_table_quadrature", lambda *a, **k: calls.append(1) or table(*a, **k))
         for grid in (8, 32):
             verify_reproduction(ABS_COS, grid=grid, reconstruct=False)
-        assert len(calls) == 4
+        assert len(calls) == 2  # one table call a chunk: no second rule
 
     def test_grid_256_scan_holds_one_chunk(self):
         # The whole lattice and its differences took 8.5 MB traced here, and
