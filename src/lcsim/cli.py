@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -167,37 +168,12 @@ def cmd_uniqueness(args) -> int:
     return EXIT_OK
 
 
-def _random_chsh(rng: np.random.Generator, measures, n1: int, n2: int) -> float:
-    """CHSH of `measures` under fresh random observables, side 1's two drawn first."""
-    obs1 = tuple(lcmeasure.random_observables(rng, n1) for _ in range(2))
-    obs2 = tuple(lcmeasure.random_observables(rng, n2) for _ in range(2))
-    return lcmeasure.chsh_discrete(measures, obs1, obs2)
-
-
 def cmd_trivial(args) -> int:
     if args.random is not None:
         rng = np.random.default_rng(args.seed)
-        max_chsh = -math.inf
-        violations = 0
-        all_trivial = True
-        for _ in range(args.random):
-            family = lcmeasure.random_trivial_family(rng, args.n1, args.n2, args.m1, args.m2)
-            all_trivial = all_trivial and all(lcmeasure.is_trivial(m).trivial for m in family)
-            value = _random_chsh(rng, family, args.n1, args.n2)
-            max_chsh = max(max_chsh, value)
-            if value > 2.0 + 1e-9:
-                violations += 1
-        _emit_json(
-            {
-                "mode": "random-trivial-sweep",
-                "measures": args.random,
-                "seed": args.seed,
-                "all_trivial": all_trivial,
-                "max_chsh": max_chsh,
-                "violations": violations,
-            },
-            args.out,
-        )
+        sweep = lcmeasure.random_trivial_sweep(rng, args.random, args.n1, args.n2, args.m1, args.m2)
+        doc = {"mode": "random-trivial-sweep", "measures": args.random, "seed": args.seed, **sweep}
+        _emit_json(doc, args.out)
         return EXIT_OK
 
     measure, meta = lcmeasure.load_measure(args.measure)
@@ -217,16 +193,8 @@ def cmd_trivial(args) -> int:
         settings, value = lcmeasure.cosine_file_chsh(*cosine)
         doc["chsh"] = {"kind": "setting-family", "settings": list(settings), "grid": cosine[0], "value": value}
     else:
-        rng = np.random.default_rng(args.seed)
-        best = -math.inf
-        for _ in range(args.sweep):
-            best = max(best, _random_chsh(rng, (measure,) * 4, measure.n1, measure.n2))
-        doc["chsh"] = {
-            "kind": "observable-sweep",
-            "trials": args.sweep,
-            "seed": args.seed,
-            "max": best,
-        }
+        best = lcmeasure.observable_sweep(np.random.default_rng(args.seed), measure, args.sweep)
+        doc["chsh"] = {"kind": "observable-sweep", "trials": args.sweep, "seed": args.seed, "max": best}
     _emit_json(doc, args.out)
     return EXIT_OK
 
@@ -241,7 +209,10 @@ def cmd_cosine_measure(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every caller, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="lcsim",
         description="Local-causal spin-pair correlation toolkit",

@@ -38,8 +38,14 @@ UNIT_TOL = 1e-9
 
 #: Most entries of the p1 ⊗ p2 block that :func:`is_trivial` holds at once:
 #: 512 KB, so a 64 × 64 source is one block and a grid-2048 one needs no
-#: grid × grid temporary.
+#: grid × grid temporary. :func:`random_trivial_sweep` sizes its blocks by
+#: it too: a block holds up to this many entries of sources, row masses and
+#: observables (13 families of 64 × 64).
 TRIVIAL_BLOCK = 2**16
+
+#: How far above the classical bound 2 a sweep's CHSH value must read to
+#: count as a violation.
+VIOLATION_TOL = 1e-9
 
 #: Largest grid of :func:`cosine_diagonal_measure`. Its source is a dense
 #: grid × grid matrix in memory, and each command holds one at a time, so
@@ -52,9 +58,12 @@ TRIVIAL_BLOCK = 2**16
 MAX_COSINE_GRID = 4096
 
 #: Most entries of each random matrix: the n1 × n2 source and the n1 × m1 and
-#: n2 × m2 kernels. A random trivial family at the cap, `lcsim trivial
-#: --random 1 --n1 2048 --n2 2048`, peaks at 137 MB (child ru_maxrss): its
-#: four members share one read-only source.
+#: n2 × m2 kernels. A family's four members share one read-only source, and
+#: :func:`random_trivial_sweep` holds the kernels of one family at a time,
+#: reducing each to its row masses as it is drawn: at the source cap, `lcsim
+#: trivial --random 2 --n1 2048 --n2 2048` peaks about 41 MB above a bare
+#: import (child VmHWM), and at the kernel cap a family's kernels alone are
+#: 256 MB.
 MAX_RANDOM_ENTRIES = 2**22
 
 
@@ -148,6 +157,26 @@ def local_mass_functions(m: DiscreteLCMeasure) -> tuple[np.ndarray, np.ndarray]:
     return m.K1.sum(axis=1), m.K2.sum(axis=1)
 
 
+# The two kernels of triviality and of the discrete correlation. Leading axes
+# are blocks that broadcast together, so a block of measures costs one call;
+# every entry is computed as for a single measure, bit for bit.
+
+
+def _max_deviation(p1: np.ndarray, p2: np.ndarray, supp: np.ndarray, initial):
+    """The largest of `initial` and |p1 ⊗ p2 - 1| where the mask `supp`
+    holds, NaN if any of them is NaN: p1 (..., rows), p2 (..., cols), supp
+    (..., rows, cols)."""
+    dev = p1[..., :, None] * p2[..., None, :]  # |p1 ⊗ p2 - 1| in place
+    dev -= 1.0
+    return np.max(np.abs(dev, out=dev), where=supp, initial=initial)
+
+
+def _correlations(w1: np.ndarray, PS: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """w1 @ PS @ w2 over the last axes, w1 (..., n1), PS (..., n1, n2) and
+    w2 (..., n2): one vector-matrix product, then one dot product, each."""
+    return (w1[..., None, :] @ PS @ w2[..., :, None])[..., 0, 0]
+
+
 def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
     """Check p1(s1) * p2(s2) = 1 within TRIVIAL_TOL on the support of the
     source, the entries above SUPPORT_EPS. Rows go in blocks of at most
@@ -160,9 +189,7 @@ def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
     for start in range(0, m.n1, step):
         blk = slice(start, start + step)
         supp = m.PS[blk] > SUPPORT_EPS
-        dev = np.outer(p1[blk], p2)  # |p1 ⊗ p2 - 1| in place
-        dev -= 1.0
-        max_dev = np.max(np.abs(dev, out=dev), where=supp, initial=max_dev)  # NaN propagates
+        max_dev = _max_deviation(p1[blk], p2, supp, max_dev)
         rows[blk] = supp.any(axis=1)
     max_dev = float(max_dev)
     trivial = max_dev <= TRIVIAL_TOL
@@ -323,7 +350,7 @@ def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
     if not (np.abs(obs1).max() <= 1.0 + 1e-12 and np.abs(obs2).max() <= 1.0 + 1e-12):  # nan fails too
         raise ValueError("observable entries must lie in [-1, 1]")
     p1, p2 = local_mass_functions(m)
-    return float((obs1 * p1) @ m.PS @ (obs2 * p2))
+    return float(_correlations(obs1 * p1, m.PS, obs2 * p2))
 
 
 def chsh_discrete(measures, obs1, obs2) -> float:
@@ -443,6 +470,83 @@ def random_nontrivial_measure(
 
 def random_observables(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=n)
+
+
+def _draw_observables(rng: np.random.Generator, n1: int, n2: int) -> tuple[list, list]:
+    """Side 1's observables (o_a, o_a2), then side 2's (o_b, o_b2), drawn in that order."""
+    return [random_observables(rng, n1) for _ in range(2)], [random_observables(rng, n2) for _ in range(2)]
+
+
+def _chsh_values(obs1: np.ndarray, obs2: np.ndarray, p1, PS, p2) -> list[float]:
+    """The CHSH value of each block of observables obs1 (..., 2, n1), which
+    holds (o_a, o_a2), and obs2 (..., 2, n2), which holds (o_b, o_b2), on
+    four members with row masses p1 (..., 4, n1) and p2 (..., 4, n2) in
+    chsh_pairs order and sources PS: the value that :func:`chsh_discrete`
+    gives, bit for bit, which only the random sweep needs in blocks."""
+    # Which of (o_a, o_a2) and of (o_b, o_b2) each member takes.
+    side1, side2 = (list(index) for index in zip(*chsh_pairs((0, 1, 0, 1))))
+    corr = _correlations(obs1[..., side1, :] * p1, PS, obs2[..., side2, :] * p2)
+    return [chsh(*row) for row in corr.reshape(-1, 4).tolist()]
+
+
+def _family_masses(rng: np.random.Generator, n1: int, n2: int, m1: int, m2: int):
+    """Draw a family with :func:`random_trivial_family` and keep only its
+    source and its members' row masses p1 (4, n1) and p2 (4, n2): the
+    kernels, up to MAX_RANDOM_ENTRIES entries each, are freed on return."""
+    family = random_trivial_family(rng, n1, n2, m1, m2)
+    p1, p2 = zip(*map(local_mass_functions, family))
+    return family[0].PS, np.array(p1), np.array(p2)
+
+
+def _trivial_block(rng: np.random.Generator, size: int, n1: int, n2: int, m1: int, m2: int, worst):
+    """Draw `size` families of :func:`random_trivial_sweep`, each followed by
+    its observables; return the largest of `worst` and their members'
+    |p1 ⊗ p2 - 1| on the support, and their CHSH values in draw order."""
+    # Each family, then its observables: the order the stream was drawn in.
+    drawn = [(*_family_masses(rng, n1, n2, m1, m2), *_draw_observables(rng, n1, n2)) for _ in range(size)]
+    sources, *parts = zip(*drawn)
+    p1, p2, obs1, obs2 = map(np.array, parts)
+    # A lone family's source is not copied: it may hold MAX_RANDOM_ENTRIES entries.
+    PS = sources[0][None] if size == 1 else np.stack(sources)
+    step = max(1, TRIVIAL_BLOCK // (size * n2))  # one row block unless a lone family exceeds TRIVIAL_BLOCK
+    for start in range(0, n1, step):
+        blk = slice(start, start + step)
+        worst = _max_deviation(p1[..., blk], p2, PS[:, None, blk] > SUPPORT_EPS, worst)
+    return worst, _chsh_values(obs1, obs2, p1, PS[:, None], p2)
+
+
+def random_trivial_sweep(rng: np.random.Generator, count: int, n1: int, n2: int, m1: int, m2: int) -> dict:
+    """Draw `count` families with :func:`random_trivial_family`, each
+    followed by its four observables (side 1's two first), and report whether
+    every member is trivial (`all_trivial`), the largest CHSH value
+    (`max_chsh`) and how many values exceed 2 + VIOLATION_TOL (`violations`).
+
+    Each verdict and value is the one that :func:`is_trivial` and
+    :func:`chsh_discrete` give, bit for bit. A member is reduced to its row
+    masses as it is drawn, so the kernels of one family at a time are held.
+    A family then holds n1·n2 + 6·(n1 + n2) entries (its source, masses and
+    observables), and families go in blocks of at most TRIVIAL_BLOCK such
+    entries, at least one family: a block takes one masked maximum of
+    |p1 ⊗ p2 - 1| over all its members, in row blocks as :func:`is_trivial`
+    reads a lone family beyond TRIVIAL_BLOCK, and one stacked correlation
+    call for all its members."""
+    _check_random_shape(n1, n2, m1, m2)
+    per_block = max(1, TRIVIAL_BLOCK // (n1 * n2 + 6 * (n1 + n2)))
+    worst, best, violations = 0.0, -math.inf, 0
+    for start in range(0, count, per_block):
+        worst, values = _trivial_block(rng, min(per_block, count - start), n1, n2, m1, m2, worst)
+        best = max([best, *values])
+        violations += sum(value > 2.0 + VIOLATION_TOL for value in values)
+    return {"all_trivial": bool(worst <= TRIVIAL_TOL), "max_chsh": best, "violations": violations}
+
+
+def observable_sweep(rng: np.random.Generator, m: DiscreteLCMeasure, trials: int) -> float:
+    """The largest :func:`chsh_discrete` value of the family (m,) * 4 over
+    `trials` observable quadruples, each drawn side 1's two first."""
+    best = -math.inf
+    for _ in range(trials):
+        best = max(best, chsh_discrete((m,) * 4, *_draw_observables(rng, m.n1, m.n2)))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +684,11 @@ def save_cosine_measure(path, grid: int, a: float, b: float, m1: int, m2: int, w
 
 
 def cosine_file_chsh(grid: int, m1: int, m2: int, weight_side: int) -> tuple[tuple[float, ...], float]:
-    """TSIRELSON_SETTINGS and the CHSH value there of the cosine family on a checked file's grid, widths and side."""
+    """TSIRELSON_SETTINGS and the CHSH value there of the cosine family on a checked file's grid, widths and side.
+
+    The value is within 1e-12 of 2√2 only on grids divisible by 8. On other
+    grids the settings miss the grid, and the value can read above 2√2:
+    grid 12 on weight side 2 gives 2.9282, grid 7 on side 1 gives 2.8509."""
     family, obs1, obs2 = cosine_diagonal_family(grid, TSIRELSON_SETTINGS, m1, m2, weight_side)
     return TSIRELSON_SETTINGS, chsh_discrete(family, obs1, obs2)
 

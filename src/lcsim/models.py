@@ -390,7 +390,10 @@ def quadrature_error_bound(m: CandidateModel, tables) -> np.ndarray:
     """A-priori bound, one per quadrant table of `m`, on how far any cell of
     :func:`quadrant_table_quadrature` lies from the exact mass, for the
     settings as that function takes them (reduced to [0, 2π), a separation
-    within BOUNDARY_EPS of 0 or π a tie).
+    within BOUNDARY_EPS of 0 or π a tie). Near a tie it bounds the distance
+    to the tie's masses, not to those of the settings given: the uniform
+    model at (0, 9e-13) reads exactly 0 in its mixed cells, whose exact mass
+    is 9e-13 / 2π = 1.43e-13, and its bound is 3.15e-14.
 
     Truncation: the n-node Gauss-Legendre remainder of a piece of length L is
     at most L^(2n+1) (n!)⁴ / ((2n+1) ((2n)!)³) max|f^(2n)|. The cuts 0, π/2,

@@ -529,6 +529,27 @@ class TestTrivial:
             with pytest.raises(Drawn):
                 main(["trivial", "--random", "1", *sizes])
 
+    def test_peak_memory_of_a_random_sweep_at_the_cap(self):
+        # Over a bare import of lcsim.cli this took +72 MB (child VmHWM)
+        # while the next family was drawn with the last one still alive; now
+        # about +41 MB, one 33.5 MB source at a time.
+        bare = peak_rss_mb([])
+        assert peak_rss_mb(["trivial", "--random", "2", "--n1", "2048", "--n2", "2048"]) <= bare + 80
+
+    def test_peak_memory_of_a_random_sweep_with_wide_kernels(self):
+        # A family's kernels are 16.8 MB here. Holding a block of 13
+        # families' kernels took +391 MB (child VmHWM); reduced to row
+        # masses as they are drawn, one family's are held, about +23 MB.
+        bare = peak_rss_mb([])
+        argv = ["trivial", "--random", "16", "--n1", "64", "--n2", "64", "--m1", "4096", "--m2", "4096"]
+        assert peak_rss_mb(argv) <= bare + 40
+
+    def test_cmd_trivial_holds_no_arithmetic(self):
+        # The sweeps and the verdict live in lcmeasure; cli only calls them.
+        tree = next(node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_trivial")
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While, ast.comprehension, ast.BinOp))]
+
     def test_measure_file_verdict(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         m = lcmeasure.random_trivial_measure(rng, 8, 8, 3, 3)
@@ -807,3 +828,28 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
     assert {argv[0] for argv in argvs} >= {"chsh", "cosine-measure"}
     assert re.search(r"\bscripts[/\\]", README.read_text()) is None  # no path into a scripts directory
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_answers_as_fresh_ones(self, capsys, monkeypatch):
+        # A usage error, a valid run and a validation error in sequence.
+        argvs = [["trivial", "--random", "0"], ["trivial", "--random", "3", "--n1", "4", "--n2", "4"],
+                 ["trivial", "--measure", "missing.json"]]
+
+        def run_all():
+            results = []
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        cached = run_all()
+        assert [code for code, _, _ in cached] == [2, EXIT_OK, EXIT_VALIDATION]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert run_all() == cached

@@ -38,7 +38,7 @@ from lcsim.lcmeasure import (
     save_measure,
     stochastic_matrix,
 )
-from lcsim.models import TSIRELSON_SETTINGS, chsh_pairs
+from lcsim.models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 RNG = np.random.default_rng(20240811)
 
@@ -333,7 +333,27 @@ def measures_for_the_oracles(rng) -> list[DiscreteLCMeasure]:
         cosine_diagonal_measure(int(rng.integers(1, 9)) * 8, float(rng.uniform(0, TWO_PI)), float(rng.uniform(0, TWO_PI))),
         lcmeasure._owned(DiscreteLCMeasure, PS=np.full((3, 4), 1e-13), K1=np.ones((3, 2)), K2=np.ones((4, 2))),
         lcmeasure._owned(DiscreteLCMeasure, PS=np.full((3, 4), 1 / 12), K1=k1, K2=k2),
+        # A Fortran-ordered source: the constructor keeps the order it is given.
+        DiscreteLCMeasure(PS=lcmeasure.random_source(rng, n2, n1).T, K1=np.ones((n1, 2)), K2=np.ones((n2, 3))),
     ]
+
+
+def old_chsh_discrete(measures, obs1, obs2) -> float:
+    """chsh_discrete as it was before it stacked its four correlations: one
+    old_discrete_correlation per member, in chsh_pairs order."""
+    pairs = chsh_pairs((*obs1, *obs2))
+    return chsh(*(old_discrete_correlation(m, o1, o2) for m, (o1, o2) in zip(measures, pairs)))
+
+
+def old_observable_sweep(rng, m: DiscreteLCMeasure, trials: int) -> float:
+    """The `trivial --measure` observable sweep as `cli` ran it before
+    `lcmeasure.observable_sweep`, on the old correlation, kept as an oracle."""
+    best = -math.inf
+    for _ in range(trials):
+        obs1 = tuple(random_observables(rng, m.n1) for _ in range(2))
+        obs2 = tuple(random_observables(rng, m.n2) for _ in range(2))
+        best = max(best, old_chsh_discrete((m,) * 4, obs1, obs2))
+    return best
 
 
 def spoiled(rng, obs: np.ndarray) -> np.ndarray:
@@ -355,6 +375,100 @@ class TestLeanTriviality:
                 obs1, obs2 = random_observables(rng, m.n1), rng.uniform(-1.0, 1.0, m.n2)
                 for o1, o2 in ((obs1, obs2), (spoiled(rng, obs1), obs2), (obs1, spoiled(rng, obs2))):
                     assert outcome(discrete_correlation, m, o1, o2) == outcome(old_discrete_correlation, m, o1, o2)
+                    family, pair1, pair2 = (m,) * 4, (obs1, o1), (o2, obs2)
+                    assert outcome(chsh_discrete, family, pair1, pair2) == outcome(old_chsh_discrete, family, pair1, pair2)
+                if np.isfinite(local_mass_functions(m)[0]).all():
+                    seed = int(rng.integers(2**32))
+                    new = lcmeasure.observable_sweep(np.random.default_rng(seed), m, 9)
+                    assert bits(new) == bits(old_observable_sweep(np.random.default_rng(seed), m, 9))
+
+
+def old_random_chsh(rng: np.random.Generator, measures, n1: int, n2: int) -> float:
+    """CHSH of `measures` under fresh random observables, side 1's two drawn first."""
+    obs1 = tuple(lcmeasure.random_observables(rng, n1) for _ in range(2))
+    obs2 = tuple(lcmeasure.random_observables(rng, n2) for _ in range(2))
+    return old_chsh_discrete(measures, obs1, obs2)
+
+
+def old_random_trivial_sweep(rng, count: int, n1: int, n2: int, m1: int, m2: int) -> dict:
+    """`lcsim trivial --random`'s per-family loop as `cli.cmd_trivial` ran it
+    before `lcmeasure.random_trivial_sweep`, kept verbatim as an oracle, on
+    the old `is_trivial` and `chsh_discrete`."""
+    max_chsh = -math.inf
+    violations = 0
+    all_trivial = True
+    for _ in range(count):
+        family = lcmeasure.random_trivial_family(rng, n1, n2, m1, m2)
+        all_trivial = all_trivial and all(old_is_trivial(m).trivial for m in family)
+        value = old_random_chsh(rng, family, n1, n2)
+        max_chsh = max(max_chsh, value)
+        if value > 2.0 + 1e-9:
+            violations += 1
+    return {"all_trivial": all_trivial, "max_chsh": max_chsh, "violations": violations}
+
+
+def sweep_bits(doc: dict) -> tuple:
+    return doc["all_trivial"], bits(doc["max_chsh"]), doc["violations"]
+
+
+#: (count, n1, n2, m1, m2) of the random sweeps the oracle checks.
+SWEEP_SIZES = [(40, 64, 64, 8, 8), (23, 5, 9, 3, 2), (17, 1, 1, 1, 1), (12, 1, 7, 2, 5), (9, 13, 1, 4, 1), (3, 300, 257, 2, 9)]
+
+
+class TestRandomTrivialSweep:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("sizes", SWEEP_SIZES, ids=["x".join(map(str, s)) for s in SWEEP_SIZES])
+    def test_matches_the_old_per_family_loop_bit_for_bit(self, seed, sizes):
+        new = lcmeasure.random_trivial_sweep(np.random.default_rng(seed), *sizes)
+        old = old_random_trivial_sweep(np.random.default_rng(seed), *sizes)
+        assert sweep_bits(new) == sweep_bits(old)
+        assert type(new["max_chsh"]) is float and type(new["all_trivial"]) is bool
+
+    @pytest.mark.parametrize("sizes", SWEEP_SIZES[:3], ids=["x".join(map(str, s)) for s in SWEEP_SIZES[:3]])
+    def test_block_budget_does_not_change_the_output(self, monkeypatch, sizes):
+        count, n1, n2 = sizes[:3]
+        family = n1 * n2 + 6 * (n1 + n2)  # source, row masses and observables
+        expected = sweep_bits(lcmeasure.random_trivial_sweep(np.random.default_rng(5), *sizes))
+        block, blocks = lcmeasure._trivial_block, []
+        monkeypatch.setattr(lcmeasure, "_trivial_block", lambda rng, size, *rest: blocks.append(size) or block(rng, size, *rest))
+        # One family, seven, all of them, and row blocks of a lone family.
+        for budget, largest in ((family, 1), (7 * family, 7), (count * family, count), (3 * n2, 1), (1, 1)):
+            monkeypatch.setattr(lcmeasure, "TRIVIAL_BLOCK", budget)
+            blocks.clear()
+            assert sweep_bits(lcmeasure.random_trivial_sweep(np.random.default_rng(5), *sizes)) == expected
+            assert max(blocks) == largest and sum(blocks) == count
+
+    def test_draws_the_old_stream(self):
+        # The families and observables are drawn as before, so the generator
+        # ends in the same state.
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        lcmeasure.random_trivial_sweep(rngs[0], 20, 6, 4, 3, 2)
+        old_random_trivial_sweep(rngs[1], 20, 6, 4, 3, 2)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_counts_violations_above_the_tolerance(self, monkeypatch):
+        # Unit observables give every trivial family the CHSH value 2 to
+        # rounding; pushed past the tolerance, each counts once.
+        monkeypatch.setattr(lcmeasure, "random_observables", lambda rng, n: np.ones(n))
+        doc = lcmeasure.random_trivial_sweep(np.random.default_rng(1), 5, 4, 4, 2, 2)
+        assert doc["violations"] == 0 and doc["max_chsh"] == pytest.approx(2.0, abs=1e-12)
+        monkeypatch.setattr(lcmeasure, "VIOLATION_TOL", -1.0)
+        assert lcmeasure.random_trivial_sweep(np.random.default_rng(1), 5, 4, 4, 2, 2)["violations"] == 5
+
+    @pytest.mark.parametrize("skewed", [0, 3, 5, 11])
+    def test_one_nontrivial_member_clears_all_trivial(self, monkeypatch, skewed):
+        member, calls = lcmeasure._trivial_member, []
+
+        def drawn(rng, source, n1, n2, m1, m2):
+            m = member(rng, source, n1, n2, m1, m2)
+            calls.append(m)
+            if len(calls) - 1 != skewed:
+                return m
+            return lcmeasure._owned(DiscreteLCMeasure, PS=m.PS, K1=m.K1 * (1 + 2e-9), K2=m.K2)
+
+        monkeypatch.setattr(lcmeasure, "_trivial_member", drawn)
+        monkeypatch.setattr(lcmeasure, "TRIVIAL_BLOCK", 2 * (4 * 4 + 6 * 8))  # blocks of two families
+        assert not lcmeasure.random_trivial_sweep(np.random.default_rng(1), 3, 4, 4, 2, 2)["all_trivial"]
 
 
 class TestRescale:
@@ -864,6 +978,16 @@ class TestCosineDiagonal:
         family, o1, o2 = cosine_diagonal_family(grid, TSIRELSON_SETTINGS, m1=m1, m2=m2, weight_side=weight_side)
         assert settings == TSIRELSON_SETTINGS
         assert value == chsh_discrete(family, o1, o2)
+
+    def test_file_chsh_reaches_tsirelson_only_on_grids_divisible_by_8(self):
+        # Elsewhere the Tsirelson settings miss the grid and the value can
+        # read above 2√2 at unit mass.
+        for weight_side in (1, 2):
+            values = {grid: lcmeasure.cosine_file_chsh(grid, 8, 8, weight_side)[1] for grid in range(2, 65)}
+            near = [grid for grid, value in values.items() if abs(value - 2 * math.sqrt(2)) <= 1e-12]
+            assert near == list(range(8, 65, 8))
+        assert lcmeasure.cosine_file_chsh(12, 8, 8, 2)[1] == pytest.approx(2.9282, abs=5e-5)
+        assert lcmeasure.cosine_file_chsh(7, 8, 8, 1)[1] == pytest.approx(2.8509, abs=5e-5)
 
     def test_uniform_diagonal_has_unit_mass_at_every_grid(self):
         assert max(abs(float(np.full(n, 1.0 / n).sum()) - 1.0) for n in range(2, 4097)) <= 7e-16

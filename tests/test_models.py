@@ -468,6 +468,20 @@ class TestErrorBound:
         monkeypatch.setattr(models, "POLYNOMIAL_NODES", 16)
         assert np.all(largest_cell_error(tables, quadrant_table_quadrature(model, self.A, self.B)) <= bound)
 
+    def test_bound_covers_a_near_tie_as_the_tie_it_is_taken_for(self):
+        # A separation within BOUNDARY_EPS of 0 or π is taken as a tie, so
+        # the bound covers the tie's table, not the exact masses at the
+        # settings given: here the mixed cells read exactly 0 where the
+        # exact mass is 9e-13 / 2π, above the bound.
+        table = quadrant_table_quadrature(UNIFORM, 0.0, 9e-13)
+        bound = float(quadrature_error_bound(UNIFORM, table))
+        exact = 9e-13 / (2 * math.pi)
+        assert table[1] == table[2] == 0.0
+        assert np.array_equal(table, quadrant_table_quadrature(UNIFORM, 0.0, 0.0))
+        assert bound == pytest.approx(3.15e-14, rel=1e-3)
+        assert exact == pytest.approx(1.43e-13, rel=1e-3)
+        assert exact > bound
+
     def test_a_nan_cell_makes_its_bound_nan(self):
         # A NaN bound refuses every tolerance of the reproduction scan.
         tables = quadrant_table_quadrature(ABS_COS, np.array([0.0, 1.0]), 2.0)
