@@ -52,12 +52,17 @@ def _angle(args, value: float) -> float:
     return normalize(math.radians(value) if args.degrees else value)
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
+def _write_json(doc: dict, out_path: str | None) -> str:
+    """The JSON text of `doc`, also written to `out_path` when one is given."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
+    return text
+
+
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    sys.stdout.write(_write_json(doc, out_path))
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +76,9 @@ def cmd_analytic(args) -> int:
     table = dict(zip((q.value for q in Quadrant), cells.tolist()))
     total = sum(table.values())
     corr = float(models.correlation(cells))
+    text = _write_json({"a": a, "b": b, "quadrants": table, "sum": total, "correlation": corr}, args.out)
     if args.json:
-        _emit_json(
-            {"a": a, "b": b, "quadrants": table, "sum": total, "correlation": corr},
-            args.out,
-        )
+        sys.stdout.write(text)
         return EXIT_OK
     lines = [f"{name:<4s} {prob:.12f}" for name, prob in table.items()]
     lines.append(f"{'sum':<4s} {total:.12f}")

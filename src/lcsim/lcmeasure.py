@@ -33,14 +33,12 @@ SUPPORT_EPS = 1e-12
 #: Tolerance of the triviality classification.
 TRIVIAL_TOL = 1e-9
 
-#: Tolerance on unit row sums and on a source's unit mass.
+#: Tolerance on a source's unit mass.
 UNIT_TOL = 1e-9
 
-#: Most entries of the p1 ⊗ p2 block that :func:`is_trivial` holds at once:
-#: 512 KB, so a 64 × 64 source is one block and a grid-2048 one needs no
-#: grid × grid temporary. :func:`random_trivial_sweep` sizes its blocks by
-#: it too: a block holds up to this many entries of sources, row masses and
-#: observables (13 families of 64 × 64).
+#: Most source entries that :func:`_deviation` reads at once (512 KB: a
+#: grid-2048 source needs no grid × grid temporary), and most entries of one
+#: block of :func:`random_trivial_sweep` (13 families of 64 × 64).
 TRIVIAL_BLOCK = 2**16
 
 #: How far above the classical bound 2 a sweep's CHSH value must read to
@@ -79,7 +77,8 @@ def _check_matrix(name: str, arr: np.ndarray) -> None:
 def _check_measure(PS: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> None:
     """ValueError unless the float arrays PS, K1 and K2 make a
     :class:`DiscreteLCMeasure`: finite nonnegative matrices, kernel rows
-    matching the source sides, and a source of unit mass."""
+    matching the source sides, a unit-mass source, and kernels that pass
+    :func:`_check_kernels`."""
     for name, arr in (("PS", PS), ("K1", K1), ("K2", K2)):
         _check_matrix(name, arr)
     if K1.shape[0] != PS.shape[0] or K2.shape[0] != PS.shape[1]:
@@ -87,9 +86,25 @@ def _check_measure(PS: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> None:
             f"kernel rows must match the source sides: PS {PS.shape}, "
             f"K1 {K1.shape}, K2 {K2.shape}"
         )
-    total = float(PS.sum())
+    with np.errstate(over="ignore"):
+        total = float(PS.sum())
     if abs(total - 1.0) > UNIT_TOL:
         raise ValueError(f"source matrix must sum to 1, got {total!r}")
+    _check_kernels(K1, K2)
+
+
+def _check_kernels(K1: np.ndarray, K2: np.ndarray) -> None:
+    """ValueError unless the nonnegative kernels K1 and K2, each of one row
+    or more, have finite row masses p1 and p2 and a finite max(p1)·max(p2):
+    then their entries are finite, and so is every functional of a measure
+    on a unit-mass source, each bounded by that product."""
+    with np.errstate(over="ignore"):
+        p1, p2 = K1.sum(axis=1), K2.sum(axis=1)
+    for name, p in (("K1", p1), ("K2", p2)):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{name} must be finite and nonnegative, with finite row masses")
+    if not math.isfinite(float(p1.max()) * float(p2.max())):
+        raise ValueError("the largest row masses of K1 and K2 must have a finite product")
 
 
 def _freeze(obj, arrays: dict) -> None:
@@ -162,13 +177,19 @@ def local_mass_functions(m: DiscreteLCMeasure) -> tuple[np.ndarray, np.ndarray]:
 # every entry is computed as for a single measure, bit for bit.
 
 
-def _max_deviation(p1: np.ndarray, p2: np.ndarray, supp: np.ndarray, initial):
-    """The largest of `initial` and |p1 ⊗ p2 - 1| where the mask `supp`
-    holds, NaN if any of them is NaN: p1 (..., rows), p2 (..., cols), supp
-    (..., rows, cols)."""
-    dev = p1[..., :, None] * p2[..., None, :]  # |p1 ⊗ p2 - 1| in place
-    dev -= 1.0
-    return np.max(np.abs(dev, out=dev), where=supp, initial=initial)
+def _deviation(p1: np.ndarray, p2: np.ndarray, PS: np.ndarray, worst):
+    """The largest of `worst` and |p1 ⊗ p2 - 1| where PS exceeds SUPPORT_EPS,
+    NaN if any is NaN: p1 (..., n1), p2 (..., n2), PS (..., n1, n2). Rows go
+    in blocks of at most TRIVIAL_BLOCK entries of PS, at least one row each;
+    the maximum is exact, so it does not depend on the block size."""
+    n1 = PS.shape[-2]
+    step = max(1, TRIVIAL_BLOCK // (PS.size // n1))
+    for start in range(0, n1, step):
+        blk = slice(start, start + step)
+        dev = p1[..., blk, None] * p2[..., None, :]  # |p1 ⊗ p2 - 1| in place
+        dev -= 1.0
+        worst = np.max(np.abs(dev, out=dev), where=PS[..., blk, :] > SUPPORT_EPS, initial=worst)
+    return worst
 
 
 def _correlations(w1: np.ndarray, PS: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -179,22 +200,13 @@ def _correlations(w1: np.ndarray, PS: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 def is_trivial(m: DiscreteLCMeasure) -> TrivialityVerdict:
     """Check p1(s1) * p2(s2) = 1 within TRIVIAL_TOL on the support of the
-    source, the entries above SUPPORT_EPS. Rows go in blocks of at most
-    TRIVIAL_BLOCK entries (at least one row each); the maximum is exact, so
-    the verdict does not depend on the block size."""
+    source, the entries above SUPPORT_EPS, by :func:`_deviation`."""
     p1, p2 = local_mass_functions(m)
-    step = max(1, TRIVIAL_BLOCK // max(1, m.n2))
-    max_dev = 0.0
-    rows = np.empty(m.n1, dtype=bool)  # the rows that meet the support
-    for start in range(0, m.n1, step):
-        blk = slice(start, start + step)
-        supp = m.PS[blk] > SUPPORT_EPS
-        max_dev = _max_deviation(p1[blk], p2, supp, max_dev)
-        rows[blk] = supp.any(axis=1)
-    max_dev = float(max_dev)
+    max_dev = float(_deviation(p1, p2, m.PS, 0.0))
     trivial = max_dev <= TRIVIAL_TOL
     c = None
     if trivial:
+        rows = m.PS.max(axis=1) > SUPPORT_EPS  # the rows that meet the support
         vals = p1[rows]
         if vals.size and float(vals.max() - vals.min()) <= TRIVIAL_TOL * max(1.0, float(vals.max())):
             weights = m.PS.sum(axis=1)[rows]
@@ -249,13 +261,6 @@ class LocalMarkovOperator:
             if arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {arr.shape}")
         _freeze(self, arrays)
-
-    def is_stochastic(self) -> bool:
-        """Unit row sums on both sides; a permutation has them by form."""
-        return all(
-            t.ndim == 1 or bool(np.all(np.abs(t.sum(axis=1) - 1.0) <= UNIT_TOL))
-            for t in (self.T1, self.T2)
-        )
 
     @classmethod
     def random_stochastic(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
@@ -330,11 +335,9 @@ def apply_local_markov(m: DiscreteLCMeasure, op: LocalMarkovOperator) -> Discret
     # The source is the input's own checked, read-only array. The new kernels
     # are sums of products of finite nonnegative entries, so only overflow
     # can make them invalid.
-    kernels = {"K1": _transport_kernel(m.K1, op.T1), "K2": _transport_kernel(m.K2, op.T2)}
-    for name, K in kernels.items():
-        if not np.isfinite(K).all():
-            raise ValueError(f"{name} must be finite and nonnegative")
-    return _owned(DiscreteLCMeasure, PS=m.PS, **kernels)
+    K1, K2 = _transport_kernel(m.K1, op.T1), _transport_kernel(m.K2, op.T2)
+    _check_kernels(K1, K2)
+    return _owned(DiscreteLCMeasure, PS=m.PS, K1=K1, K2=K2)
 
 
 def discrete_correlation(m: DiscreteLCMeasure, obs1, obs2) -> float:
@@ -482,7 +485,7 @@ def _chsh_values(obs1: np.ndarray, obs2: np.ndarray, p1, PS, p2) -> list[float]:
     holds (o_a, o_a2), and obs2 (..., 2, n2), which holds (o_b, o_b2), on
     four members with row masses p1 (..., 4, n1) and p2 (..., 4, n2) in
     chsh_pairs order and sources PS: the value that :func:`chsh_discrete`
-    gives, bit for bit, which only the random sweep needs in blocks."""
+    gives, bit for bit."""
     # Which of (o_a, o_a2) and of (o_b, o_b2) each member takes.
     side1, side2 = (list(index) for index in zip(*chsh_pairs((0, 1, 0, 1))))
     corr = _correlations(obs1[..., side1, :] * p1, PS, obs2[..., side2, :] * p2)
@@ -507,12 +510,8 @@ def _trivial_block(rng: np.random.Generator, size: int, n1: int, n2: int, m1: in
     sources, *parts = zip(*drawn)
     p1, p2, obs1, obs2 = map(np.array, parts)
     # A lone family's source is not copied: it may hold MAX_RANDOM_ENTRIES entries.
-    PS = sources[0][None] if size == 1 else np.stack(sources)
-    step = max(1, TRIVIAL_BLOCK // (size * n2))  # one row block unless a lone family exceeds TRIVIAL_BLOCK
-    for start in range(0, n1, step):
-        blk = slice(start, start + step)
-        worst = _max_deviation(p1[..., blk], p2, PS[:, None, blk] > SUPPORT_EPS, worst)
-    return worst, _chsh_values(obs1, obs2, p1, PS[:, None], p2)
+    PS = (sources[0][None] if size == 1 else np.stack(sources))[:, None]
+    return _deviation(p1, p2, PS, worst), _chsh_values(obs1, obs2, p1, PS, p2)
 
 
 def random_trivial_sweep(rng: np.random.Generator, count: int, n1: int, n2: int, m1: int, m2: int) -> dict:
@@ -526,10 +525,7 @@ def random_trivial_sweep(rng: np.random.Generator, count: int, n1: int, n2: int,
     masses as it is drawn, so the kernels of one family at a time are held.
     A family then holds n1·n2 + 6·(n1 + n2) entries (its source, masses and
     observables), and families go in blocks of at most TRIVIAL_BLOCK such
-    entries, at least one family: a block takes one masked maximum of
-    |p1 ⊗ p2 - 1| over all its members, in row blocks as :func:`is_trivial`
-    reads a lone family beyond TRIVIAL_BLOCK, and one stacked correlation
-    call for all its members."""
+    entries, at least one family, each block one call of either kernel."""
     _check_random_shape(n1, n2, m1, m2)
     per_block = max(1, TRIVIAL_BLOCK // (n1 * n2 + 6 * (n1 + n2)))
     worst, best, violations = 0.0, -math.inf, 0

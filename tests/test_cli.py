@@ -19,6 +19,7 @@ from lcsim.cli import EXIT_OK, EXIT_STATISTICAL, EXIT_VALIDATION, build_parser, 
 from lcsim.models import TSIRELSON_SETTINGS, CandidateModel
 from lcsim.protocol import ExperimentConfig, run_experiment
 from lcsim.uniqueness import verify_reproduction
+from test_lcmeasure import OVERFLOWING_DOCUMENTS
 from test_protocol import peak_rss_mb
 
 
@@ -66,6 +67,16 @@ class TestAnalytic:
         _, out1, _ = run_cli(capsys, "analytic", "--a", "0.3", "--b", "1.2", "--json")
         _, out2, _ = run_cli(capsys, "analytic", "--a", "0.3", "--b", "1.2", "--json")
         assert out1 == out2
+
+    def test_out_writes_the_json_document_with_or_without_json(self, capsys, tmp_path):
+        # stdout is the table or the document, as without --out.
+        argv = ("analytic", "--a", "0.3", "--b", "2.2")
+        _, table, _ = run_cli(capsys, *argv)
+        _, doc, _ = run_cli(capsys, *argv, "--json")
+        for flags, stdout in (((), table), (("--json",), doc)):
+            path = tmp_path / f"analytic{len(flags)}.json"
+            assert run_cli(capsys, *argv, *flags, "--out", str(path)) == (EXIT_OK, stdout, "")
+            assert path.read_text() == doc
 
 
 class TestScan:
@@ -684,6 +695,21 @@ class TestTrivial:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "must be integers" in err
+
+    @pytest.mark.parametrize("doc, message", OVERFLOWING_DOCUMENTS.values(), ids=OVERFLOWING_DOCUMENTS.keys())
+    def test_overflowing_measure_file_is_one_validation_error(self, capsys, tmp_path, doc, message):
+        # In a child with default warning filters too: no numpy warning line
+        # comes before the message.
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("validation error: ") and message in err and err.count("\n") == 1
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(lcmeasure.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-m", "lcsim", "trivial", "--measure", str(path)],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (EXIT_VALIDATION, "", err)
 
     def test_negative_mass_file(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -105,6 +105,11 @@ INVOCATIONS = [
     "trivial --measure random-nontrivial-4x3.json --sweep 20 --seed 4",
     "simulate --pairs 3001 --a 0.3 --b 2.2 --seed 9 --source-seed 11 --station1-seed 12 --station2-seed 13 "
     "--events-csv events.csv",
+    # Sources beyond lcmeasure.TRIVIAL_BLOCK entries, read in two row blocks:
+    # a grid-300 cosine file (90,000 entries) and a lone random family of
+    # 75,000.
+    "cosine-measure --grid 300 --out cosine.json && trivial --measure cosine.json",
+    "trivial --random 3 --n1 300 --n2 250 --m1 3 --m2 5 --seed 4",
 ]
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -75,6 +76,26 @@ MALFORMED_SUPPORTS = {
 }
 
 
+#: Measure documents with finite entries whose kernel row masses, largest
+#: row-mass product or source sum overflow a float, with the ValueError each
+#: must raise. Each kernel case once loaded, and `trivial --measure` printed
+#: Infinity in its JSON.
+OVERFLOWING_DOCUMENTS = {
+    "kernel-row-mass": (
+        {"n1": 1, "n2": 1, "m1": 2, "m2": 1, "PS": [[1.0]], "K1": [[1e308, 1e308]], "K2": [[1.0]]},
+        "K1 must be finite and nonnegative",
+    ),
+    "row-mass-product": (
+        {"n1": 1, "n2": 1, "m1": 1, "m2": 1, "PS": [[1.0]], "K1": [[1e200]], "K2": [[1e200]]},
+        "must have a finite product",
+    ),
+    "source-sum": (
+        {"n1": 1, "n2": 2, "m1": 1, "m2": 1, "PS": [[1e308, 1e308]], "K1": [[1.0]], "K2": [[1.0], [1.0]]},
+        "source matrix must sum to 1",
+    ),
+}
+
+
 def malformed_support_document(support: dict) -> dict:
     """The grid-4 cosine measure's document with `support` as its source."""
     return {**measure_to_dict(cosine_diagonal_measure(4, 0.0, 0.0)), "PS": support}
@@ -115,6 +136,14 @@ class TestConstruction:
             DiscreteLCMeasure(PS=np.full((2, 2), 0.25), K1=bad, K2=np.ones((2, 2)))
         with pytest.raises(ValueError, match=message.replace("K1", "T2")):
             LocalMarkovOperator(np.eye(2), bad)
+
+    @pytest.mark.parametrize("doc, message", OVERFLOWING_DOCUMENTS.values(), ids=OVERFLOWING_DOCUMENTS.keys())
+    def test_overflowing_masses_are_refused(self, doc, message):
+        # Warnings are errors here, so a numpy overflow warning fails the test too.
+        with pytest.raises(ValueError, match=message):
+            DiscreteLCMeasure(PS=doc["PS"], K1=doc["K1"], K2=doc["K2"])
+        with pytest.raises(ValueError, match=message):
+            measure_from_dict(doc)
 
     def test_operators_must_be_square(self):
         with pytest.raises(ValueError, match="T1 must be square"):
@@ -239,9 +268,11 @@ class TestTriviality:
 
     def test_nan_deviation_propagates_from_any_block(self, monkeypatch):
         # p2 overflows to inf on one column; where p1 is 0 the product is NaN.
+        # The measure rule refuses such kernels, so the measure is built unchecked.
         K2 = np.ones((4, 2))
         K2[2] = 1e308
-        m = DiscreteLCMeasure(PS=np.full((4, 4), 1 / 16), K1=[[1.0], [1.0], [1.0], [0.0]], K2=K2)
+        K1 = np.array([[1.0], [1.0], [1.0], [0.0]])
+        m = lcmeasure._owned(DiscreteLCMeasure, PS=np.full((4, 4), 1 / 16), K1=K1, K2=K2)
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(is_trivial(m).max_deviation)
             monkeypatch.setattr(lcmeasure, "TRIVIAL_BLOCK", 1)
@@ -267,6 +298,27 @@ class TestTriviality:
         rng = np.random.default_rng(seed)
         assert is_trivial(random_trivial_measure(rng, 8, 8, 3, 3)).trivial
         assert not is_trivial(random_nontrivial_measure(rng, 8, 8, 3, 3)).trivial
+
+
+def test_one_row_blocked_pass_reads_the_support_and_block_constants():
+    # _deviation is the one pass over a source's support in row blocks:
+    # is_trivial and the random sweep both call it, is_trivial reads the
+    # support rows of its c, and the sweep sizes its blocks of families.
+    tree = ast.parse(Path(lcmeasure.__file__).read_text())
+
+    def readers(constant: str) -> set[str]:
+        return {
+            top.name
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == constant and isinstance(node.ctx, ast.Load)
+        }
+
+    assert readers("TRIVIAL_BLOCK") == {"_deviation", "random_trivial_sweep"}
+    assert readers("SUPPORT_EPS") == {"_deviation", "is_trivial"}
+    for module in Path(lcmeasure.__file__).parent.glob("*.py"):
+        text = module.read_text()
+        assert module.name == "lcmeasure.py" or not ("TRIVIAL_BLOCK" in text or "SUPPORT_EPS" in text)
 
 
 def old_is_trivial(m: DiscreteLCMeasure) -> lcmeasure.TrivialityVerdict:
@@ -569,6 +621,20 @@ class TestMarkovTransport:
         with pytest.raises(ValueError, match=f"K{side} must be finite and nonnegative"):
             apply_local_markov(m, LocalMarkovOperator(T[1], T[2]))
 
+    @pytest.mark.parametrize(
+        "scale1, scale2, message",
+        [(1e308, 1.0, "K1 must be finite and nonnegative"), (1e200, 1e200, "must have a finite product")],
+        ids=["row-mass", "row-mass-product"],
+    )
+    def test_overflowing_row_masses_are_refused(self, scale1, scale2, message):
+        # Every transported entry is finite: K1' is [[scale1, scale1]] and K2'
+        # [[scale2]]. K1's row mass overflows, or the largest masses' product.
+        m = DiscreteLCMeasure(PS=[[1.0]], K1=[[1.0, 1.0]], K2=[[1.0]])
+        op = LocalMarkovOperator(scale1 * np.eye(2), [[scale2]])
+        assert np.isfinite(lcmeasure._transport_kernel(m.K1, op.T1)).all()
+        with pytest.raises(ValueError, match=message):
+            apply_local_markov(m, op)
+
     def test_transport_keeps_the_source_object(self):
         rng = np.random.default_rng(5)
         m = random_trivial_measure(rng, 6, 5, 3, 4)
@@ -580,8 +646,13 @@ class TestMarkovTransport:
         rng = np.random.default_rng(4)
         st_op = LocalMarkovOperator.random_stochastic(rng, 6, 6)
         pm_op = LocalMarkovOperator.random_permutation(rng, 6, 6)
-        assert st_op.is_stochastic() and st_op.T1.ndim == st_op.T2.ndim == 2
-        assert pm_op.is_stochastic() and pm_op.T1.ndim == pm_op.T2.ndim == 1
+        assert st_op.T1.ndim == st_op.T2.ndim == 2
+        for T in (st_op.T1, st_op.T2):
+            assert np.all(np.abs(T.sum(axis=1) - 1.0) <= 1e-9)
+        # A permutation is an index vector that holds every index once.
+        assert pm_op.T1.ndim == pm_op.T2.ndim == 1
+        for r in (pm_op.T1, pm_op.T2):
+            assert np.array_equal(np.sort(r), np.arange(6))
         # The dense pair is two read-only views of one read-only block.
         assert st_op.T1.base is st_op.T2.base is not None and not st_op.T1.base.flags.writeable
         for T in (st_op.T1, st_op.T2):
@@ -734,7 +805,7 @@ class TestPabMarkovian:
             2.0 * stochastic_matrix(rng, 18, 18),
             0.5 * stochastic_matrix(rng, 18, 18),
         )
-        assert not op.is_stochastic()
+        assert np.allclose(op.T1.sum(axis=1), 2.0) and np.allclose(op.T2.sum(axis=1), 0.5)
         assert is_trivial(apply_local_markov(m, op)).trivial
 
     def test_zeroing_operator_fails(self):

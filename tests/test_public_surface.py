@@ -24,10 +24,9 @@ PACKAGE = ROOT / "src" / "lcsim"
 ALLOWED = {
     "circle.arc_I": "detection arc of the per-cell quadrature reference in the tests",
     "circle.arc_J": "detection arc of the per-cell quadrature reference in the tests",
-    "lcmeasure.rescale": "README's kernel/source construction of a nontrivial measure",
-    "lcmeasure.LocalMarkovOperator.is_stochastic": "oracle for the random stochastic operators",
-    "models.save_model": "the documented model-file writer",
-    "protocol.run_trial": "whole-run records that the streamed run is compared against in tests",
+    "lcmeasure.rescale": "the README documents it: the kernel/source construction of a nontrivial measure",
+    "models.save_model": "the README documents it: the model-file writer, the pair of load_model",
+    "protocol.run_trial": "the whole-run reference that the tests compare the streamed run against",
 }
 
 #: Defaulted parameters that no call outside the tests sets, each kept on
