@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,14 +54,27 @@ def normalize(x):
     return r
 
 
+def integer(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """`value` as a Python int, so products of it are exact. ValueError
+    unless it is an integer of at least lo and, when hi is given, at most hi:
+    a numpy integer passes, a bool, a float or a string does not. The one
+    rule of every count, size, seed, offset, grid and side."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < lo or (hi is not None and number > hi):
+        bounds = "" if hi is None else f" and at most {hi}"
+        raise ValueError(f"{name} must be an integer of at least {lo}{bounds}, got {value!r}")
+    return number
+
+
 def on_side(side: int, value, other, name: str = "weight side") -> tuple:
     """The (side 1, side 2) pair with `value` on `side`, `other` on the other
-    side; ValueError unless side is the integer 1 or 2 (a numpy integer too,
-    never a bool or a float). The one place a side is decided. Being its own
-    inverse, it also maps a (side 1, side 2) pair to (side, other)."""
-    if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side not in (1, 2):
-        raise ValueError(f"{name} must be 1 or 2, got {side!r}")
-    return (value, other) if side == 1 else (other, value)
+    side; ValueError unless side is 1 or 2 by :func:`integer`. The one place
+    a side is decided. Being its own inverse, it also maps a (side 1, side 2)
+    pair to (side, other)."""
+    return (value, other) if integer(side, name, 1, 2) == 1 else (other, value)
 
 
 @dataclass(frozen=True)
@@ -81,16 +95,6 @@ class Arc:
         if hi <= TWO_PI:
             return [(self.start, hi)]
         return [(self.start, TWO_PI), (0.0, hi - TWO_PI)]
-
-
-def arc_I(a: float) -> Arc:
-    """Detection arc I(a) = [a - π/2, a + π/2)."""
-    return Arc(a - HALF_PI, math.pi)
-
-
-def arc_J(a: float) -> Arc:
-    """Detection arc J(a) = [a + π/2, a + 3π/2), the complement of I(a)."""
-    return Arc(a + HALF_PI, math.pi)
 
 
 def arc_intersect(x: Arc, y: Arc) -> list[Arc]:

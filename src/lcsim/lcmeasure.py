@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI, on_side, spin_values
+from .circle import TWO_PI, integer, on_side, spin_values
 from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 #: Source entries above this mass threshold count as support.
@@ -72,6 +72,16 @@ def _check_matrix(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _check_entries(cap: int, **shapes: tuple[int, int]) -> None:
+    """ValueError, before anything is allocated, unless each named (rows,
+    cols) shape of Python ints holds at most `cap` entries."""
+    for name, (rows, cols) in shapes.items():
+        if rows * cols > cap:
+            raise ValueError(
+                f"{name} of {rows} × {cols} = {rows * cols} entries is too large to allocate (at most {cap})"
+            )
 
 
 def _check_measure(PS: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> None:
@@ -228,7 +238,8 @@ def rescale(m: DiscreteLCMeasure, q1, q2) -> DiscreteLCMeasure:
         raise ValueError("rescaling vectors must be finite")
     if np.any(q1 <= 0.0) or np.any(q2 <= 0.0):
         raise ValueError("rescaling vectors must be strictly positive")
-    mass = float(q1 @ m.PS @ q2)
+    with np.errstate(over="ignore"):  # an overflowing mass is refused below
+        mass = float(q1 @ m.PS @ q2)
     if abs(mass - 1.0) > UNIT_TOL:
         raise ValueError(f"rescaled source must have unit mass, got {mass!r}")
     return DiscreteLCMeasure(
@@ -275,7 +286,7 @@ class LocalMarkovOperator:
         freed: the heap was trimmed after every transport, and the next one
         faulted about 4 MiB back in, some 1,100 minor faults.
         """
-        _check_operator_dims(dim1, dim2, dense=True)
+        dim1, dim2 = _check_operator_dims(dim1, dim2, dense=True)
         n1 = dim1 * dim1
         block = np.empty(n1 + dim2 * dim2)
         T1 = stochastic_matrix(rng, dim1, dim1, into=block[:n1].reshape(dim1, dim1))
@@ -285,21 +296,19 @@ class LocalMarkovOperator:
 
     @classmethod
     def random_permutation(cls, rng: np.random.Generator, dim1: int, dim2: int) -> "LocalMarkovOperator":
-        _check_operator_dims(dim1, dim2, dense=False)
+        dim1, dim2 = _check_operator_dims(dim1, dim2, dense=False)
         return _owned(cls, T1=rng.permutation(dim1), T2=rng.permutation(dim2))
 
 
-def _check_operator_dims(dim1: int, dim2: int, dense: bool) -> None:
-    """ValueError, before anything is allocated or drawn, unless both
-    dimensions are nonnegative integers and, for the dense form, each
-    dim × dim matrix holds at most MAX_RANDOM_ENTRIES entries."""
-    for d in (dim1, dim2):
-        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-            raise ValueError(f"operator dimensions must be nonnegative integers, got {dim1!r} and {dim2!r}")
-        if dense and d * d > MAX_RANDOM_ENTRIES:
-            raise ValueError(
-                f"random dense operator of {d * d} entries is too large to allocate (at most {MAX_RANDOM_ENTRIES})"
-            )
+def _check_operator_dims(dim1: int, dim2: int, dense: bool) -> tuple[int, int]:
+    """Both dimensions as Python ints; ValueError, before anything is
+    allocated or drawn, unless they are nonnegative integers and, for the
+    dense form, each dim × dim matrix holds at most MAX_RANDOM_ENTRIES
+    entries."""
+    dim1, dim2 = integer(dim1, "operator dimension dim1"), integer(dim2, "operator dimension dim2")
+    if dense:
+        _check_entries(MAX_RANDOM_ENTRIES, T1=(dim1, dim1), T2=(dim2, dim2))
+    return dim1, dim2
 
 
 def _transport_kernel(K: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -387,18 +396,14 @@ def stochastic_matrix(rng: np.random.Generator, rows: int, cols: int, into: np.n
     return g
 
 
-def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> None:
-    """ValueError, before anything is drawn, when a random measure's size is
-    below 1 or its source or kernels would exceed MAX_RANDOM_ENTRIES entries."""
-    for name, size in (("n1", n1), ("n2", n2), ("m1", m1), ("m2", m2)):
-        if size < 1:
-            raise ValueError(f"random measure size {name} must be at least 1, got {size!r}")
-    for name, rows, cols in (("source n1 × n2", n1, n2), ("kernel n1 × m1", n1, m1), ("kernel n2 × m2", n2, m2)):
-        if rows * cols > MAX_RANDOM_ENTRIES:
-            raise ValueError(
-                f"random {name} of {rows * cols} entries is too large to allocate "
-                f"(at most {MAX_RANDOM_ENTRIES})"
-            )
+def _check_random_shape(n1: int, n2: int, m1: int, m2: int) -> tuple[int, int, int, int]:
+    """The sizes (n1, n2, m1, m2) as Python ints; ValueError, before anything
+    is drawn, unless each is an integer of at least 1 and the source and
+    kernels hold at most MAX_RANDOM_ENTRIES entries each."""
+    sizes = {"n1": n1, "n2": n2, "m1": m1, "m2": m2}
+    n1, n2, m1, m2 = (integer(size, f"random measure size {name}", 1) for name, size in sizes.items())
+    _check_entries(MAX_RANDOM_ENTRIES, PS=(n1, n2), K1=(n1, m1), K2=(n2, m2))
+    return n1, n2, m1, m2
 
 
 def random_source(rng: np.random.Generator, n1: int, n2: int) -> np.ndarray:
@@ -430,7 +435,7 @@ def random_trivial_measure(
     m2: int = 8,
 ) -> DiscreteLCMeasure:
     """Trivial by construction: row masses are a random c on one side, 1/c on the other."""
-    _check_random_shape(n1, n2, m1, m2)
+    n1, n2, m1, m2 = _check_random_shape(n1, n2, m1, m2)
     return _trivial_member(rng, lambda: random_source(rng, n1, n2), n1, n2, m1, m2)
 
 
@@ -442,7 +447,7 @@ def random_trivial_family(
     m2: int = 8,
 ) -> tuple[DiscreteLCMeasure, ...]:
     """Four trivial measures sharing one source, one per CHSH setting."""
-    _check_random_shape(n1, n2, m1, m2)
+    n1, n2, m1, m2 = _check_random_shape(n1, n2, m1, m2)
     PS = random_source(rng, n1, n2)
     return tuple(_trivial_member(rng, lambda: PS, n1, n2, m1, m2) for _ in range(4))
 
@@ -456,7 +461,7 @@ def random_nontrivial_measure(
     min_deviation: float = 1e-3,
 ) -> DiscreteLCMeasure:
     """Row masses vary across configurations, so p1 ⊗ p2 cannot sit at 1."""
-    _check_random_shape(n1, n2, m1, m2)
+    n1, n2, m1, m2 = _check_random_shape(n1, n2, m1, m2)
     for _ in range(64):
         g1 = np.exp(rng.uniform(-1.0, 1.0, size=n1))
         g2 = np.exp(rng.uniform(-1.0, 1.0, size=n2))
@@ -526,7 +531,8 @@ def random_trivial_sweep(rng: np.random.Generator, count: int, n1: int, n2: int,
     A family then holds n1·n2 + 6·(n1 + n2) entries (its source, masses and
     observables), and families go in blocks of at most TRIVIAL_BLOCK such
     entries, at least one family, each block one call of either kernel."""
-    _check_random_shape(n1, n2, m1, m2)
+    n1, n2, m1, m2 = _check_random_shape(n1, n2, m1, m2)
+    count = integer(count, "family count", 1)
     per_block = max(1, TRIVIAL_BLOCK // (n1 * n2 + 6 * (n1 + n2)))
     worst, best, violations = 0.0, -math.inf, 0
     for start in range(0, count, per_block):
@@ -540,7 +546,7 @@ def observable_sweep(rng: np.random.Generator, m: DiscreteLCMeasure, trials: int
     """The largest :func:`chsh_discrete` value of the family (m,) * 4 over
     `trials` observable quadruples, each drawn side 1's two first."""
     best = -math.inf
-    for _ in range(trials):
+    for _ in range(integer(trials, "trial count", 1)):
         best = max(best, chsh_discrete((m,) * 4, *_draw_observables(rng, m.n1, m.n2)))
     return best
 
@@ -572,17 +578,9 @@ def _cosine_kernels(grid: np.ndarray, setting: float, m1: int, m2: int, weight_s
 def _cosine_weighted(n_grid: int, settings: dict, pairs, m1: int, m2: int, weight_side: int) -> list:
     """The weighted setting of each of `pairs`, (side 1, side 2) pairs of names
     of `settings`; ValueError, before any array exists, on a bad argument."""
-    if isinstance(n_grid, bool) or not isinstance(n_grid, int) or not 2 <= n_grid <= MAX_COSINE_GRID:
-        raise ValueError(
-            f"cosine-diagonal grid needs an integer of two points or more, at most {MAX_COSINE_GRID}, got {n_grid!r}"
-        )
-    if any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in (m1, m2)):
-        raise ValueError(f"kernel widths m1 and m2 must be positive integers, got {m1!r} and {m2!r}")
-    if n_grid * max(m1, m2) > MAX_COSINE_GRID**2:
-        raise ValueError(
-            f"cosine-diagonal kernels of grid {n_grid} and widths {m1}, {m2} exceed "
-            f"{MAX_COSINE_GRID**2} entries"
-        )
+    n_grid = integer(n_grid, "cosine-diagonal grid", 2, MAX_COSINE_GRID)
+    m1, m2 = integer(m1, "kernel width m1", 1), integer(m2, "kernel width m2", 1)
+    _check_entries(MAX_COSINE_GRID**2, K1=(n_grid, m1), K2=(n_grid, m2))
     for name, value in settings.items():
         try:
             finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -751,16 +749,9 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
     for key in ("n1", "n2", "m1", "m2", "PS", "K1", "K2"):
         if key not in doc:
             raise ValueError(f"measure document is missing the {key!r} field")
-    declared = n1, n2, m1, m2 = (doc["n1"], doc["n2"], doc["m1"], doc["m2"])
-    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in declared):
-        raise ValueError(f"declared dimensions {declared} must be integers, none negative")
+    declared = n1, n2, m1, m2 = tuple(integer(doc[k], f"declared dimension {k}") for k in ("n1", "n2", "m1", "m2"))
     # Every file that cosine-measure writes stays within this cap.
-    for name, rows, cols in (("PS", n1, n2), ("K1", n1, m1), ("K2", n2, m2)):
-        if rows * cols > MAX_COSINE_GRID**2:
-            raise ValueError(
-                f"declared dimensions {declared} give {name} {rows * cols} entries "
-                f"(at most {MAX_COSINE_GRID**2})"
-            )
+    _check_entries(MAX_COSINE_GRID**2, PS=(n1, n2), K1=(n1, m1), K2=(n2, m2))
     try:
         PS = _support_source(doc["PS"], n1, n2) if isinstance(doc["PS"], dict) else doc["PS"]
         PS, K1, K2 = (np.asarray(v, dtype=float) for v in (PS, doc["K1"], doc["K2"]))

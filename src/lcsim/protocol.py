@@ -31,12 +31,11 @@ never violates the CHSH bound of 2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, on_side, spin_values
+from .circle import TWO_PI, integer, on_side, spin_values
 from .models import TSIRELSON_SETTINGS, Quadrant, chsh, chsh_pairs
 
 # The three local station rules; see run_station.
@@ -92,17 +91,6 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 class EmptyCoincidenceError(RuntimeError):
     """No coincidences at all: the conditioned estimator is undefined."""
-
-
-def _tick_offset(offset) -> int:
-    """The measurement tick offset as a Python int; ticks are integers, so a
-    float, a bool or anything else without an exact integer value is refused."""
-    if not isinstance(offset, bool):
-        try:
-            return operator.index(offset)
-        except TypeError:
-            pass
-    raise ValueError(f"tick offset must be an integer, got {offset!r}")
 
 
 def _run_ticks(first: int, size: int) -> np.ndarray:
@@ -170,13 +158,8 @@ class StationConfig:
         on_side(self.side, None, None, "side")  # validates the side
         if self.mode not in STATION_MODES:
             raise ValueError(f"unknown station mode {self.mode!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        object.__setattr__(self, "offset", _tick_offset(self.offset))
-        if self.offset > MAX_TICK:
-            raise ValueError(f"tick offset {self.offset!r} exceeds the int64 maximum {MAX_TICK}")
-        if self.offset < MIN_TICK:
-            raise ValueError(f"tick offset {self.offset!r} is below the int64 minimum {MIN_TICK}")
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        object.__setattr__(self, "offset", integer(self.offset, "tick offset", MIN_TICK, MAX_TICK))
 
 
 def _generator(seed: int, position: int) -> np.random.Generator:
@@ -195,12 +178,7 @@ def run_source(n: int, seed: int, start: int = 0) -> Emissions:
     with configurations drawn uniformly on [0, 2π). A pure function of
     (n, seed, start); settings never enter, and consecutive blocks join into
     the whole run bit for bit."""
-    if n < 1:
-        raise ValueError(f"pair count must be at least 1, got {n!r}")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if start < 0:
-        raise ValueError("start must be nonnegative")
+    n, seed, start = integer(n, "pair count", 1), integer(seed, "seed"), integer(start, "start")
     if start + n - 1 > MAX_TICK:
         raise ValueError(f"last tick start + n - 1 exceeds the int64 maximum {MAX_TICK}")
     # Bitwise Generator.uniform(0.0, TWO_PI, n), which computes 0 + 2π·u
@@ -432,16 +410,18 @@ class ExperimentConfig:
     station2_seed: int = 103
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"pair count must be at least 1, got {self.n!r}")
+        object.__setattr__(self, "n", integer(self.n, "pair count", 1))
         if self.n > MAX_PAIRS:
             raise ValueError(f"pair count {self.n!r} exceeds MAX_PAIRS = 2**53, past which the estimate is not exact")
         if self.mode not in EXPERIMENT_MODES:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
-        object.__setattr__(self, "offset", _tick_offset(self.offset))
+        object.__setattr__(self, "offset", integer(self.offset, "tick offset", MIN_TICK, MAX_TICK))
+        object.__setattr__(self, "source_seed", integer(self.source_seed, "source seed"))
         if self.n - 1 + self.offset > MAX_TICK:
             raise ValueError(f"last tick n - 1 + offset exceeds the int64 maximum {MAX_TICK}")
-        self.station_configs()  # validates the weight side and the station seeds
+        st1, st2 = self.station_configs()  # validates the weight side and the station seeds
+        object.__setattr__(self, "station1_seed", st1.seed)
+        object.__setattr__(self, "station2_seed", st2.seed)
 
     def station_configs(self) -> tuple[StationConfig, StationConfig]:
         """The two station configs: the weighted side runs its mode's rule, the other always detects."""
@@ -544,6 +524,7 @@ def chsh_estimate(
     derived from base_seed, and the weight sits on ExperimentConfig's default
     side.
     """
+    base_seed = integer(base_seed, "base seed")  # before the seed arithmetic below
     summaries = []
     for i, (sa, sb) in enumerate(chsh_pairs(settings)):
         cfg = ExperimentConfig(

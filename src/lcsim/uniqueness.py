@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import HALF_PI, TWO_PI, on_side
+from .circle import HALF_PI, TWO_PI, integer, on_side
 from .models import (
     CandidateModel,
     Quadrant,
@@ -246,6 +246,7 @@ def verify_reproduction(
     is checked before the scan, the tolerance against its error after it.
     """
     on_side(weight_side, None, None)  # a bad side fails before any quadrature
+    grid = integer(grid, "setting grid")  # the golden corpus pins the range messages below
     if grid < 8:
         raise ValueError(f"setting grid needs at least 8 points per axis, got {grid!r}")
     if grid > MAX_GRID:

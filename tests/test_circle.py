@@ -13,8 +13,6 @@ from lcsim.circle import (
     TWO_PI,
     _reads_plus,
     Arc,
-    arc_I,
-    arc_J,
     arc_intersect,
     normalize,
     spin_values,
@@ -32,6 +30,15 @@ def away_from_arc_boundaries(a: float, s: float, margin: float = 1e-6) -> bool:
 
 def spin(side: int, a: float, s: float) -> int:
     return int(spin_values(side, a, [s])[0])
+
+
+# The detection arcs I(a) = [a - π/2, a + π/2) and J(a), its complement.
+def arc_I(a: float) -> Arc:
+    return Arc(a - HALF_PI, math.pi)
+
+
+def arc_J(a: float) -> Arc:
+    return Arc(a + HALF_PI, math.pi)
 
 
 # Arc membership read off the spin values: side 1 is +1 exactly on I(a).

@@ -191,16 +191,16 @@ class TestSimulate:
         assert side2 != side2_moved
 
     @pytest.mark.parametrize(
-        "offset,events",
-        [("100000000000000000000", False), ("9223372036854775800", True)],
+        "offset,events,message",
+        [("100000000000000000000", False, "at most 9223372036854775807"), ("9223372036854775800", True, "int64")],
         ids=["offset-past-int64", "last-tick-past-int64"],
     )
-    def test_tick_overflow_is_validation_error(self, capsys, tmp_path, offset, events):
+    def test_tick_overflow_is_validation_error(self, capsys, tmp_path, offset, events, message):
         log = tmp_path / "e.csv"
         argv = ["simulate", "--pairs", "10", "--a", "0", "--b", "0", "--offset", offset]
         code, _, err = run_cli(capsys, *argv, *(["--events-csv", str(log)] if events else []))
         assert code == EXIT_VALIDATION
-        assert "int64" in err
+        assert message in err
         assert not log.exists()
 
     def test_refused_setting_writes_no_event_log(self, capsys, tmp_path):
@@ -283,7 +283,7 @@ class TestCosineMeasure:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(("--grid", "1"), "two points"),
+        [(("--grid", "1"), "grid must be an integer of at least 2"),
          (("--a", "nan"), "finite number 'a'"),
          (("--b", "nan"), "finite number 'b'"),
          (("--b", "inf", "--weight-side", "2"), "finite number 'b'")],
@@ -694,7 +694,7 @@ class TestTrivial:
         code, out, err = run_cli(capsys, "trivial", "--measure", str(path))
         assert code == EXIT_VALIDATION
         assert out == ""
-        assert "must be integers" in err
+        assert "declared dimension n1 must be an integer" in err
 
     @pytest.mark.parametrize("doc, message", OVERFLOWING_DOCUMENTS.values(), ids=OVERFLOWING_DOCUMENTS.keys())
     def test_overflowing_measure_file_is_one_validation_error(self, capsys, tmp_path, doc, message):

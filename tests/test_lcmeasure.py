@@ -321,6 +321,35 @@ def test_one_row_blocked_pass_reads_the_support_and_block_constants():
         assert module.name == "lcmeasure.py" or not ("TRIVIAL_BLOCK" in text or "SUPPORT_EPS" in text)
 
 
+def test_entry_caps_are_read_only_by_the_one_size_check():
+    # MAX_RANDOM_ENTRIES and MAX_COSINE_GRID**2 are read only as the cap of a
+    # _check_entries call, and the four builders that allocate a size taken
+    # from their arguments or a file each make one.
+    def is_cap(node) -> bool:
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return getattr(node, "id", getattr(node, "attr", None)) == "MAX_RANDOM_ENTRIES"
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)
+            and getattr(node.left, "id", getattr(node.left, "attr", None)) == "MAX_COSINE_GRID"
+        )
+
+    checkers = []
+    for module in sorted(Path(lcmeasure.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        calls = [
+            (top.name, call)
+            for top in tree.body
+            for call in ast.walk(top)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_entries"
+        ]
+        caps = {id(call.args[0]) for _, call in calls}
+        reads = [n for n in ast.walk(tree) if is_cap(n) and not isinstance(getattr(n, "ctx", None), ast.Store)]
+        assert all(id(n) in caps for n in reads), module.name
+        checkers += [name for name, call in calls]
+    assert sorted(checkers) == ["_check_operator_dims", "_check_random_shape", "_cosine_weighted", "measure_from_dict"]
+
+
 def old_is_trivial(m: DiscreteLCMeasure) -> lcmeasure.TrivialityVerdict:
     """`is_trivial` as it was before its masked maximum, kept verbatim as an oracle."""
     p1, p2 = local_mass_functions(m)
@@ -507,6 +536,19 @@ class TestRandomTrivialSweep:
         monkeypatch.setattr(lcmeasure, "VIOLATION_TOL", -1.0)
         assert lcmeasure.random_trivial_sweep(np.random.default_rng(1), 5, 4, 4, 2, 2)["violations"] == 5
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one_are_refused_before_any_draw(self, count):
+        # Count 0 read max_chsh -inf, which JSON prints as the invalid
+        # -Infinity. Counts that are not integers: test_sides.py.
+        m = small_measure()
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="family count must be an integer of at least 1"):
+            lcmeasure.random_trivial_sweep(rng, count, 4, 4, 2, 2)
+        with pytest.raises(ValueError, match="trial count must be an integer of at least 1"):
+            lcmeasure.observable_sweep(rng, m, count)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("skewed", [0, 3, 5, 11])
     def test_one_nontrivial_member_clears_all_trivial(self, monkeypatch, skewed):
         member, calls = lcmeasure._trivial_member, []
@@ -554,6 +596,13 @@ class TestRescale:
         m = small_measure()
         with pytest.raises(ValueError, match="unit mass"):
             rescale(m, np.full(m.n1, 2.0), np.ones(m.n2))
+
+    def test_overflowing_mass_is_refused_without_a_warning(self):
+        # q1 @ PS @ q2 overflows to inf: refused as a mass, without numpy's
+        # overflow warning, which the suite's filter turns into an error.
+        m = DiscreteLCMeasure(PS=np.full((2, 2), 0.25), K1=np.ones((2, 1)), K2=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="unit mass, got inf"):
+            rescale(m, [1e300, 1e300], [1e300, 1e300])
 
     def test_positivity_required(self):
         m = small_measure()
@@ -661,15 +710,35 @@ class TestMarkovTransport:
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize(
         "dims",
-        [(-1, 4), (4, -2), (True, 4), (4, 2.0), (4, np.int64(4)), (4, "4")],
-        ids=["negative-dim1", "negative-dim2", "bool", "float", "numpy-int", "string"],
+        [(-1, 4), (4, -2), (True, 4), (4, 2.0), (4, "4")],
+        ids=["negative-dim1", "negative-dim2", "bool", "float", "string"],
     )
     def test_bad_dimensions_are_refused_before_any_draw(self, dense, dims):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
         draw = LocalMarkovOperator.random_stochastic if dense else LocalMarkovOperator.random_permutation
-        with pytest.raises(ValueError, match="nonnegative integers"):
+        with pytest.raises(ValueError, match="operator dimension dim[12] must be an integer of at least 0"):
             draw(rng, *dims)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_numpy_integer_dimensions_are_accepted(self, dense):
+        # The same draws as Python ints give, from the same generator state.
+        draw = LocalMarkovOperator.random_stochastic if dense else LocalMarkovOperator.random_permutation
+        op = draw(np.random.default_rng(9), np.int64(4), np.uint8(3))
+        ref = draw(np.random.default_rng(9), 4, 3)
+        for T, T_ref in ((op.T1, ref.T1), (op.T2, ref.T2)):
+            assert T.shape == T_ref.shape and T.tobytes() == T_ref.tobytes()
+
+    def test_numpy_integer_dimension_is_capped_without_wrapping(self, monkeypatch):
+        # As an int64 product, 2**32 squared wraps to 0 and would pass the cap.
+        monkeypatch.setattr(lcmeasure, "stochastic_matrix", lambda *a, **k: pytest.fail("drawn before the cap"))
+        with np.errstate(over="ignore"):
+            assert np.int64(2**32) * np.int64(2**32) == 0
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="T1 of 4294967296 × 4294967296 = 18446744073709551616 entries"):
+            LocalMarkovOperator.random_stochastic(rng, np.int64(2**32), 1)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("dims", [(2**16, 1), (1, 2049)])
@@ -691,7 +760,7 @@ class TestMarkovTransport:
         rng = np.random.default_rng(12)
         state = rng.bit_generator.state
         for build in (random_trivial_measure, random_trivial_family, random_nontrivial_measure):
-            with pytest.raises(ValueError, match="must be at least 1"):
+            with pytest.raises(ValueError, match="must be an integer of at least 1"):
                 build(rng, *sizes)
         assert rng.bit_generator.state == state
 
@@ -1071,9 +1140,9 @@ class TestCosineDiagonal:
     def test_kernel_widths_must_be_positive_integers(self, key, width, weight_side):
         # Width 0 used to build an (n, 0) kernel of induced mass 0, and -1
         # failed inside numpy; both must be refused before any array exists.
-        with pytest.raises(ValueError, match="kernel widths"):
+        with pytest.raises(ValueError, match=f"kernel width {key} must be an integer of at least 1"):
             cosine_diagonal_measure(8, 0.0, 0.0, weight_side=weight_side, **{key: width})
-        with pytest.raises(ValueError, match="kernel widths"):
+        with pytest.raises(ValueError, match=f"kernel width {key} must be an integer of at least 1"):
             cosine_diagonal_family(8, TSIRELSON_SETTINGS, **{"m1": 8, "m2": 8, key: width}, weight_side=weight_side)
 
 
@@ -1192,13 +1261,13 @@ class TestSerialization:
     def test_declared_dims_must_be_integers(self, key, convert):
         doc = measure_to_dict(small_measure())
         doc[key] = convert(doc[key])
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=f"declared dimension {key} must be an integer"):
             measure_from_dict(doc)
 
     @pytest.mark.parametrize(
         "dims,message",
-        [((10**6, 10**6, 1, 1), "give PS 1000000000000 entries"), ((1, 1, 2**24 + 1, 1), "give K1"),
-         ((1, 1, 1, 2**24 + 1), "give K2"), ((1, 1, -1, 1), "none negative")],
+        [((10**6, 10**6, 1, 1), "PS of 1000000 × 1000000 = 1000000000000 entries"), ((1, 1, 2**24 + 1, 1), "K1 of"),
+         ((1, 1, 1, 2**24 + 1), "K2 of"), ((1, 1, -1, 1), "m1 must be an integer of at least 0, got -1")],
     )
     def test_declared_dims_are_guarded_before_any_array(self, monkeypatch, dims, message):
         # A few bytes that declare a huge measure are refused on the declared
@@ -1219,12 +1288,12 @@ class TestSerialization:
             doc = {"n1": n, "n2": n, "m1": m1, "m2": m2, "PS": [[1.0]], "K1": [[1.0]], "K2": [[1.0]]}
             with pytest.raises(ValueError, match="do not match"):
                 measure_from_dict(doc)
-            with pytest.raises(ValueError, match="exceed"):
+            with pytest.raises(ValueError, match="too large to allocate"):
                 cosine_diagonal_measure(n, 0.0, 0.0, m1=m1 + (m1 > 1), m2=m2 + (m2 > 1))
 
     def test_declared_dim_true_is_not_one(self):
         doc = measure_to_dict(DiscreteLCMeasure(PS=np.ones((1, 1)), K1=np.ones((1, 1)), K2=np.ones((1, 1))))
         assert measure_from_dict(doc)[0].n1 == 1
         doc["n1"] = True
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="declared dimension n1 must be an integer"):
             measure_from_dict(doc)

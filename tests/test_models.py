@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsim.circle import TWO_PI, arc_I, arc_intersect, arc_J, normalize
+from lcsim.circle import HALF_PI, TWO_PI, Arc, arc_intersect, normalize
 from lcsim import models
 from lcsim.models import (
     TSIRELSON_SETTINGS,
@@ -76,8 +76,9 @@ def _reference_integrate(f, lo: float, hi: float, cuts, panels: int) -> float:
 
 def reference_cell(m, a, b, quadrant, panels=REFERENCE_PANELS) -> float:
     a, b = normalize(a), normalize(b)
-    arc1 = arc_I(a) if quadrant in (Quadrant.II, Quadrant.IJ) else arc_J(a)
-    arc2 = arc_I(b) if quadrant in (Quadrant.II, Quadrant.JI) else arc_J(b)
+    # The detection arcs I(x) = Arc(x - π/2, π) and J(x) = Arc(x + π/2, π).
+    arc1 = Arc(a - HALF_PI if quadrant in (Quadrant.II, Quadrant.IJ) else a + HALF_PI, math.pi)
+    arc2 = Arc(b - HALF_PI if quadrant in (Quadrant.II, Quadrant.JI) else b + HALF_PI, math.pi)
     pieces = arc_intersect(arc1, arc2)
     if not pieces:
         return 0.0

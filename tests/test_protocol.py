@@ -740,16 +740,17 @@ class TestExperiment:
 
     def test_last_tick_fits_int64(self):
         top = 2**63 - 1
+        offset_range = f"tick offset must be an integer of at least {-top - 1} and at most {top}"
         assert ExperimentConfig(n=10, a=0.0, b=0.0, offset=top - 9).offset == top - 9
         with pytest.raises(ValueError, match="int64"):
             ExperimentConfig(n=10, a=0.0, b=0.0, offset=top - 8)
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match=offset_range):
             ExperimentConfig(n=10, a=0.0, b=0.0, offset=10**20)
         assert StationConfig(side=1, setting=0.0, offset=top).offset == top
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match=offset_range):
             StationConfig(side=2, setting=0.0, offset=top + 1)
         assert StationConfig(side=1, setting=0.0, offset=-top - 1).offset == -top - 1
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match=offset_range):
             StationConfig(side=2, setting=0.0, offset=-top - 2)
         # A source run and a station's record of it are kept as their first
         # tick, so their last tick is checked before any tick array exists.
@@ -776,6 +777,15 @@ class TestExperiment:
         emissions, r1, r2 = run_trial(cfg)
         assert np.array_equal(r2.ticks, np.arange(7, 12))  # side 2 detects every pair
         write_event_log(tmp_path / "events.csv", cfg, emissions, r1, r2, debug_hidden=True)
+
+    def test_numpy_integer_config_gives_the_same_json_summary(self):
+        # The pair count and seeds are stored as Python ints, so the summary's
+        # "n" is one; a numpy int64 there made json.dumps raise TypeError.
+        cfg = ExperimentConfig(n=np.int64(1000), a=0.3, b=2.2, source_seed=np.int64(11), station1_seed=np.uint8(12))
+        assert all(type(value) is int for value in (cfg.n, cfg.source_seed, cfg.station1_seed, cfg.offset))
+        ref = ExperimentConfig(n=1000, a=0.3, b=2.2, source_seed=11, station1_seed=12)
+        text = json.dumps(run_experiment(cfg).to_dict())
+        assert text == json.dumps(run_experiment(ref).to_dict())
 
     @pytest.mark.parametrize(
         "mode,target",

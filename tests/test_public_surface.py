@@ -22,8 +22,6 @@ PACKAGE = ROOT / "src" / "lcsim"
 
 #: Public names that only tests call, each kept on purpose.
 ALLOWED = {
-    "circle.arc_I": "detection arc of the per-cell quadrature reference in the tests",
-    "circle.arc_J": "detection arc of the per-cell quadrature reference in the tests",
     "lcmeasure.rescale": "the README documents it: the kernel/source construction of a nontrivial measure",
     "models.save_model": "the README documents it: the model-file writer, the pair of load_model",
     "protocol.run_trial": "the whole-run reference that the tests compare the streamed run against",

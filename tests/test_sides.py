@@ -1,9 +1,15 @@
-"""The weighted side is decided in one place, `circle.on_side`.
+"""The weighted side is decided in one place, `circle.on_side`, and every
+integer argument is checked by one rule, `circle.integer`.
 
 Weight side 2 is weight side 1 with the two sides exchanged, at every site
 that takes a side, and every entry point that takes a side rejects anything
-but 1 and 2.
+but 1 and 2. Every entry point that takes a count, size, seed, offset or
+grid takes numpy integers and refuses bools, floats and strings with
+ValueError, before it draws anything.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +42,7 @@ def test_on_side_is_its_own_inverse():
 )
 def test_on_side_takes_only_the_integers_1_and_2(side):
     # True == 1 and 1.0 == 1, but neither is a side.
-    with pytest.raises(ValueError, match="side must be 1 or 2"):
+    with pytest.raises(ValueError, match="side must be an integer of at least 1 and at most 2"):
         circle.on_side(side, "x", "y")
 
 
@@ -131,5 +137,118 @@ SIDE_ENTRY_POINTS = {
 @pytest.mark.parametrize("side", [0, 3])
 @pytest.mark.parametrize("entry", sorted(SIDE_ENTRY_POINTS))
 def test_every_side_entry_point_rejects_other_sides(entry, side):
-    with pytest.raises(ValueError, match="side must be 1 or 2"):
+    with pytest.raises(ValueError, match="side must be an integer of at least 1 and at most 2"):
         SIDE_ENTRY_POINTS[entry](side)
+
+
+def test_integer_returns_a_python_int_or_refuses():
+    for value in (7, np.int64(7), np.uint8(7), np.array(7)):
+        out = circle.integer(value, "count")
+        assert out == 7 and type(out) is int
+    assert circle.integer(2**70, "count") == 2**70
+    for value in (True, False, np.True_, 7.0, np.float64(7.0), "7", None, [7]):
+        with pytest.raises(ValueError, match="count must be an integer of at least 0, got "):
+            circle.integer(value, "count")
+    with pytest.raises(ValueError, match="count must be an integer of at least 1, got 0"):
+        circle.integer(0, "count", 1)
+    with pytest.raises(ValueError, match="count must be an integer of at least 1 and at most 3, got 4"):
+        circle.integer(4, "count", 1, 3)
+
+
+def _sizes_at(build, position: int):
+    """(v, rng) -> build(rng, n1, n2, m1, m2), with v the size at `position` and 3 the others."""
+    return lambda v, rng: build(rng, *(v if i == position else 3 for i in range(4)))
+
+
+#: Each entry point with `v` in one integer argument and valid ones elsewhere;
+#: 8 is valid for every one of them.
+INTEGER_ENTRY_POINTS = {
+    **{
+        f"ExperimentConfig.{field}": lambda v, rng, field=field: protocol.ExperimentConfig(
+            **{"n": 1, "a": 0.0, "b": 0.0, field: v}
+        )
+        for field in ("n", "offset", "source_seed", "station1_seed", "station2_seed")
+    },
+    "StationConfig.seed": lambda v, rng: protocol.StationConfig(side=1, setting=0.0, seed=v),
+    "StationConfig.offset": lambda v, rng: protocol.StationConfig(side=1, setting=0.0, offset=v),
+    "chsh_estimate.base_seed": lambda v, rng: protocol.chsh_estimate(100, base_seed=v),
+    "run_source.n": lambda v, rng: protocol.run_source(v, 1),
+    "run_source.seed": lambda v, rng: protocol.run_source(1, v),
+    "run_source.start": lambda v, rng: protocol.run_source(1, 1, v),
+    **{
+        f"{build.__name__}.{size}": _sizes_at(build, position)
+        for build in (
+            lcmeasure.random_trivial_measure,
+            lcmeasure.random_trivial_family,
+            lcmeasure.random_nontrivial_measure,
+            lambda rng, *sizes: lcmeasure.random_trivial_sweep(rng, 2, *sizes),
+        )
+        for position, size in enumerate(("n1", "n2", "m1", "m2"))
+    },
+    "random_trivial_sweep.count": lambda v, rng: lcmeasure.random_trivial_sweep(rng, v, 3, 3, 2, 2),
+    "observable_sweep.trials": lambda v, rng: lcmeasure.observable_sweep(
+        rng, lcmeasure.cosine_diagonal_measure(4, 0.0, 0.0), v
+    ),
+    "random_stochastic.dim1": lambda v, rng: lcmeasure.LocalMarkovOperator.random_stochastic(rng, v, 2),
+    "random_permutation.dim2": lambda v, rng: lcmeasure.LocalMarkovOperator.random_permutation(rng, 2, v),
+    "cosine_diagonal_measure.grid": lambda v, rng: lcmeasure.cosine_diagonal_measure(v, 0.0, 0.0),
+    "cosine_diagonal_measure.m1": lambda v, rng: lcmeasure.cosine_diagonal_measure(8, 0.0, 0.0, m1=v),
+    "verify_reproduction.grid": lambda v, rng: uniqueness.verify_reproduction(
+        CandidateModel.one_sided("uniform"), grid=v, reconstruct=False
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "4"], ids=["bool", "float", "string"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_every_integer_entry_point_refuses_non_integers_before_any_draw(entry, value):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be an integer of at least"):
+        INTEGER_ENTRY_POINTS[entry](value, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_every_integer_entry_point_takes_numpy_integers(entry):
+    INTEGER_ENTRY_POINTS[entry](np.int64(8), np.random.default_rng(0))
+
+
+def integer_checks(source: str) -> list[str]:
+    """The top-level definition around each integer conversion or type test
+    of `source`: each reference to operator.index, np.integer or
+    numbers.Integral, and each isinstance(..., int); "<module>" outside any."""
+    names = {("operator", "index"), ("np", "integer"), ("numpy", "integer"), ("numbers", "Integral")}
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) in names:
+                found.append(owner)
+            elif isinstance(node, ast.ImportFrom) and any((node.module, a.name) in names for a in node.names):
+                found.append(owner)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(isinstance(t, ast.Name) and t.id == "int" for t in types):
+                    found.append(owner)
+    return found
+
+
+def test_integer_is_the_one_integer_rule():
+    package = Path(circle.__file__).parent
+    found = {p.stem: integer_checks(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {module: owners for module, owners in found.items() if owners} == {"circle": ["integer"]}
+
+
+def test_integer_check_scanner():
+    source = """
+import operator
+from operator import index
+def a(x): return operator.index(x)
+def b(x): return isinstance(x, (bool, int))
+def c(x): return isinstance(x, np.integer)
+def d(x): return isinstance(x, numbers.Integral)
+def e(x): return isinstance(x, bool) or type(x) is int or [x].index(x) or x.integer
+from .circle import integer
+"""
+    assert integer_checks(source) == ["<module>", "a", "b", "c", "d"]

@@ -100,7 +100,7 @@ class TestVerifyReproduction:
     def test_bad_weight_side_rejected_before_any_quadrature(self, monkeypatch, model):
         calls = []
         monkeypatch.setattr(CandidateModel, "density", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="weight side must be 1 or 2, got 3"):
+        with pytest.raises(ValueError, match="weight side must be an integer of at least 1 and at most 2, got 3"):
             verify_reproduction(model, grid=8, weight_side=3)
         with pytest.raises(ValueError, match="setting grid"):
             verify_reproduction(model, grid=4)
