@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -67,6 +68,39 @@ def integer(value, name: str, lo: int = 0, hi: int | None = None) -> int:
         bounds = "" if hi is None else f" and at most {hi}"
         raise ValueError(f"{name} must be an integer of at least {lo}{bounds}, got {value!r}")
     return number
+
+
+def real(value, name: str) -> float:
+    """`value` as a Python float. ValueError unless it is a finite real
+    number: a numpy float or integer passes, a bool, a string, NaN, ±inf or
+    an integer too large for a float does not. The one rule of every
+    setting, scale, step and file number; :func:`reals` applies it to lists."""
+    try:
+        number = float(value) if _is_real(type(value)) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def reals(values, name: str) -> np.ndarray:
+    """The JSON numbers `values`, a list or a list of lists, as a new float
+    array; ValueError unless every entry passes :func:`real`. Its entries
+    are typed in one pass and converted in one, not one call each."""
+    entries = np.array(values, dtype=object)
+    try:
+        number = entries.astype(float) if all(map(_is_real, set(map(type, entries.flat)))) else None
+    except OverflowError:
+        number = None
+    if number is None or not np.isfinite(number).all():
+        raise ValueError(f"every entry of {name} must be a finite number")
+    return number
+
+
+def _is_real(kind: type) -> bool:
+    """Whether values of type `kind` are real numbers to :func:`real`: a bool is not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
 
 
 def on_side(side: int, value, other, name: str = "weight side") -> tuple:
@@ -208,9 +242,7 @@ def spin_values(side: int, setting: float, s) -> np.ndarray:
     with normalize, which refuses non-finite ones.
     """
     sign, _ = on_side(side, 1, -1, "side")
-    if not math.isfinite(setting):  # checked first, so inf - inf never warns
-        raise ValueError("angles must be finite")
-    c = float(setting - HALF_PI)
+    c = real(setting, "spin setting") - HALF_PI
     s = np.asarray(s, dtype=float)
     # The least and greatest phase of the block; NaN fails both range tests.
     lo = float(s.min(initial=math.inf)) - c

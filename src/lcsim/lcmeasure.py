@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI, integer, on_side, spin_values
+from .circle import TWO_PI, integer, on_side, real, reals, spin_values
 from .models import TSIRELSON_SETTINGS, chsh, chsh_pairs
 
 #: Source entries above this mass threshold count as support.
@@ -581,13 +580,7 @@ def _cosine_weighted(n_grid: int, settings: dict, pairs, m1: int, m2: int, weigh
     n_grid = integer(n_grid, "cosine-diagonal grid", 2, MAX_COSINE_GRID)
     m1, m2 = integer(m1, "kernel width m1", 1), integer(m2, "kernel width m2", 1)
     _check_entries(MAX_COSINE_GRID**2, K1=(n_grid, m1), K2=(n_grid, m2))
-    for name, value in settings.items():
-        try:
-            finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise ValueError(f"cosine-diagonal settings must be finite: need a finite number {name!r}, got {value!r}")
+    settings = {name: real(value, f"cosine-diagonal setting {name}") for name, value in settings.items()}
     return [settings[on_side(weight_side, *pair)[0]] for pair in pairs]
 
 
@@ -714,8 +707,8 @@ def measure_to_dict(m: DiscreteLCMeasure, meta: dict | None = None) -> dict:
 def _support_source(support: dict, n1: int, n2: int) -> np.ndarray:
     """The dense n1 × n2 source of a support object; ValueError unless it has
     exactly the keys rows, cols and weights, holding equal-length lists of
-    in-range integer indices and of numbers, with no (row, col) pair twice.
-    The weights themselves are left to the measure's checks."""
+    in-range integer indices and of numbers by :func:`circle.reals`, with no
+    (row, col) pair twice. Signs and mass are left to the measure's checks."""
     if sorted(support) != ["cols", "rows", "weights"]:
         raise ValueError(f"a PS support has exactly the keys cols, rows and weights, got {sorted(support)}")
     rows, cols, weights = support["rows"], support["cols"], support["weights"]
@@ -730,11 +723,12 @@ def _support_source(support: dict, n1: int, n2: int) -> np.ndarray:
         # type() and not isinstance(): a bool is not an index.
         if not all(type(i) is int and 0 <= i < bound for i in index):
             raise ValueError(f"PS support {name} must be integers in [0, {bound})")
-    if not all(type(w) in (int, float) for w in weights):
-        raise ValueError("PS support weights must be numbers")
     flat = np.array(rows, dtype=np.int64) * n2 + np.array(cols, dtype=np.int64)
     if np.unique(flat).size != flat.size:
         raise ValueError("PS support lists a (row, col) pair twice")
+    weights = reals(weights, "PS support weights")
+    if weights.ndim != 1:
+        raise ValueError("PS support weights must be a list of numbers")
     PS = np.zeros((n1, n2))
     PS.flat[flat] = weights
     return PS
@@ -752,12 +746,8 @@ def measure_from_dict(doc: dict) -> tuple[DiscreteLCMeasure, dict | None]:
     declared = n1, n2, m1, m2 = tuple(integer(doc[k], f"declared dimension {k}") for k in ("n1", "n2", "m1", "m2"))
     # Every file that cosine-measure writes stays within this cap.
     _check_entries(MAX_COSINE_GRID**2, PS=(n1, n2), K1=(n1, m1), K2=(n2, m2))
-    try:
-        PS = _support_source(doc["PS"], n1, n2) if isinstance(doc["PS"], dict) else doc["PS"]
-        PS, K1, K2 = (np.asarray(v, dtype=float) for v in (PS, doc["K1"], doc["K2"]))
-    except (TypeError, OverflowError):
-        # OverflowError: an integer entry too large for a float.
-        raise ValueError("PS, K1 and K2 must be matrices of numbers") from None
+    PS = _support_source(doc["PS"], n1, n2) if isinstance(doc["PS"], dict) else reals(doc["PS"], "PS")
+    K1, K2 = reals(doc["K1"], "K1"), reals(doc["K2"], "K2")
     # Each matrix was converted once, the support form straight into its dense
     # source; the constructor would copy them again.
     _check_measure(PS, K1, K2)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -37,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import BOUNDARY_EPS, HALF_PI, TWO_PI, normalize, on_side
+from .circle import BOUNDARY_EPS, HALF_PI, TWO_PI, normalize, on_side, real, reals
 from .circle import arc_intersect  # noqa: F401  (module attribute patched by perfbench/layers.py)
 
 #: Tolerance on |total mass - 1| before correlations are considered defined.
@@ -116,15 +115,11 @@ class Profile:
         if not isinstance(self.kind, str):
             raise ValueError(f"profile kind must be a string, got {self.kind!r}")
         if self.kind == "samples":
-            try:
-                values = np.asarray(self.samples, dtype=float)
-            except (TypeError, OverflowError):
-                # OverflowError: an integer sample too large for a float.
-                raise ValueError("profile samples must be a list of numbers") from None
+            values = reals(self.samples, "profile samples")
             if values.ndim != 1 or values.size < 2:
                 raise ValueError("sampled profile needs a list of at least two samples")
-            if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-                raise ValueError("profile samples must be finite and nonnegative")
+            if np.any(values < 0.0):
+                raise ValueError("profile samples must be nonnegative")
             # Interpolation slopes reach the largest sample times N / 2π; an
             # overflowing slope gives -inf or nan without any warning.
             if not math.isfinite(float(values.max()) * values.size):
@@ -208,8 +203,9 @@ class CandidateModel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        object.__setattr__(self, "scale", real(self.scale, "model scale"))
+        if not self.scale > 0.0:
+            raise ValueError(f"model scale must be positive, got {self.scale!r}")
         # The density's peak times the circle's length bounds every density
         # value and every quadrature sum. Taken in the density's own product
         # order, a finite bound keeps numpy from overflowing on this model.
@@ -254,19 +250,7 @@ class CandidateModel:
         for key in ("rho", "p1", "p2"):
             if key not in doc:
                 raise ValueError(f"model document is missing the {key!r} field")
-        scale = doc.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, numbers.Real):
-            raise ValueError(f"model scale must be a number, got {scale!r}")
-        try:
-            scale = float(scale)
-        except OverflowError:
-            raise ValueError("model scale is an integer too large for a float") from None
-        return cls(
-            rho=Profile.from_dict(doc["rho"]),
-            p1=Profile.from_dict(doc["p1"]),
-            p2=Profile.from_dict(doc["p2"]),
-            scale=scale,
-        )
+        return cls(*(Profile.from_dict(doc[key]) for key in ("rho", "p1", "p2")), scale=doc.get("scale", 1.0))
 
 
 def save_model(path, model: CandidateModel) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, integer, on_side, spin_values
+from .circle import TWO_PI, integer, on_side, real, spin_values
 from .models import TSIRELSON_SETTINGS, Quadrant, chsh, chsh_pairs
 
 # The three local station rules; see run_station.
@@ -156,6 +156,7 @@ class StationConfig:
 
     def __post_init__(self) -> None:
         on_side(self.side, None, None, "side")  # validates the side
+        object.__setattr__(self, "setting", real(self.setting, "station setting"))
         if self.mode not in STATION_MODES:
             raise ValueError(f"unknown station mode {self.mode!r}")
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
@@ -204,8 +205,6 @@ def run_station(cfg: StationConfig, emissions: Emissions) -> Detections:
         raise ValueError(f"last tick + offset exceeds the int64 maximum {MAX_TICK}")
     weights = None
     if cfg.mode != MODE_ALWAYS:
-        if not math.isfinite(cfg.setting):  # checked first, so inf - inf never warns
-            raise ValueError("angles must be finite")
         phase = np.subtract(emissions.s, cfg.setting, dtype=float)
     if cfg.mode == MODE_ACCEPTANCE:
         # Accept first, then evaluate spins and ticks for the kept emissions only.
@@ -364,12 +363,12 @@ def _fully_matched(r1: Detections, r2: Detections, kind: str) -> tuple[np.ndarra
 
 def _weighted_products(r1: Detections, r2: Detections, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Per-pair products of the weighted estimator from its fully matched
-    values, after its check: exactly one side carrying nonnegative weights."""
+    values, after its check: exactly one side carrying finite nonnegative weights."""
     if (r1.weights is None) == (r2.weights is None):
         raise ValueError("exactly one side must carry importance weights")
     weights = r1.weights if r1.weights is not None else r2.weights
-    if np.any(weights < 0.0):
-        raise ValueError("importance weights must be nonnegative")
+    if not (weights.min(initial=0.0) >= 0.0 and weights.max(initial=0.0) < math.inf):  # NaN fails both
+        raise ValueError("importance weights must be finite and nonnegative")
     return weights * (f1 * f2)
 
 
@@ -417,6 +416,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment mode {self.mode!r}")
         object.__setattr__(self, "offset", integer(self.offset, "tick offset", MIN_TICK, MAX_TICK))
         object.__setattr__(self, "source_seed", integer(self.source_seed, "source seed"))
+        object.__setattr__(self, "a", real(self.a, "setting a"))
+        object.__setattr__(self, "b", real(self.b, "setting b"))
         if self.n - 1 + self.offset > MAX_TICK:
             raise ValueError(f"last tick n - 1 + offset exceeds the int64 maximum {MAX_TICK}")
         st1, st2 = self.station_configs()  # validates the weight side and the station seeds
@@ -465,12 +466,6 @@ def _trial_blocks(cfg: ExperimentConfig, size: int):
     for start in range(0, cfg.n, size):
         emissions = run_source(min(size, cfg.n - start), cfg.source_seed, start)
         yield emissions, run_station(st1, emissions), run_station(st2, emissions)
-
-
-def run_trial(cfg: ExperimentConfig) -> tuple[Emissions, Detections, Detections]:
-    """Source then the two stations, over the whole run at once."""
-    (trial,) = _trial_blocks(cfg, cfg.n)
-    return trial
 
 
 def run_experiment(cfg: ExperimentConfig, events_csv=None, debug_hidden: bool = False) -> ExperimentSummary:
@@ -525,18 +520,12 @@ def chsh_estimate(
     side.
     """
     base_seed = integer(base_seed, "base seed")  # before the seed arithmetic below
-    summaries = []
-    for i, (sa, sb) in enumerate(chsh_pairs(settings)):
-        cfg = ExperimentConfig(
-            n=n,
-            a=sa,
-            b=sb,
-            mode=mode,
-            source_seed=base_seed + 100 * i,
-            station1_seed=base_seed + 100 * i + 1,
-            station2_seed=base_seed + 100 * i + 2,
-        )
-        summaries.append(run_experiment(cfg))
+    # Every config is built, and so checked, before the first run draws.
+    configs = [
+        ExperimentConfig(n=n, a=sa, b=sb, mode=mode, source_seed=seed, station1_seed=seed + 1, station2_seed=seed + 2)
+        for seed, (sa, sb) in zip(range(base_seed, base_seed + 400, 100), chsh_pairs(settings))
+    ]
+    summaries = [run_experiment(cfg) for cfg in configs]
     return {"chsh": chsh(*(s.estimate.value for s in summaries)), "runs": summaries}
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import HALF_PI, TWO_PI, integer, on_side
+from .circle import HALF_PI, TWO_PI, integer, on_side, real
 from .models import (
     CandidateModel,
     Quadrant,
@@ -188,9 +188,10 @@ def quarter_cos(x) -> np.ndarray:
     return 0.25 * np.cos(np.asarray(x, dtype=float))
 
 
-def _check_reconstruction(m: CandidateModel, h: float) -> None:
-    """ValueError unless the differencing step resolves the kinks and every
-    sampled profile is fine enough to probe smoothness."""
+def _check_reconstruction(m: CandidateModel, h: float) -> float:
+    """The differencing step h as a float; ValueError unless it resolves
+    the kinks and every sampled profile is fine enough to probe smoothness."""
+    h = real(h, "differencing step")
     if not (0.0 < h <= MAX_DIFF_STEP):
         raise ValueError(
             f"differencing step must lie in (0, {MAX_DIFF_STEP:g}]: larger steps "
@@ -203,6 +204,7 @@ def _check_reconstruction(m: CandidateModel, h: float) -> None:
             f"sampled profiles with {too_coarse} points are below the "
             f"{MIN_PROFILE_SAMPLES}-point resolution needed to probe smoothness"
         )
+    return h
 
 
 def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionResult:
@@ -215,7 +217,7 @@ def reconstruct_profile(m: CandidateModel, h: float = 1e-3) -> ReconstructionRes
     against cos(x)/4 is taken on the interior, excluding the h-neighborhoods
     of the separations 0 and π where the forced profile has kinks.
     """
-    _check_reconstruction(m, h)
+    h = _check_reconstruction(m, h)
     x = np.linspace(-HALF_PI, HALF_PI, RECONSTRUCTION_SAMPLES)
     b = RECONSTRUCTION_BASE + x + HALF_PI
     up, down = quadrant_prob_quadrature(m, RECONSTRUCTION_BASE, np.stack((b + h, b - h)), Quadrant.II)

@@ -23,6 +23,7 @@ from lcsim.lcmeasure import (
     random_trivial_measure,
 )
 from lcsim.models import CandidateModel, Quadrant, TSIRELSON_SETTINGS
+from test_protocol import run_trial
 
 
 @contextmanager
@@ -109,7 +110,7 @@ def test_criterion_3_monte_carlo_protocol():
                 n=n, a=0.0, b=b,
                 source_seed=300 + 3 * k, station1_seed=301 + 3 * k, station2_seed=302 + 3 * k,
             )
-            _, r1, r2 = protocol.run_trial(cfg)
+            _, r1, r2 = run_trial(cfg)
             _, f1, f2 = protocol.match_coincidences(r1, r2)
             est = protocol.correlation_dp(f1, f2)
             assert abs(est.value - (-math.cos(b))) < 0.005
@@ -140,7 +141,7 @@ def coincidence_z_scores(a: float, first_seed: int, statistic) -> np.ndarray:
         cfg = protocol.ExperimentConfig(
             n=SWEEP_PAIRS, a=a, b=b, source_seed=seed, station1_seed=seed + 1, station2_seed=seed + 2,
         )
-        _, r1, r2 = protocol.run_trial(cfg)
+        _, r1, r2 = run_trial(cfg)
         _, f1, f2 = protocol.match_coincidences(r1, r2)
         count, p = statistic(f1, f2, b)
         z.append((count - f1.size * p) / math.sqrt(f1.size * p * (1.0 - p)))
@@ -248,9 +249,9 @@ def test_criterion_8_locality_audit():
     with criterion("8 structural and statistical no-signaling"):
         n = 1_000_000
         base = dict(n=n, a=0.7, source_seed=800, station1_seed=801, station2_seed=802)
-        _, r1_first, _ = protocol.run_trial(protocol.ExperimentConfig(b=0.1, **base))
+        _, r1_first, _ = run_trial(protocol.ExperimentConfig(b=0.1, **base))
         for b in (1.3, 2.9, 5.5):
-            _, r1_other, _ = protocol.run_trial(protocol.ExperimentConfig(b=b, **base))
+            _, r1_other, _ = run_trial(protocol.ExperimentConfig(b=b, **base))
             assert np.array_equal(r1_first.ticks, r1_other.ticks)
             assert np.array_equal(r1_first.values, r1_other.values)
 
@@ -260,7 +261,7 @@ def test_criterion_8_locality_audit():
                 n=n, a=0.7, b=b,
                 source_seed=810 + 3 * k, station1_seed=811 + 3 * k, station2_seed=812 + 3 * k,
             )
-            _, r1, r2 = protocol.run_trial(cfg)
+            _, r1, r2 = run_trial(cfg)
             _, f1, _ = protocol.match_coincidences(r1, r2)
             share = float(np.mean(f1 == 1))
             sigma = math.sqrt(0.25 / f1.size)

@@ -284,9 +284,9 @@ class TestCosineMeasure:
     @pytest.mark.parametrize(
         "argv, message",
         [(("--grid", "1"), "grid must be an integer of at least 2"),
-         (("--a", "nan"), "finite number 'a'"),
-         (("--b", "nan"), "finite number 'b'"),
-         (("--b", "inf", "--weight-side", "2"), "finite number 'b'")],
+         (("--a", "nan"), "setting a must be a finite number, got nan"),
+         (("--b", "nan"), "setting b must be a finite number, got nan"),
+         (("--b", "inf", "--weight-side", "2"), "setting b must be a finite number, got inf")],
         ids=["grid-1", "a-nan", "b-nan-unweighted", "b-inf-weighted"],
     )
     def test_bad_grid_or_angle_is_validation_error(self, capsys, tmp_path, argv, message):
@@ -748,6 +748,34 @@ def test_malformed_input_file_is_validation_error(capsys, tmp_path, command, doc
     code, _, err = run_cli(capsys, command, flag, str(path))
     assert code == EXIT_VALIDATION
     assert "validation error" in err
+
+
+#: Model and measure files whose numbers are not all JSON numbers, each with
+#: the file number that the rule refuses. Each once loaded, its strings and
+#: bools read as floats, and its command exited 0.
+NON_NUMBER_FILES = {
+    "samples-string": ("uniqueness", {**GOOD_MODEL, "p1": {"samples": ["1.0", 1.0, 0.5]}}, "profile samples"),
+    "samples-true": ("uniqueness", {**GOOD_MODEL, "p1": {"samples": [1.0, 1.0, True]}}, "profile samples"),
+    **{
+        f"{key}-{kind}": (
+            "trivial",
+            {"n1": 1, "n2": 1, "m1": 1, "m2": 1, "PS": [[1.0]], "K1": [[1.0]], "K2": [[1.0]], key: [[bad]]},
+            key,
+        )
+        for key in ("K1", "PS")
+        for kind, bad in (("string", "1"), ("true", True))
+    },
+}
+
+
+@pytest.mark.parametrize("command, doc, name", NON_NUMBER_FILES.values(), ids=NON_NUMBER_FILES.keys())
+def test_file_numbers_must_be_json_numbers(capsys, tmp_path, command, doc, name):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    flags = ("--model", str(path), "--no-reconstruction") if command == "uniqueness" else ("--measure", str(path))
+    code, out, err = run_cli(capsys, command, *flags)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"validation error: every entry of {name} must be a finite number\n"
 
 
 #: Finite models whose quadrature would overflow. Each once printed numpy

@@ -51,6 +51,7 @@ TRANSPORT_DIGEST = "7dc087ae8feefb336d23b43f94cb827ffd980f4561f1004ffe034c5c586a
 #: The support of the grid-4 cosine source, the diagonal at 1/4, and
 #: malformed variants of it with the ValueError each must raise.
 GOOD_SUPPORT = {"rows": [0, 1, 2, 3], "cols": [0, 1, 2, 3], "weights": [0.25] * 4}
+WEIGHTS_ARE_REAL = "every entry of PS support weights must be a finite number"
 MALFORMED_SUPPORTS = {
     "row-out-of-range": ({**GOOD_SUPPORT, "rows": [0, 1, 2, 4]}, "rows must be integers in"),
     "col-out-of-range": ({**GOOD_SUPPORT, "cols": [4, 1, 2, 3]}, "cols must be integers in"),
@@ -65,12 +66,13 @@ MALFORMED_SUPPORTS = {
     "float-index": ({**GOOD_SUPPORT, "cols": [0, 1.0, 2, 3]}, "cols must be integers"),
     "string-index": ({**GOOD_SUPPORT, "rows": [0, "1", 2, 3]}, "rows must be integers"),
     "index-not-a-list": ({**GOOD_SUPPORT, "rows": 0}, "must be lists"),
-    "string-weight": ({**GOOD_SUPPORT, "weights": [0.25, "0.25", 0.25, 0.25]}, "weights must be numbers"),
-    "bool-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, True]}, "weights must be numbers"),
-    "huge-integer-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 10**400]}, "matrices of numbers"),
+    "string-weight": ({**GOOD_SUPPORT, "weights": [0.25, "0.25", 0.25, 0.25]}, WEIGHTS_ARE_REAL),
+    "bool-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, True]}, WEIGHTS_ARE_REAL),
+    "huge-integer-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 10**400]}, WEIGHTS_ARE_REAL),
     "negative-weight": ({**GOOD_SUPPORT, "weights": [0.5, 0.25, 0.5, -0.25]}, "finite and nonnegative"),
-    "nan-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.nan]}, "finite and nonnegative"),
-    "inf-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.inf]}, "finite and nonnegative"),
+    "nan-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.nan]}, WEIGHTS_ARE_REAL),
+    "inf-weight": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, math.inf]}, WEIGHTS_ARE_REAL),
+    "nested-weights": ({**GOOD_SUPPORT, "weights": [[0.25]] * 4}, "weights must be a list of numbers"),
     "mass-below-one": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 0.0]}, "must sum to 1"),
     "mass-above-one": ({**GOOD_SUPPORT, "weights": [0.25, 0.25, 0.25, 0.5]}, "must sum to 1"),
 }
@@ -1027,7 +1029,8 @@ class TestCosineDiagonal:
         monkeypatch.setattr(lcmeasure, "diagonal_grid", refuse)
         settings = list(TSIRELSON_SETTINGS)
         settings[position] = bad
-        with pytest.raises(ValueError, match="settings must be finite"):
+        name = ("a", "a2", "b", "b2")[position]
+        with pytest.raises(ValueError, match=f"cosine-diagonal setting {name} must be a finite number"):
             cosine_diagonal_family(16, tuple(settings), 8, 8, 1)
 
     @pytest.mark.parametrize(

@@ -671,7 +671,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "doc, message",
-        [({"p1": {"samples": [10**400, 1.0]}}, "list of numbers"), ({"scale": 10**400}, "too large for a float")],
+        [({"p1": {"samples": [10**400, 1.0]}}, "every entry of profile samples must be a finite number"),
+         ({"scale": 10**400}, "model scale must be a finite number")],
         ids=["samples", "scale"],
     )
     def test_integer_too_large_for_a_float_rejected(self, doc, message):

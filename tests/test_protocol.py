@@ -36,7 +36,6 @@ from lcsim.protocol import (
     run_experiment,
     run_source,
     run_station,
-    run_trial,
     write_event_log,
 )
 
@@ -46,6 +45,14 @@ MIN_TICK = np.iinfo(np.int64).min
 
 # The earlier matcher, station, estimator and event-log writer, kept as the
 # references the numpy rewrites must match exactly.
+
+
+def run_trial(cfg):
+    """Source then the two stations, over the whole run at once: the
+    reference that the streamed run_experiment is compared against."""
+    st1, st2 = cfg.station_configs()
+    emissions = run_source(cfg.n, cfg.source_seed)
+    return emissions, run_station(st1, emissions), run_station(st2, emissions)
 
 
 def reference_match(r1, r2):
@@ -672,6 +679,14 @@ class TestEstimators:
         with pytest.raises(ValueError, match="weights"):
             correlation_weighted(d1, d2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_weighted_refuses_non_finite_or_negative_weights(self, bad):
+        # A non-finite weight was once averaged into a non-finite estimate.
+        ticks, values = np.arange(3), np.array([1, -1, 1], dtype=np.int8)
+        weighted = Detections(ticks, values, np.array([1.0, bad, 0.5]))
+        with pytest.raises(ValueError, match="importance weights must be finite and nonnegative"):
+            correlation_weighted(weighted, Detections(ticks, values))
+
     @pytest.mark.parametrize("estimator", [correlation_standard, correlation_weighted])
     def test_fully_matched_estimators_reject_empty_lists(self, estimator):
         empty = Detections(np.array([], dtype=np.int64), np.array([], dtype=np.int8), np.array([]))
@@ -724,6 +739,13 @@ class TestExperiment:
     def test_chsh_coincidence_violates(self):
         result = chsh_estimate(N_MC, base_seed=7)
         assert result["chsh"] > 2.7
+
+    def test_chsh_estimate_checks_every_setting_before_the_first_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(protocol, "run_experiment", runs.append)
+        with pytest.raises(ValueError, match="setting b must be a finite number, got nan"):
+            chsh_estimate(100, (0.0, 0.5, 0.25, math.nan))
+        assert runs == []
 
     def test_chsh_standard_classical(self):
         result = chsh_estimate(N_MC, mode="standard", base_seed=7)

@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "lcsim"
 ALLOWED = {
     "lcmeasure.rescale": "the README documents it: the kernel/source construction of a nontrivial measure",
     "models.save_model": "the README documents it: the model-file writer, the pair of load_model",
-    "protocol.run_trial": "the whole-run reference that the tests compare the streamed run against",
 }
 
 #: Defaulted parameters that no call outside the tests sets, each kept on

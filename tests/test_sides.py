@@ -1,14 +1,20 @@
-"""The weighted side is decided in one place, `circle.on_side`, and every
-integer argument is checked by one rule, `circle.integer`.
+"""The weighted side is decided in one place, `circle.on_side`, every
+integer argument is checked by one rule, `circle.integer`, and every real
+number by one rule, `circle.real`.
 
 Weight side 2 is weight side 1 with the two sides exchanged, at every site
 that takes a side, and every entry point that takes a side rejects anything
 but 1 and 2. Every entry point that takes a count, size, seed, offset or
 grid takes numpy integers and refuses bools, floats and strings with
-ValueError, before it draws anything.
+ValueError, before it draws anything. Every entry point that takes a
+setting, scale, step or file number takes numpy numbers, with the output of
+the same float, and refuses bools, strings, NaN, ±inf and integers too large
+for a float with ValueError, before it draws anything.
 """
 
 import ast
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsim import circle, lcmeasure, protocol, uniqueness
+from lcsim.lcmeasure import COSINE_DEFAULTS
 from lcsim.models import BUILTINS, TSIRELSON_SETTINGS, CandidateModel, Profile
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -252,3 +259,156 @@ def e(x): return isinstance(x, bool) or type(x) is int or [x].index(x) or x.inte
 from .circle import integer
 """
     assert integer_checks(source) == ["<module>", "a", "b", "c", "d"]
+
+
+def test_real_returns_a_python_float_or_refuses():
+    for value in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(1), np.uint8(1), 2**70):
+        out = circle.real(value, "scale")
+        assert out == float(value) and type(out) is float
+    for value in (True, np.True_, "0.5", None, [0.5], np.array(0.5), math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match=r"scale must be a finite number, got "):
+            circle.real(value, "scale")
+
+
+def test_reals_applies_the_rule_to_every_entry():
+    out = circle.reals([[1, 0.5], [np.float64(0.25), np.int64(2)]], "K1")
+    assert out.dtype == float and out.tolist() == [[1.0, 0.5], [0.25, 2.0]]
+    for bad in (True, "0.5", None, [0.5], math.nan, math.inf, 10**400):
+        with pytest.raises(ValueError, match="every entry of K1 must be a finite number"):
+            circle.reals([[1.0, 0.5], [0.25, bad]], "K1")
+
+
+#: A value that every entry of REAL_ENTRY_POINTS takes: a setting, a scale,
+#: a differencing step within 1e-2 and a matrix entry.
+REAL = 2.0**-7
+
+
+def _document(**fields):
+    """A unit-mass 1 × 2 measure document with one K1 row and two K2 rows,
+    REAL and 1 - REAL on its source; `fields` replace its matrices."""
+    doc = {"n1": 1, "n2": 2, "m1": 1, "m2": 1, "PS": [[REAL, 1.0 - REAL]], "K1": [[1.0]], "K2": [[1.0], [1.0]]}
+    return {**doc, **fields}
+
+
+def _settings_at(position: int, v) -> tuple:
+    """TSIRELSON_SETTINGS with `v` at `position`."""
+    return tuple(v if i == position else setting for i, setting in enumerate(TSIRELSON_SETTINGS))
+
+
+UNIFORM = Profile("uniform")
+
+#: Each entry point with `v` in one real argument and valid ones elsewhere;
+#: REAL is valid for every one of them.
+REAL_ENTRY_POINTS = {
+    "ExperimentConfig.a": lambda v, rng: protocol.ExperimentConfig(n=1, a=v, b=0.0),
+    "ExperimentConfig.b": lambda v, rng: protocol.ExperimentConfig(n=1, a=0.0, b=v),
+    "StationConfig.setting": lambda v, rng: protocol.StationConfig(side=1, setting=v),
+    **{
+        f"chsh_estimate.{name}": lambda v, rng, i=i: protocol.chsh_estimate(100, _settings_at(i, v))
+        for i, name in enumerate(("a", "a2", "b", "b2"))
+    },
+    "spin_values.setting": lambda v, rng: circle.spin_values(1, v, [0.0, 1.0]),
+    "CandidateModel.scale": lambda v, rng: CandidateModel(rho=UNIFORM, p1=UNIFORM, p2=UNIFORM, scale=v),
+    "cosine_diagonal_measure.a": lambda v, rng: lcmeasure.cosine_diagonal_measure(8, v, 0.0),
+    "cosine_diagonal_measure.b": lambda v, rng: lcmeasure.cosine_diagonal_measure(8, 0.0, v, weight_side=2),
+    **{
+        f"cosine_diagonal_family.{name}": lambda v, rng, i=i: lcmeasure.cosine_diagonal_family(
+            8, _settings_at(i, v), 8, 8, 1
+        )
+        for i, name in enumerate(("a", "a2", "b", "b2"))
+    },
+    "check_cosine_file.a": lambda v, rng: lcmeasure.check_cosine_file(
+        lcmeasure.cosine_diagonal_measure(8, REAL, COSINE_DEFAULTS["b"]),
+        {"family": lcmeasure.COSINE_FAMILY, "grid": 8, "a": v},
+    ),
+    "reconstruct_profile.h": lambda v, rng: uniqueness.reconstruct_profile(ABS_COS, h=v),
+    "verify_reproduction.h": lambda v, rng: uniqueness.verify_reproduction(ABS_COS, grid=8, h=v),
+    "Profile.from_samples": lambda v, rng: Profile.from_samples([v, 1.0, 0.5]),
+    "measure_from_dict.PS": lambda v, rng: lcmeasure.measure_from_dict(_document(PS=[[v, 1.0 - REAL]])),
+    "measure_from_dict.PS-support": lambda v, rng: lcmeasure.measure_from_dict(
+        _document(PS={"rows": [0, 0], "cols": [0, 1], "weights": [v, 1.0 - REAL]})
+    ),
+    "measure_from_dict.K1": lambda v, rng: lcmeasure.measure_from_dict(_document(K1=[[v]])),
+    "measure_from_dict.K2": lambda v, rng: lcmeasure.measure_from_dict(_document(K2=[[1.0], [v]])),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, "0.5", math.nan, math.inf, 10**400], ids=["bool", "string", "nan", "inf", "huge-integer"]
+)
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_every_real_entry_point_refuses_non_numbers_before_any_draw(entry, value):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be a finite number"):
+        REAL_ENTRY_POINTS[entry](value, rng)
+    assert rng.bit_generator.state == state
+
+
+def bits(x):
+    """`x` as nested tuples of type names and bytes: equal only for outputs
+    that are equal bit for bit, numbers of equal value but other types apart."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, *(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, *map(bits, x)
+    if isinstance(x, dict):
+        return tuple((key, bits(value)) for key, value in x.items())
+    return type(x).__name__, x.hex() if isinstance(x, float) else repr(x)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+def test_every_real_entry_point_gives_a_numpy_float_the_output_of_its_float(entry):
+    rng = np.random.default_rng(0)
+    assert bits(REAL_ENTRY_POINTS[entry](np.float64(REAL), rng)) == bits(REAL_ENTRY_POINTS[entry](REAL, rng))
+
+
+def real_checks(source: str) -> list[str]:
+    """The top-level definition around each real-number type test or float
+    overflow catch of `source`: each reference to numbers.Real and each
+    handler that catches OverflowError; "<module>" outside any."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and (getattr(node.value, "id", None), node.attr) == ("numbers", "Real"):
+                found.append(owner)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers" and "Real" in {a.name for a in node.names}:
+                found.append(owner)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in types):
+                    found.append(owner)
+    return found
+
+
+def test_real_is_the_one_real_rule():
+    package = Path(circle.__file__).parent
+    found = {p.stem: real_checks(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {module: owners for module, owners in found.items() if owners} == {"circle": ["real", "reals", "_is_real"]}
+
+
+def test_real_check_scanner():
+    source = """
+from numbers import Real
+def a(x): return isinstance(x, numbers.Real)
+def b(x):
+    try:
+        return float(x)
+    except (TypeError, OverflowError):
+        return None
+def c(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+def d(x): return isinstance(x, (float, numbers.Integral)) or x.Real or "numbers.Real"
+def e(x):
+    try:
+        return float(x)
+    except Exception:
+        raise OverflowError
+"""
+    assert real_checks(source) == ["<module>", "a", "b", "c"]
